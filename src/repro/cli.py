@@ -30,14 +30,11 @@ one structured line to stderr —
 :data:`repro.runtime.gateway.ERROR_CODES` — and exits non-zero, never
 a traceback.
 
-Repeated parses of byte-identical source are served from the frontend
-cache (``repro.lang.cache``); set ``REPRO_PARSE_CACHE=0`` to force every
-command onto the uncached lex/parse/typecheck path.  Repeated *splits*
-of the same (program, trust configuration, engine) triple are served
-from the whole-pipeline split cache (``repro.splitter.cache``); set
-``REPRO_SPLIT_CACHE=0`` to disable it, or point
-``REPRO_SPLIT_CACHE_DIR`` at a directory to persist split artifacts
-across runs (digest-verified on load).
+Repeated splits of the same (program, trust configuration, engine)
+triple are served from the whole-pipeline split cache
+(``repro.splitter.cache``); set ``REPRO_SPLIT_CACHE=0`` to disable it,
+or point ``REPRO_SPLIT_CACHE_DIR`` at a directory to persist split
+artifacts across runs (digest-verified on load).
 
 The hosts file is JSON::
 
@@ -561,11 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser(
         "bench",
         help="time the Table 1 workloads and a seeded progen sweep, "
-             "staged as parse/typecheck/split/execute; reports label, "
-             "frontend (parse), and split cache hit rates — set "
-             "REPRO_PARSE_CACHE=0 / REPRO_SPLIT_CACHE=0 to bench the "
-             "uncached paths, REPRO_SPLIT_CACHE_DIR to persist split "
-             "artifacts across runs",
+             "staged as parse/typecheck/split/execute; reports label "
+             "and split cache hit rates — set REPRO_SPLIT_CACHE=0 to "
+             "bench the uncached split path, REPRO_SPLIT_CACHE_DIR to "
+             "persist split artifacts across runs",
     )
     bench.add_argument("--quick", action="store_true",
                        help="short sweep for CI smoke runs")

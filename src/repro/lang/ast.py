@@ -469,11 +469,14 @@ class ClassDecl(Node):
 
 
 class Program(Node):
-    __slots__ = ("classes",)
+    __slots__ = ("classes", "source_digest")
 
     def __init__(self, classes: Sequence[ClassDecl], pos=None) -> None:
         super().__init__(pos)
         self.classes = list(classes)
+        #: SHA-256 of the source text, set by ``parse_program``; None for
+        #: an AST built any other way (the split cache stands aside).
+        self.source_digest: Optional[str] = None
 
     def class_named(self, name: str) -> Optional[ClassDecl]:
         for cls in self.classes:

@@ -31,9 +31,6 @@ recovered by bisecting the precomputed line-start table.  The two
 derivations agree for every offset — both count the line starts at or
 before the offset — and ``tests/lang/test_lexer_differential.py``
 cross-checks them token by token over the whole corpus.
-
-Token tuples are cached per source digest (see ``lang/cache.py``);
-``REPRO_PARSE_CACHE=0`` disables the cache.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ import re
 from bisect import bisect_right
 from typing import Iterator, List, NamedTuple, Sequence
 
-from . import cache as _frontend_cache
 from .errors import LexError, SourcePosition
 
 KEYWORDS = frozenset(
@@ -222,14 +218,6 @@ class Lexer:
 def tokenize(source: str) -> Sequence[Token]:
     """Tokenize ``source``, appending a single end-of-file token.
 
-    Returns an immutable tuple, cached per content digest; set
-    ``REPRO_PARSE_CACHE=0`` to disable the cache.
+    Returns an immutable tuple.
     """
-    if not _frontend_cache.enabled():
-        return tuple(Lexer(source).scan())
-    key = _frontend_cache.digest(source)
-    tokens = _frontend_cache.lookup_tokens(key)
-    if tokens is None:
-        tokens = tuple(Lexer(source).scan())
-        _frontend_cache.store_tokens(key, tokens)
-    return tokens
+    return tuple(Lexer(source).scan())

@@ -11,7 +11,6 @@ from typing import List, Optional
 
 from ..labels import ConfLabel, ConfPolicy, IntegLabel, Label, Principal
 from . import ast
-from . import cache as _frontend_cache
 from .errors import ParseError
 from .lexer import EOF_KIND, Token, tokenize
 
@@ -512,17 +511,14 @@ class Parser:
 def parse_program(source: str) -> ast.Program:
     """Parse a complete mini-Jif program.
 
-    The resulting AST is cached per content digest and shared across
-    repeated parses of byte-identical source (every consumer treats it
-    as immutable); set ``REPRO_PARSE_CACHE=0`` to disable the cache.
+    The returned AST records the SHA-256 digest of ``source`` in
+    ``source_digest``, the content address the split cache keys on when
+    a staged caller splits the checked program.
     """
-    if not _frontend_cache.enabled():
-        return Parser(source).parse_program()
-    key = _frontend_cache.digest(source)
-    program = _frontend_cache.lookup_ast(key)
-    if program is None:
-        program = Parser(source).parse_program()
-        _frontend_cache.store_ast(key, program)
+    from ..splitter.cache import digest
+
+    program = Parser(source).parse_program()
+    program.source_digest = digest(source)
     return program
 
 

@@ -44,10 +44,10 @@ QUICK_SEEDS = 50
 
 
 def _cache_stats() -> Dict[str, Dict[str, int]]:
-    """Label-layer and frontend cache counters, merged into one section
-    (frontend tables are prefixed ``frontend.``), or empty when a cache
-    layer is absent (lets this harness measure pre-optimization
-    checkouts unchanged)."""
+    """Label-layer and split cache counters, merged into one section
+    (split tiers are prefixed ``split.``), or empty when a cache layer
+    is absent (lets this harness measure pre-optimization checkouts
+    unchanged)."""
     merged: Dict[str, Dict[str, int]] = {}
     try:
         from ..labels.cache import stats
@@ -55,12 +55,6 @@ def _cache_stats() -> Dict[str, Dict[str, int]]:
         pass
     else:
         merged.update(stats())
-    try:
-        from ..lang.cache import stats as frontend_stats
-    except ImportError:
-        pass
-    else:
-        merged.update(frontend_stats())
     try:
         from ..splitter.cache import stats as split_stats
     except ImportError:
@@ -99,12 +93,6 @@ def _reset_cache_stats() -> None:
         pass
     else:
         reset_stats()
-    try:
-        from ..lang.cache import reset_stats as reset_frontend_stats
-    except ImportError:
-        pass
-    else:
-        reset_frontend_stats()
     try:
         from ..splitter.cache import reset_stats as reset_split_stats
     except ImportError:
@@ -163,8 +151,8 @@ def run_bench(
     # Untimed warmup: pay one-time costs (imports, regex compilation,
     # intern-table population) before the clock starts, so a --quick
     # run is comparable against a scaled full-length baseline.  The
-    # warmup also seeds the frontend parse cache and the whole-pipeline
-    # split cache with progen seed 0; counter resets below keep the
+    # warmup also seeds the whole-pipeline split cache with progen
+    # seed 0; counter resets below keep the
     # warmup out of the reported rates but deliberately leave the
     # cached artifacts in place (that reuse is exactly what the cache
     # layers are for).
@@ -474,18 +462,6 @@ def main(
             f"(x{aggregate['speedup_vs_naive']:.2f} vs per-run "
             "reconstruction)"
         )
-    frontend = {
-        name: entry
-        for name, entry in report.get("cache", {}).items()
-        if name.startswith("frontend.")
-    }
-    if frontend:
-        summary = ", ".join(
-            f"{name.split('.', 1)[1]} {entry['hits']}/{entry['hits'] + entry['misses']}"
-            for name, entry in sorted(frontend.items())
-        )
-        print(f"bench: frontend cache hits {summary} "
-              f"(REPRO_PARSE_CACHE=0 disables)")
     split_tiers = {
         name: entry
         for name, entry in report.get("cache", {}).items()

@@ -35,8 +35,8 @@ Categories:
     :meth:`TrustedHost.handle` minus everything below it — request
     validation, dedup, dispatch-table lookup, reply bookkeeping.
 ``execute``
-    :meth:`TrustedHost.run_chain` minus its children — the compiled /
-    interpreted fragment bodies themselves.
+    :meth:`TrustedHost.run_chain` minus its children — the compiled
+    fragment bodies themselves.
 ``token``
     :class:`TokenFactory` mint / verify / seal / verify_seal — all
     HMAC work (the batched-verify memo shrinks exactly this slice).

@@ -224,7 +224,7 @@ def sweep(
     With ``jobs > 1`` the schedules run in a shared-nothing pool of
     forked workers; every schedule is seeded independently, so the
     report is identical to a serial run regardless of ``jobs``.  The
-    split program (and with it every frontend-cache and label-cache
+    split program (and with it every split-cache and label-cache
     entry its construction populated) is built in the parent before the
     pool forks, so workers inherit warm caches by memory copy.
     """

@@ -44,14 +44,13 @@ its split, so every existing call site gets artifact sharing for free.
 from __future__ import annotations
 
 import gc
-import os
 import time
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..labels import Label
 from ..splitter.fragments import Fragment, SplitProgram
 from ..trust import KeyRegistry
-from .compiler import CompiledProgram, compilation_enabled, compile_split
+from .compiler import CompiledFragment
 from .faults import FaultInjector
 from .host import ExecutionState, HaltSignal, TrustedHost
 from .network import CostModel, SimNetwork
@@ -158,11 +157,10 @@ class HostImage:
         split: SplitProgram,
         forward_denied: Dict[str, FrozenSet[Tuple[Tuple[str, str], str]]],
         constant_denied: FrozenSet[str],
-        compiled: Optional[CompiledProgram],
+        compiled: Dict[str, CompiledFragment],
     ) -> None:
         self.name = name
-        #: the image-wide compiled fragment cache (shared across hosts;
-        #: None when REPRO_COMPILE=0 selects the interpreter).
+        #: the image-wide compiled fragment cache (shared across hosts).
         self.compiled = compiled
         #: entries this host serves.
         self.entries: Dict[str, Fragment] = {
@@ -212,11 +210,11 @@ class RuntimeImage:
     ) -> None:
         self.split = split
         self.registry = registry or KeyRegistry()
-        #: compiled fragment cache, shared across hosts and sessions
-        #: (``None`` when REPRO_COMPILE=0 selects the interpreter).
-        self.compiled: Optional[CompiledProgram] = (
-            compile_split(split) if compilation_enabled() else None
-        )
+        #: entry -> compiled fragment, shared across hosts and sessions.
+        #: Filled lazily by ``TrustedHost.run_chain`` on a fragment's
+        #: first entry, so a fragment altered between image build and
+        #: execution is compiled as altered.
+        self.compiled: Dict[str, CompiledFragment] = {}
         # Derive every host key now, so no session pays for it.
         for descriptor in split.config.hosts:
             self.registry.register(f"host:{descriptor.name}")
@@ -278,17 +276,12 @@ class RuntimeImage:
         With ``registry=None`` (the common case) every caller gets the
         same image and therefore the same derived key material; passing
         an explicit registry yields an image bound to it (memoized per
-        registry object).  The cache key includes the compilation mode
-        so toggling ``REPRO_COMPILE`` between runs builds the matching
-        image rather than reusing a stale one.
+        registry object).
         """
         images = getattr(split, "_images", None)
         if images is None:
             images = split._images = {}
-        key = (
-            id(registry) if registry is not None else None,
-            compilation_enabled(),
-        )
+        key = id(registry) if registry is not None else None
         image = images.get(key)
         if image is None or (
             registry is not None and image.registry is not registry
@@ -661,14 +654,11 @@ class MultiSessionDriver:
         mid-drive gen-2 sweep is a latency spike for whichever session
         it lands on).  Cycles created during a drive are bounded by the
         drive and collected at the next normal threshold after GC is
-        re-enabled.  ``REPRO_GC_PAUSE=0`` keeps the collector running.
+        re-enabled.
         """
         perf = time.perf_counter
         pools = self.pools
-        pause_gc = (
-            gc.isenabled()
-            and os.environ.get("REPRO_GC_PAUSE", "1") != "0"
-        )
+        pause_gc = gc.isenabled()
         active: List[Tuple[Session, float, SessionPool]] = []
         records: List[Dict[str, Any]] = []
         launched = 0

@@ -1,11 +1,8 @@
 """Whole-pipeline content-addressed split cache.
 
-The frontend cache (:mod:`repro.lang.cache`) stops at typecheck;
-lowering, placement, and splitting still re-ran on every sweep
-iteration, keeping split the top bench stage.  For a fixed program,
-trust configuration, and acts-for hierarchy the splitter's output is a
-pure function of its inputs, so this module memoizes ``split_source``
-results end to end, keyed by::
+For a fixed program, trust configuration, and acts-for hierarchy the
+splitter's output is a pure function of its inputs, so this module
+memoizes ``split_source`` results end to end, keyed by::
 
     (sha256(source), TrustConfiguration.fingerprint(), engine)
 
@@ -34,10 +31,10 @@ Two tiers:
 
 ``REPRO_SPLIT_CACHE=0`` disables every lookup and every store, so the
 uncached path is exactly the pre-cache pipeline.  Hit/miss counters
-feed ``python -m repro bench`` alongside the label and frontend cache
-stats.  The differential battery in
-``tests/splitter/test_split_cache.py`` pins rehydrated splits
-observably identical to fresh compiles across both tiers.
+feed ``python -m repro bench`` alongside the label cache stats.  The
+differential battery in ``tests/splitter/test_split_cache.py`` pins
+rehydrated splits observably identical to fresh compiles across both
+tiers.
 """
 
 from __future__ import annotations
@@ -77,6 +74,11 @@ def artifact_dir() -> Optional[str]:
     return os.environ.get(ENV_DIR) or None
 
 
+def digest(source: str) -> str:
+    """The content address of ``source``: its SHA-256 hex digest."""
+    return hashlib.sha256(source.encode("utf-8")).hexdigest()
+
+
 def resolve_engine(engine: Optional[str]) -> str:
     """The engine component of the cache key: the same resolution
     :func:`repro.splitter.optimizer.assign_hosts` applies, normalized
@@ -109,7 +111,7 @@ class SplitKey(NamedTuple):
 def split_key(source_digest: Optional[str], config, engine: Optional[str]) -> Optional[SplitKey]:
     """The cache key for one ``split_source`` call, or None when the
     cache is disabled or the source digest is unknown (e.g. a checked
-    program whose AST never went through the frontend cache)."""
+    program whose AST was not built by ``parse_program``)."""
     if source_digest is None or not enabled():
         return None
     return SplitKey(source_digest, config.fingerprint(), resolve_engine(engine))
@@ -317,8 +319,8 @@ def store(key: SplitKey, encoded: Dict) -> None:
 
 def stats() -> Dict[str, Dict[str, float]]:
     """Hit/miss counters per tier, in the same shape as
-    :func:`repro.lang.cache.stats` so the bench report merges them into
-    its one cache section."""
+    :func:`repro.labels.cache.stats` so the bench report merges them
+    into its one cache section."""
     report = {}
     for tier in _TIERS:
         total = tier.hits + tier.misses

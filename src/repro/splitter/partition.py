@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional, Tuple, Union
 
-from ..lang import cache as frontend_cache
 from ..lang.typecheck import CheckedProgram, check_source
 from ..trust import TrustConfiguration
 from . import cache as split_cache
@@ -171,16 +170,13 @@ def _source_digest(source: Union[str, CheckedProgram]) -> Optional[str]:
     """The content address of the program text, when one is knowable.
 
     For checked-program inputs (the staged bench pipeline) the digest
-    is recovered through the frontend cache's AST reverse map; an AST
-    that never went through that cache has no stable address, and the
-    split cache simply stands aside for it.
+    is the one ``parse_program`` recorded on the AST; an AST built any
+    other way has no stable address, and the split cache simply stands
+    aside for it.
     """
     if isinstance(source, str):
-        return frontend_cache.digest(source)
-    program = getattr(source, "program", None)
-    if program is None:
-        return None
-    return frontend_cache.ast_digest(program)
+        return split_cache.digest(source)
+    return source.program.source_digest
 
 
 def split_program(

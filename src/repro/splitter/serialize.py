@@ -15,8 +15,8 @@ cannot inherit in-memory objects.  This module defines the contract:
   constructors, so rehydrated labels are the same hash-consed objects
   the rest of the process uses; compiled fragment closures are *not*
   part of the artifact — they are rebuilt lazily on first execution by
-  the tiered compiler in :mod:`repro.runtime.compiler`, exactly as for
-  a freshly split program.
+  :mod:`repro.runtime.compiler`, exactly as for a freshly split
+  program.
 
 Every semantic ordering (fragment op lists, edge plans, method
 parameter order, forward target order) is preserved verbatim; only
@@ -400,8 +400,8 @@ def decode_split(data: Dict, config) -> SplitProgram:
 
     The returned program shares nothing mutable with any other decode of
     the same data, so cache hits can never alias each other.  Compiled
-    closures are absent by construction; the runtime's tiered compiler
-    rebuilds them on first execution.
+    closures are absent by construction; the runtime compiles each
+    fragment on its first execution.
     """
     try:
         if not isinstance(data, dict):

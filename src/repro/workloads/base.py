@@ -2,8 +2,8 @@
 
 Workload sources are plain strings rebuilt by each ``source()`` call,
 so the Table 1 report, the fault sweeps, and the oracle checks all
-construct byte-identical programs many times over; the frontend cache
-(``repro.lang.cache``) keys on the source digest and serves every
+construct byte-identical programs many times over; the split cache
+(``repro.splitter.cache``) keys on the source digest and serves every
 rebuild after the first from memory.  ``WorkloadResult.source_digest``
 exposes that content address for correlation with cache stats.
 """
@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..lang.cache import digest as source_digest
 from ..runtime import CostModel, DistributedExecutor, run_single_host
 from ..runtime.executor import ExecutionResult
 from ..splitter import SplitResult, split_source
+from ..splitter.cache import digest as source_digest
 from ..trust import TrustConfiguration
 
 
@@ -44,7 +44,7 @@ class WorkloadResult:
 
     @property
     def source_digest(self) -> str:
-        """Content address of the source (the frontend cache key)."""
+        """Content address of the source (the split cache's key)."""
         return source_digest(self.source)
 
     @property

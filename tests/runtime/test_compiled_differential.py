@@ -1,16 +1,17 @@
-"""Differential tests: compiled fragment bodies ≡ the interpreter.
+"""Differential tests: compiled fragment bodies ≡ the reference interpreter.
 
-``TrustedHost.run_chain`` normally tiers into compiled closures
-(``repro.runtime.compiler``); with ``REPRO_COMPILE=0`` it stays on the
-per-op ``_run_op``/``_run_terminator`` interpreter forever.  Both modes
-must produce bit-identical observable behaviour: message counts,
-simulated network time, audits, frame variables, and field stores.
+``TrustedHost.run_chain`` runs every fragment as compiled closures
+(``repro.runtime.compiler``).  The tree-walking oracle in
+``repro.runtime.reference`` is swapped in for it here, and both must
+produce bit-identical observable behaviour: message counts, simulated
+network time, audits, frame variables, and field stores.
 """
 
 import pytest
 
 from repro import progen
-from repro.runtime import DistributedExecutor
+from repro.runtime import DistributedExecutor, RuntimeImage, TrustedHost
+from repro.runtime import reference
 from repro.splitter import split_source
 from repro.workloads import listcompare, ot, tax, work
 
@@ -70,14 +71,12 @@ def observables(outcome):
 
 
 def run_both(source, config, monkeypatch):
-    """One split, executed compiled and interpreted."""
+    """One split, executed compiled and by the reference interpreter."""
     result = split_source(source, config)
     compiled = DistributedExecutor(result.split).run()
-    monkeypatch.setenv("REPRO_COMPILE", "0")
-    try:
+    with monkeypatch.context() as patch:
+        patch.setattr(TrustedHost, "run_chain", reference.run_chain)
         interpreted = DistributedExecutor(result.split).run()
-    finally:
-        monkeypatch.delenv("REPRO_COMPILE")
     return observables(compiled), observables(interpreted)
 
 
@@ -108,29 +107,33 @@ class TestGeneratedPrograms:
         )
         assert compiled == interpreted
 
-    def test_flag_actually_disables_compilation(self, monkeypatch):
-        """Guard the guard: REPRO_COMPILE=0 must leave hosts compiler-free,
-        or the differential above compares compiled against compiled."""
-        result = split_source(OT_SOURCE, config_abt())
-        executor = DistributedExecutor(result.split)
-        assert all(
-            host._compiled is not None for host in executor.hosts.values()
-        )
-        monkeypatch.setenv("REPRO_COMPILE", "0")
-        plain = DistributedExecutor(result.split)
-        assert all(
-            host._compiled is None for host in plain.hosts.values()
-        )
 
-    def test_tiering_reexecutes_hot_fragments_compiled(self):
-        """Loops re-enter their fragments, so a looping workload must
-        actually populate the compiled-fragment cache (the differential
-        would vacuously pass if tiering never promoted anything)."""
-        result = split_source(work.source(rounds=12), work.config())
-        executor = DistributedExecutor(result.split)
-        executor.run()
-        compiled_entries = set()
-        for host in executor.hosts.values():
-            if host._compiled is not None:
-                compiled_entries.update(host._compiled.fragments)
-        assert compiled_entries, "no fragment was ever promoted to compiled"
+class TestOraclePaths:
+    def test_reference_run_compiles_nothing(self, monkeypatch):
+        """Guard the oracle: under the patched ``run_chain`` no fragment
+        is ever compiled, or the differential above would compare
+        compiled against compiled."""
+        split = split_source(work.source(rounds=12), work.config()).split
+        monkeypatch.setattr(TrustedHost, "run_chain", reference.run_chain)
+        DistributedExecutor(split).run()
+        assert RuntimeImage.for_split(split).compiled == {}
+
+    def test_every_executed_entry_is_compiled(self, monkeypatch):
+        """A normal run compiles each fragment it enters, and only those
+        (the differential would pass vacuously if compiled code never
+        ran)."""
+        split = split_source(work.source(rounds=12), work.config()).split
+        executed = set()
+        run_fragment = reference.run_terminator
+
+        def record(host, fragment, state):
+            executed.add(fragment.entry)
+            return run_fragment(host, fragment, state)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(TrustedHost, "run_chain", reference.run_chain)
+            patch.setattr(reference, "run_terminator", record)
+            DistributedExecutor(split).run()
+        DistributedExecutor(split).run()
+        assert executed
+        assert set(RuntimeImage.for_split(split).compiled) == executed

@@ -1,8 +1,13 @@
-"""Unit tests for fragment-level expression evaluation on a host."""
+"""Unit tests for fragment-level expression evaluation on a host.
+
+Expressions go through :func:`repro.runtime.compiler.compile_expr`, the
+evaluator every fragment runs in production.
+"""
 
 import pytest
 
 from repro.runtime import DistributedExecutor, FrameID
+from repro.runtime.compiler import compile_expr
 from repro.splitter import ir, split_source
 
 from tests.programs import SIMPLE_SOURCE, single_host_config
@@ -18,6 +23,10 @@ def host():
 @pytest.fixture
 def frame():
     return FrameID(("Simple", "main"))
+
+
+def evaluate(host, expr, frame):
+    return compile_expr(expr)(host, frame)
 
 
 def const(value):
@@ -46,7 +55,7 @@ class TestArithmetic:
         ],
     )
     def test_int_ops(self, host, frame, op, left, right, expected):
-        assert host.eval(binop(op, left, right), frame) == expected
+        assert evaluate(host, binop(op, left, right), frame) == expected
 
     @pytest.mark.parametrize(
         "op,left,right,expected",
@@ -61,7 +70,7 @@ class TestArithmetic:
         ],
     )
     def test_comparisons(self, host, frame, op, left, right, expected):
-        assert host.eval(binop(op, left, right), frame) is expected
+        assert evaluate(host, binop(op, left, right), frame) is expected
 
     @pytest.mark.parametrize(
         "op,left,right,expected",
@@ -74,11 +83,11 @@ class TestArithmetic:
         ],
     )
     def test_logic(self, host, frame, op, left, right, expected):
-        assert host.eval(binop(op, left, right), frame) is expected
+        assert evaluate(host, binop(op, left, right), frame) is expected
 
     def test_unary(self, host, frame):
-        assert host.eval(ir.UnOp("!", const(True)), frame) is False
-        assert host.eval(ir.UnOp("-", const(5)), frame) == -5
+        assert evaluate(host, ir.UnOp("!", const(True)), frame) is False
+        assert evaluate(host, ir.UnOp("-", const(5)), frame) == -5
 
     def test_matches_oracle_semantics(self, host, frame):
         """Distributed and single-host arithmetic agree on every case."""
@@ -93,7 +102,7 @@ class TestArithmetic:
             for left in (-7, -1, 0, 3, 10):
                 for right in (-3, -1, 2, 5):
                     expr = binop(op, left, right)
-                    assert host.eval(expr, frame) == oracle._eval(
+                    assert evaluate(host, expr, frame) == oracle._eval(
                         method, expr, {}
                     ), (op, left, right)
 
@@ -112,9 +121,9 @@ class TestFrames:
         expr = ir.DowngradeExpr(
             "declassify", const(9), Label.of("{}"), frozenset()
         )
-        assert host.eval(expr, frame) == 9
+        assert evaluate(host, expr, frame) == 9
 
     def test_new_object_has_fresh_identity(self, host, frame):
-        a = host.eval(ir.NewObj("Simple"), frame)
-        b = host.eval(ir.NewObj("Simple"), frame)
+        a = evaluate(host, ir.NewObj("Simple"), frame)
+        b = evaluate(host, ir.NewObj("Simple"), frame)
         assert a != b

@@ -84,7 +84,7 @@ class TestFailureModes:
         saved = main_fragment.terminator
         try:
             main_fragment.terminator = TermJump([])
-            with pytest.raises(Exception):
+            with pytest.raises(RuntimeError, match="stalled"):
                 executor.run()
         finally:
             main_fragment.terminator = saved

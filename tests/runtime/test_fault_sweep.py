@@ -14,7 +14,7 @@ from repro.runtime.faultsweep import sweep
 from repro.splitter import split_source
 from repro.workloads import ot
 
-from tests.progen import config, generate_program
+from repro.progen import config, generate_program
 
 RANDOM_PROGRAM_SEEDS = [2, 5, 9]
 

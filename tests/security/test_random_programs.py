@@ -1,6 +1,6 @@
 """Property-based end-to-end testing on randomly generated programs.
 
-The shared seeded generator (``tests/progen.py``) produces
+The shared seeded generator (``repro.progen``) produces
 label-correct-by-construction mini-Jif programs over a two-level
 lattice (P = public, Alice-trusted; S = Alice-secret), with
 assignments, arithmetic, nested ifs and bounded loops.  Hypothesis
@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from repro.runtime import run_single_host, run_split_program
 from repro.splitter import split_source
 
-from tests.progen import P_FIELDS, S_FIELDS, config, generate_program
+from repro.progen import P_FIELDS, S_FIELDS, config, generate_program
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 

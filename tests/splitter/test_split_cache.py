@@ -15,7 +15,6 @@ import pytest
 
 from repro import parallel, progen
 from repro.labels import ActsForHierarchy, Principal
-from repro.lang import cache as frontend_cache
 from repro.runtime.executor import run_split_program
 from repro.splitter import cache
 from repro.splitter.partition import split_source
@@ -177,7 +176,7 @@ def _config_with_own_hierarchy():
 
 def test_acts_for_edge_invalidates():
     config = _config_with_own_hierarchy()
-    digest = frontend_cache.digest(OT_SOURCE)
+    digest = cache.digest(OT_SOURCE)
     assert not split_source(OT_SOURCE, config).cached
     before = cache.split_key(digest, config, None)
     config.hierarchy.add(Principal("Alice"), Principal("Bob"))
@@ -198,7 +197,7 @@ def test_host_trust_change_invalidates():
         hosts["B"],
         HostDescriptor.of("T", "{Alice:; Bob:}", "{?:Alice, Bob}"),
     ])
-    digest = frontend_cache.digest(OT_SOURCE)
+    digest = cache.digest(OT_SOURCE)
     assert cache.split_key(digest, trusted, None) != cache.split_key(
         digest, stronger, None
     )
@@ -208,7 +207,7 @@ def test_host_trust_change_invalidates():
 
 def test_preference_pin_and_link_cost_invalidate():
     config = config_abt()
-    digest = frontend_cache.digest(OT_SOURCE)
+    digest = cache.digest(OT_SOURCE)
     keys = [cache.split_key(digest, config, None)]
     config.set_preference("Bob", "B", 0.25)
     keys.append(cache.split_key(digest, config, None))
@@ -284,7 +283,7 @@ def test_artifact_under_wrong_engine_key_is_rejected(tmp_path, monkeypatch):
     config = config_abt()
     monkeypatch.setenv(cache.ENV_DIR, str(tmp_path))
     split_source(OT_SOURCE, config, engine="heuristic")
-    digest = frontend_cache.digest(OT_SOURCE)
+    digest = cache.digest(OT_SOURCE)
     heuristic_key = cache.split_key(digest, config, "heuristic")
     mincut_key = cache.split_key(digest, config, "mincut")
     heuristic_path = cache.artifact_path(heuristic_key, str(tmp_path))
@@ -377,19 +376,41 @@ def test_disabled_cache_is_never_consulted(monkeypatch):
 
 
 def test_unknown_source_digest_stands_aside():
-    # A CheckedProgram whose AST never went through the frontend cache
-    # has no stable content address; the cache must skip it, not crash.
+    # A CheckedProgram whose AST was not built by parse_program has no
+    # stable content address; the cache must skip it, not crash.
+    from repro.lang.parser import Parser
+    from repro.lang.typecheck import check_program
+    from repro.splitter.partition import split_program
+
+    config = config_abt()
+    program = Parser(OT_SOURCE).parse_program()
+    assert program.source_digest is None
+    checked = check_program(program, config.hierarchy)
+    result = split_program(checked, config)
+    assert not result.cached
+    assert cache.stats()["split.memory"]["misses"] == 0
+
+
+def test_staged_pipeline_hits_on_repeat():
+    # The staged path (parse -> check -> split a CheckedProgram) keys
+    # the cache on the digest parse_program records on the AST.
     from repro.lang.parser import parse_program
     from repro.lang.typecheck import check_program
     from repro.splitter.partition import split_program
 
     config = config_abt()
-    program = parse_program(OT_SOURCE)
-    frontend_cache.clear()  # forget the AST ↔ digest association
-    checked = check_program(program, config.hierarchy)
-    result = split_program(checked, config)
-    assert not result.cached
-    assert cache.stats()["split.memory"]["misses"] == 0
+
+    def staged():
+        program = parse_program(OT_SOURCE)
+        assert program.source_digest == cache.digest(OT_SOURCE)
+        return split_program(check_program(program, config.hierarchy), config)
+
+    first = staged()
+    second = staged()
+    assert not first.cached
+    assert second.cached
+    assert cache.stats()["split.memory"]["hits"] == 1
+    assert observe(second.split) == observe(first.split)
 
 
 def test_stale_tmp_litter_is_swept_once_per_process(tmp_path, monkeypatch):
