@@ -34,7 +34,11 @@ Repeated splits of the same (program, trust configuration, engine)
 triple are served from the whole-pipeline split cache
 (``repro.splitter.cache``); set ``REPRO_SPLIT_CACHE=0`` to disable it,
 or point ``REPRO_SPLIT_CACHE_DIR`` at a directory to persist split
-artifacts across runs (digest-verified on load).
+artifacts across runs (digest-verified on load).  These two are the
+only environment variables the package reads; durable storage is
+chosen per command (``run --storage sqlite``, ``faultsweep --storage
+sqlite``, which gives each schedule or crash point its own temporary
+SQLite tier).
 
 The hosts file is JSON::
 
@@ -239,8 +243,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_faultsweep(args: argparse.Namespace) -> int:
-    import os
-
     from .runtime.faultsweep import (
         crash_point_sweep,
         split_for_sweep,
@@ -249,11 +251,6 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
     )
     from .workloads import ot
 
-    if args.storage == "sqlite" and not args.storage_faults:
-        # Blanket mode: every session in the sweep runs over an
-        # auto-created SQLite tier, so protocol-level fault schedules
-        # exercise the durable write-through path too.
-        os.environ["REPRO_STORAGE"] = "sqlite"
     if args.program:
         if not args.hosts:
             print("faultsweep: --hosts is required with a program",
@@ -303,6 +300,7 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
                 crash_mode=args.crash_mode,
                 name=name,
                 jobs=args.jobs,
+                storage=args.storage,
             )
             print(f"crash-point sweep over {name} "
                   f"(mode {args.crash_mode}):")
@@ -314,6 +312,7 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
                 opt_level=args.opt_level,
                 name=name,
                 jobs=args.jobs,
+                storage=args.storage,
             )
             print(f"fault sweep over {name} (base seed {args.seed}):")
         print(report.summary())
@@ -543,9 +542,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faultsweep.add_argument(
         "--storage", choices=("memory", "sqlite"), default="memory",
-        help="with 'sqlite', run every schedule over an auto-created "
-             "durable tier so protocol faults also exercise the "
-             "write-through persistence path",
+        help="with 'sqlite', run each schedule or crash point over its "
+             "own SQLite tier in a temporary directory (removed "
+             "afterwards), so protocol faults also exercise the "
+             "write-through persistence path; the fault-free reference "
+             "runs without one",
     )
     faultsweep.add_argument(
         "--storage-faults", action="store_true",

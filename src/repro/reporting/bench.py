@@ -64,28 +64,6 @@ def _cache_stats() -> Dict[str, Dict[str, int]]:
     return merged
 
 
-def _durability_stats() -> Dict[str, object]:
-    """Durable-storage counters (WAL appends, checkpoints, boundary
-    commits, fsyncs, rehydrations, degradations, retries, per-op
-    timings), or empty when the storage layer is absent.  All zeros
-    under the in-memory default; ``REPRO_STORAGE=sqlite`` routes every
-    benched session through the durable tier and populates them."""
-    try:
-        from ..runtime.storage import stats
-    except ImportError:
-        return {}
-    return stats()
-
-
-def _reset_durability_stats() -> None:
-    try:
-        from ..runtime.storage import reset_stats
-    except ImportError:
-        pass
-    else:
-        reset_stats()
-
-
 def _reset_cache_stats() -> None:
     try:
         from ..labels.cache import reset_stats
@@ -158,7 +136,6 @@ def run_bench(
     # layers are for).
     time_workload(progen.generate_program(0), progen.config())
     _reset_cache_stats()
-    _reset_durability_stats()
     report: Dict[str, object] = {
         "python": sys.version.split()[0],
         "platform": platform.platform(),
@@ -208,7 +185,6 @@ def run_bench(
     )
     report["end_to_end_seconds"] = end_to_end
     report["cache"] = _cache_stats()
-    report["durability"] = _durability_stats()
     # Run invariants: observable behaviour no optimization may change.
     # Only seed-count-independent facts belong here, so a --quick run
     # can be checked bit-for-bit against a full-length baseline.
@@ -241,9 +217,9 @@ def _reference_run(baseline: Dict, baseline_path: str) -> Dict:
     file carries a ``current`` mapping that itself holds the run
     sections (``workloads`` et al.), while a *legacy flat* file has the
     run sections at the top level.  Detection must not key on optional
-    sections — an envelope whose run skipped ``durability`` or
-    ``throughput`` (or recorded ``baseline: null``) is still an
-    envelope, and must not trip the legacy warning.
+    sections — an envelope whose run lacks ``throughput`` or
+    ``profile`` (or recorded ``baseline: null``) is still an envelope,
+    and must not trip the legacy warning.
     """
     current = baseline.get("current")
     if isinstance(current, dict) and "workloads" in current:
@@ -475,19 +451,6 @@ def main(
         print(f"bench: split cache hits {summary} "
               f"(REPRO_SPLIT_CACHE=0 disables, "
               f"REPRO_SPLIT_CACHE_DIR enables the disk tier)")
-    durability = report.get("durability")
-    if durability:
-        print(
-            f"bench: durability {durability.get('appends', 0)} WAL "
-            f"appends, {durability.get('checkpoints', 0)} checkpoints, "
-            f"{durability.get('boundaries', 0)} boundaries, "
-            f"{durability.get('fsyncs', 0)} fsyncs, "
-            f"{durability.get('rehydrations', 0)} rehydrations, "
-            f"{durability.get('retries', 0)} retries, "
-            f"{durability.get('degradations', 0)} degradations "
-            f"(REPRO_STORAGE=sqlite routes sessions through the "
-            f"durable tier)"
-        )
     if baseline:
         return compare(report, baseline, tolerance)
     return 0

@@ -14,19 +14,57 @@ Anything else — a wrong field value, a label above the receiver's
 clearance, an unexpected exception — is recorded as a failure.  The CLI
 (``python -m repro faultsweep``) and the differential test harness both
 drive this engine.
+
+``sweep`` and ``crash_point_sweep`` take a ``storage`` mode: ``memory``
+(the default) runs every schedule without a durable tier, ``sqlite``
+runs each one over its own :class:`~repro.runtime.storage.SessionStorage`
+in a temporary directory, so protocol faults also exercise the durable
+write-through path.  The fault-free reference always runs without one.
 """
 
 from __future__ import annotations
 
+import contextlib
 import random
+import shutil
+import tempfile
 from collections import Counter
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from .. import parallel
 from ..splitter.fragments import SplitProgram
 from .executor import ExecutionResult, run_split_program
 from .faults import CrashPointInjector, FaultInjector, FaultPolicy
 from .network import DeliveryTimeoutError
+from .storage import SessionStorage
+
+#: The ``storage`` modes of :func:`sweep` and :func:`crash_point_sweep`.
+STORAGE_MODES = ("memory", "sqlite")
+
+
+def _check_storage_mode(storage: str) -> None:
+    if storage not in STORAGE_MODES:
+        raise ValueError(
+            f"unknown storage mode {storage!r}; expected one of "
+            f"{', '.join(STORAGE_MODES)}"
+        )
+
+
+@contextlib.contextmanager
+def _storage_tier(storage: str) -> Iterator[Optional[SessionStorage]]:
+    """The durable tier for one schedule or crash point: none under
+    ``memory``; under ``sqlite`` a fresh ``SessionStorage`` in a
+    temporary directory, closed and removed afterwards."""
+    if storage == "memory":
+        yield None
+        return
+    directory = tempfile.mkdtemp(prefix="repro-sweep-")
+    tier = SessionStorage(directory)
+    try:
+        yield tier
+    finally:
+        tier.close()
+        shutil.rmtree(directory, ignore_errors=True)
 
 
 def split_for_sweep(source: str, config, engine: Optional[str] = None) -> SplitProgram:
@@ -162,6 +200,7 @@ def _run_schedule(
     seed: int,
     opt_level: int,
     policy_factory: Callable[[random.Random], FaultPolicy],
+    storage: str,
 ) -> Tuple[ScheduleOutcome, Optional[str]]:
     """One fault schedule; returns the outcome plus the untagged failure
     line (``None`` unless the schedule is a failure)."""
@@ -169,9 +208,11 @@ def _run_schedule(
     faults = FaultInjector(policy, seed=seed)
     token_rng = random.Random(seed ^ 0x5EED)
     try:
-        outcome = run_split_program(
-            split, opt_level=opt_level, faults=faults, token_rng=token_rng
-        )
+        with _storage_tier(storage) as tier:
+            outcome = run_split_program(
+                split, opt_level=opt_level, faults=faults,
+                token_rng=token_rng, storage=tier,
+            )
     except DeliveryTimeoutError as error:
         return ScheduleOutcome(
             seed, policy, "timeout", str(error), {"crashes": faults.crashes}
@@ -206,7 +247,7 @@ def _schedule_task(seed: int) -> Tuple[ScheduleOutcome, Optional[str]]:
     state = parallel.state()
     return _run_schedule(
         state["split"], state["reference"], seed,
-        state["opt_level"], state["policy_factory"],
+        state["opt_level"], state["policy_factory"], state["storage"],
     )
 
 
@@ -218,8 +259,10 @@ def sweep(
     policy_factory: Callable[[random.Random], FaultPolicy] = random_policy,
     name: str = "",
     jobs: int = 1,
+    storage: str = "memory",
 ) -> SweepReport:
-    """Run ``schedules`` seeded fault schedules against ``split``.
+    """Run ``schedules`` seeded fault schedules against ``split``, each
+    over the durable tier ``storage`` names (see the module docstring).
 
     With ``jobs > 1`` the schedules run in a shared-nothing pool of
     forked workers; every schedule is seeded independently, so the
@@ -228,6 +271,7 @@ def sweep(
     entry its construction populated) is built in the parent before the
     pool forks, so workers inherit warm caches by memory copy.
     """
+    _check_storage_mode(storage)
     reference = reference_fields(split, opt_level=opt_level)
     report = SweepReport(reference)
     tag = f"{name} " if name else ""
@@ -239,11 +283,14 @@ def sweep(
             "reference": reference,
             "opt_level": opt_level,
             "policy_factory": policy_factory,
+            "storage": storage,
         },
     )
     if results is None:
         results = [
-            _run_schedule(split, reference, seed, opt_level, policy_factory)
+            _run_schedule(
+                split, reference, seed, opt_level, policy_factory, storage
+            )
             for seed in seeds
         ]
     for outcome, failure in results:
@@ -329,6 +376,7 @@ def _run_crash_point(
     ref_fields: Dict[Tuple[str, str], object],
     ref_depths: Dict[str, int],
     baseline_problems: frozenset,
+    storage: str,
 ) -> Tuple[CrashPointOutcome, Optional[str]]:
     """One deterministic crash point; returns the outcome plus the
     untagged failure line (``None`` unless the point is a failure)."""
@@ -339,10 +387,11 @@ def _run_crash_point(
     )
     label = f"{dst}/{kind}@{occurrence}"
     try:
-        outcome = run_split_program(
-            split, opt_level=opt_level, faults=injector,
-            token_rng=random.Random(token_seed),
-        )
+        with _storage_tier(storage) as tier:
+            outcome = run_split_program(
+                split, opt_level=opt_level, faults=injector,
+                token_rng=random.Random(token_seed), storage=tier,
+            )
     except DeliveryTimeoutError as error:
         return CrashPointOutcome(
             dst, kind, occurrence, "timeout", str(error)
@@ -394,7 +443,7 @@ def _crash_point_task(
     return _run_crash_point(
         state["split"], point, state["opt_level"], state["crash_mode"],
         state["crash_downtime"], state["token_seed"], state["ref_fields"],
-        state["ref_depths"], state["baseline_problems"],
+        state["ref_depths"], state["baseline_problems"], state["storage"],
     )
 
 
@@ -407,9 +456,12 @@ def crash_point_sweep(
     name: str = "",
     token_seed: int = 0x5EED,
     jobs: int = 1,
+    storage: str = "memory",
 ) -> CrashSweepReport:
     """Crash each host at each message-kind receipt boundary, recover,
-    and check the run still ends bit-identical to fault-free.
+    and check the run still ends bit-identical to fault-free.  Each
+    point runs over the durable tier ``storage`` names (see the module
+    docstring).
 
     The boundaries are enumerated from a fault-free reference run's
     message log: every remote ``(dst host, kind)`` pair, sampled at up
@@ -423,6 +475,7 @@ def crash_point_sweep(
     ``(host, kind, occurrence)`` triple, so the report is identical to
     a serial run regardless of ``jobs``.
     """
+    _check_storage_mode(storage)
     tag = f"{name} " if name else ""
     reference = run_split_program(
         split, opt_level=opt_level, token_rng=random.Random(token_seed)
@@ -459,6 +512,7 @@ def crash_point_sweep(
             "ref_fields": ref_fields,
             "ref_depths": ref_depths,
             "baseline_problems": baseline_problems,
+            "storage": storage,
         },
     )
     if results is None:
@@ -466,6 +520,7 @@ def crash_point_sweep(
             _run_crash_point(
                 split, point, opt_level, crash_mode, crash_downtime,
                 token_seed, ref_fields, ref_depths, baseline_problems,
+                storage,
             )
             for point in points
         ]
@@ -551,17 +606,10 @@ def storage_fault_sweep(
     rehydration to fail closed (or, untampered, to reproduce the
     oracle's observables bit-identically).
     """
-    import shutil
-    import tempfile
-
     from ..trust import KeyRegistry
     from .checkpoint import CheckpointTamperError
     from .session import RuntimeImage, Session
-    from .storage import (
-        SessionStorage,
-        StorageUnavailableError,
-        rehydrate_session,
-    )
+    from .storage import StorageUnavailableError, rehydrate_session
     from .storage.faultsim import (
         TAMPER_KINDS,
         StorageFaultInjector,

@@ -54,15 +54,9 @@ from .compiler import CompiledFragment
 from .faults import FaultInjector
 from .host import ExecutionState, HaltSignal, TrustedHost
 from .network import CostModel, SimNetwork
-from .storage import default_storage
 from .values import FrameID
 
 _MAX_STEPS = 2_000_000
-
-#: ``Session(storage=NO_STORAGE)``: explicitly no durable tier, even
-#: when ``REPRO_STORAGE=sqlite`` would auto-create one (the rehydration
-#: path uses this — it installs persisted state itself).
-NO_STORAGE = object()
 
 #: ``Session.reset(storage=_KEEP)``: recycle the attached storage.
 _KEEP = object()
@@ -327,12 +321,7 @@ class Session:
         #: switches recording back on.
         self.network.record_logs = record_logs
         #: the optional durable tier (a :class:`~repro.runtime.storage.
-        #: sqlite_backend.SessionStorage`); ``None`` consults the
-        #: ``REPRO_STORAGE`` environment default.
-        if storage is None:
-            storage = default_storage()
-        elif storage is NO_STORAGE:
-            storage = None
+        #: sqlite_backend.SessionStorage`); ``None`` runs without one.
         self.storage = storage
         self._token_rng = token_rng
         self.hosts: Dict[str, TrustedHost] = {}
@@ -403,13 +392,11 @@ class Session:
 
         ``storage`` defaults to recycling the attached durable tier in
         place (its persisted rows are wound back to a fresh lifetime);
-        pass ``None``/``NO_STORAGE`` to detach it, or a new
-        ``SessionStorage`` to swap tiers.
+        pass ``None`` to detach it, or a new ``SessionStorage`` to swap
+        tiers.
         """
         if storage is _KEEP:
             storage = self.storage
-        elif storage is NO_STORAGE:
-            storage = None
         if storage is not self.storage:
             # Swapping tiers: sever the old one before anything writes.
             if self.storage is not None:
@@ -522,12 +509,6 @@ class Session:
             self.start()
         while not self._halted:
             self.step()
-        storage = self.storage
-        if storage is not None and storage.auto:
-            # Environment-created tiers are per-run scratch space; a
-            # completed run has nothing left to rehydrate.
-            storage.discard()
-            self.storage = None
         return self.result()
 
     def result(self) -> ExecutionResult:

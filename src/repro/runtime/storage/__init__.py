@@ -24,7 +24,6 @@ from .memory import MemoryBackend
 from .sqlite_backend import (
     SessionStorage,
     SQLiteBackend,
-    default_storage,
     open_for_rehydration,
     rehydrate_session,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "StorageUnavailableError",
     "TransientStorageError",
     "advance_id_floors",
-    "default_storage",
     "open_for_rehydration",
     "rehydrate_session",
     "stats",

@@ -9,8 +9,7 @@ memoizes ``split_source`` results end to end, keyed by::
 where the fingerprint covers hosts, preferences, field pins, link
 costs, and every acts-for edge — any change to the trust assumptions
 changes the key, so a stale split can never be served.  The engine
-component is the *resolved* selection (``auto`` | ``mincut`` |
-``heuristic``, after the ``REPRO_MINCUT`` environment override), since
+component is the *resolved* selection (``auto`` | ``heuristic``), since
 each engine may legitimately pick a different equal-cost placement.
 
 Two tiers:
@@ -79,17 +78,23 @@ def digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
+#: The placement engines ``engine=`` may name; ``None`` means ``auto``.
+ENGINES = ("auto", "heuristic")
+
+
 def resolve_engine(engine: Optional[str]) -> str:
-    """The engine component of the cache key: the same resolution
-    :func:`repro.splitter.optimizer.assign_hosts` applies, normalized
-    to one of ``heuristic`` / ``mincut`` / ``auto``."""
+    """The one engine-name parser: ``None`` resolves to ``auto``, and
+    anything but ``auto`` / ``heuristic`` raises ``ValueError``.
+    :func:`repro.splitter.optimizer.assign_hosts` resolves through it
+    too, so the cache key always names the engine that ran."""
     if engine is None:
-        engine = os.environ.get("REPRO_MINCUT", "auto") or "auto"
-    if engine in ("0", "off", "heuristic"):
-        return "heuristic"
-    if engine == "mincut":
-        return "mincut"
-    return "auto"
+        return "auto"
+    if engine not in ENGINES:
+        raise ValueError(
+            f"unknown placement engine {engine!r}; expected one of "
+            f"{', '.join(ENGINES)}"
+        )
+    return engine
 
 
 class SplitKey(NamedTuple):
@@ -97,7 +102,7 @@ class SplitKey(NamedTuple):
 
     source: str  #: sha256 hex digest of the program text
     config: str  #: TrustConfiguration.fingerprint()
-    engine: str  #: resolved engine ("auto" | "mincut" | "heuristic")
+    engine: str  #: resolved engine ("auto" | "heuristic")
 
     def digest(self) -> str:
         """One hex digest over all components — the artifact file name."""

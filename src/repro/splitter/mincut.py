@@ -8,7 +8,7 @@ and per-field preference terms are node (unary) costs.  Minimising total
 message cost is then a minimum s-t cut, solvable exactly in polynomial
 time — no sweeps, no seeds, no dynamic program.
 
-Three layers live here:
+Two layers live here:
 
 * :class:`PlacementModel` — the placement cost model, built in one pass
   over the same candidate sets the heuristic optimizer uses.  Its
@@ -27,14 +27,9 @@ Three layers live here:
   cheaper than A's — which is what lets the benchmark sweep skip the
   heuristic entirely.
 
-* ``refine_pairwise`` — when more than two hosts stay eligible, an
-  exact cut per host pair refines an existing assignment (the heuristic
-  result), accepting only strict improvements.  The refined cost is
-  therefore never worse than the heuristic's, and each accepted pair cut
-  is optimal over the moves it considers.
-
-``REPRO_MINCUT=0`` disables the engine entirely (see
-``optimizer.assign_hosts``), falling back to the chain-DP heuristic.
+When more than two hosts stay eligible, ``try_exact`` declines and
+``optimizer.assign_hosts`` falls back to the chain-DP heuristic, which
+``engine="heuristic"`` also selects outright.
 """
 
 from __future__ import annotations
@@ -46,8 +41,8 @@ from ..trust import TrustConfiguration
 from . import ir
 from .selection import CandidateSets, SplitError
 
-#: Strict-improvement threshold for accepting a pairwise refinement —
-#: guards against float noise re-accepting equal-cost cuts forever.
+#: Residual capacities at or below this count as saturated, so float
+#: noise never opens a spurious augmenting path.
 _EPSILON = 1e-9
 
 
@@ -393,11 +388,10 @@ def _cut_between(
     model: PlacementModel,
     host_x: str,
     host_y: str,
-    fixed: Dict[int, str],
     movable: List[int],
 ) -> Dict[int, str]:
     """Exact min-cut placement of ``movable`` nodes onto ``host_x`` /
-    ``host_y``, with every other node fixed at ``fixed[node]``."""
+    ``host_y``, with every other node at its forced host."""
     link = model.link
     index_in_cut = {node: pos for pos, node in enumerate(movable)}
     n = len(movable)
@@ -420,7 +414,7 @@ def _cut_between(
                 dinic.add_edge(a_pos, b_pos, cut_cost, cut_cost)
         elif a_pos is not None or b_pos is not None:
             pos = a_pos if a_pos is not None else b_pos
-            other = fixed[b if a_pos is not None else a]
+            other = model.forced[b if a_pos is not None else a]
             to_source[pos] += weight * link[host_y, other]
             to_sink[pos] += weight * link[host_x, other]
     for pos in range(n):
@@ -441,60 +435,9 @@ def solve_two_host(model: PlacementModel, union: List[str]) -> List[str]:
     movable = [i for i in range(len(model.node_keys)) if i not in model.forced]
     if movable:
         host_x, host_y = sorted(union)
-        placed = _cut_between(model, host_x, host_y, model.forced, movable)
+        placed = _cut_between(model, host_x, host_y, movable)
         for node, host in placed.items():
             hosts[node] = host
-    return hosts
-
-
-def refine_pairwise(
-    model: PlacementModel, hosts: List[str], max_rounds: int = 8
-) -> List[str]:
-    """Per-pair exact-cut refinement of an existing placement.
-
-    For each pair of hosts, the nodes currently on either one whose
-    candidate sets allow both are re-placed by an exact cut; the move is
-    kept only if it strictly lowers the model cost.  Terminates when a
-    full round over all pairs improves nothing, so the result never
-    costs more than the input."""
-    union = sorted(
-        {
-            h
-            for i, cand in enumerate(model.candidates)
-            if i not in model.forced
-            for h in cand
-        }
-    )
-    pairs = [
-        (a, b) for pos, a in enumerate(union) for b in union[pos + 1:]
-    ]
-    hosts = list(hosts)
-    best_cost = model.cost(hosts)
-    for _ in range(max_rounds):
-        improved = False
-        for host_x, host_y in pairs:
-            movable = [
-                i
-                for i, cand in enumerate(model.candidates)
-                if i not in model.forced
-                and hosts[i] in (host_x, host_y)
-                and host_x in cand
-                and host_y in cand
-            ]
-            if not movable:
-                continue
-            fixed = {i: hosts[i] for i in range(len(hosts))}
-            placed = _cut_between(model, host_x, host_y, fixed, movable)
-            trial = list(hosts)
-            for node, host in placed.items():
-                trial[node] = host
-            trial_cost = model.cost(trial)
-            if trial_cost < best_cost - _EPSILON:
-                hosts = trial
-                best_cost = trial_cost
-                improved = True
-        if not improved:
-            break
     return hosts
 
 
@@ -509,7 +452,7 @@ def try_exact(
     Returns an :class:`~repro.splitter.optimizer.Assignment` when the
     instance reduces to at most two eligible hosts (after domination
     pruning), or ``None`` — in which case the caller falls back to the
-    heuristic (optionally min-cut-refined)."""
+    heuristic."""
     model = PlacementModel.build(checked, program, config, candidates)
     union = reduce_hosts(model)
     if len(union) > 2:

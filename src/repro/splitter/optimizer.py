@@ -23,12 +23,13 @@ transfers and field accesses".  We reproduce that scheme:
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Tuple
 
 from ..lang.typecheck import CheckedProgram
 from ..trust import TrustConfiguration
 from . import ir
+from .cache import resolve_engine
+from .mincut import try_exact
 from .selection import CandidateSets, SplitError
 
 #: Baseline added to field placement scores so that multiplicative
@@ -571,30 +572,18 @@ def assign_hosts(
 ) -> Assignment:
     """Pick a host for every field and statement.
 
-    Engine selection (``engine`` argument, else the ``REPRO_MINCUT``
-    environment variable, else ``auto``):
+    ``engine`` is resolved by :func:`repro.splitter.cache.resolve_engine`
+    (``None`` means ``auto``; an unknown name raises ``ValueError``):
 
     * ``auto`` — exact min-cut when the instance reduces to two eligible
       hosts (see :mod:`repro.splitter.mincut`), otherwise the chain-DP
       heuristic.  This is the default: the exact path is both faster and
       provably optimal where it applies.
-    * ``mincut`` — as ``auto``, but non-reducible instances additionally
-      get per-pair min-cut refinement of the heuristic result (never
-      worse than the heuristic, may move equal-cost plateaus).
-    * ``0`` / ``heuristic`` — the heuristic only, as an escape hatch.
+    * ``heuristic`` — the chain-DP heuristic only: the fallback, and the
+      reference the engine-equivalence tests compare ``auto`` against.
     """
-    if engine is None:
-        engine = os.environ.get("REPRO_MINCUT", "auto") or "auto"
-    if engine in ("0", "off", "heuristic"):
-        return Optimizer(checked, program, config, candidates).run()
-    from .mincut import PlacementModel, refine_pairwise, try_exact
-
-    assignment = try_exact(checked, program, config, candidates)
-    if assignment is not None:
-        return assignment
-    heuristic = Optimizer(checked, program, config, candidates).run()
-    if engine == "mincut":
-        model = PlacementModel.build(checked, program, config, candidates)
-        hosts = refine_pairwise(model, model.assignment_hosts(heuristic))
-        return model.to_assignment(hosts)
-    return heuristic
+    if resolve_engine(engine) == "auto":
+        assignment = try_exact(checked, program, config, candidates)
+        if assignment is not None:
+            return assignment
+    return Optimizer(checked, program, config, candidates).run()

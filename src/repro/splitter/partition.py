@@ -186,8 +186,8 @@ def split_program(
 ) -> SplitResult:
     """Partition a mini-Jif program for the given trust configuration.
 
-    ``engine`` picks the host-assignment engine (``auto`` | ``mincut`` |
-    ``heuristic``); see :func:`repro.splitter.optimizer.assign_hosts`.
+    ``engine`` picks the host-assignment engine (``auto``, the default,
+    or ``heuristic``); see :func:`repro.splitter.optimizer.assign_hosts`.
     Served from the whole-pipeline cache when the same (source, trust
     configuration, engine) triple has been split before.
     """

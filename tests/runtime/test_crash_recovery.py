@@ -243,17 +243,16 @@ class TestVolatileCrashTrace:
         assert crash < restart < recover
         assert outcome.audits == []
 
-    def test_fault_free_run_is_untouched(self):
+    def test_fault_free_run_is_untouched(self, pytestconfig):
         """No faults configured -> no durable store, no checkpoint
-        events, bit-identical legacy behaviour.  (Under a blanket
-        ``REPRO_STORAGE`` backend every host carries a durable store by
-        design, so that clause only applies to the in-memory default.)"""
-        import os
-
+        events, bit-identical legacy behaviour.  (Under
+        ``--session-storage sqlite`` every host carries a durable store
+        by design, so that clause only applies to the in-memory
+        default.)"""
         result = split_source(ot.source(rounds=1), ot.config())
         outcome = run_split_program(result.split)
         assert outcome.network.fault_events == []
-        if not os.environ.get("REPRO_STORAGE"):
+        if pytestconfig.getoption("session_storage") == "memory":
             assert all(h.durable is None for h in outcome.hosts.values())
 
 

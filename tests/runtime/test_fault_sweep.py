@@ -10,7 +10,8 @@ explicit timeout.  Never a wrong answer.
 import pytest
 
 from repro.cli import main as cli_main
-from repro.runtime.faultsweep import sweep
+from repro.runtime import storage
+from repro.runtime.faultsweep import crash_point_sweep, sweep
 from repro.splitter import split_source
 from repro.workloads import ot
 
@@ -60,3 +61,19 @@ def test_cli_faultsweep_smoke(capsys):
     out = capsys.readouterr().out
     assert "5 schedules" in out
     assert "0 FAILED" in out
+
+
+def test_durable_sweeps_over_sqlite():
+    """``storage="sqlite"`` runs every crash point and schedule over its
+    own SQLite tier: verdicts are unchanged and boundaries are sealed."""
+    split = split_source(ot.source(rounds=1), ot.config()).split
+    for run in (
+        lambda: crash_point_sweep(split, storage="sqlite"),
+        lambda: sweep(split, schedules=5, storage="sqlite"),
+    ):
+        before = storage.stats()["boundaries"]
+        report = run()
+        assert report.failures == [], report.summary()
+        assert storage.stats()["boundaries"] > before
+    with pytest.raises(ValueError, match="storage mode"):
+        sweep(split, schedules=1, storage="postgres")

@@ -48,6 +48,7 @@ from repro.runtime.storage import (
     codec,
     rehydrate_session,
 )
+from repro.runtime.storage import stats as storage_stats
 from repro.runtime.storage.faultsim import (
     TAMPER_KINDS,
     StorageFaultInjector,
@@ -570,43 +571,34 @@ class TestDiskBackedPoolRecycling:
 
         again = pool.acquire()
         assert again is session, "pool rebuilt instead of recycling"
+        before = storage_stats()
         again.run()
+        after = storage_stats()
         second = pool_fingerprint(again)
         assert storage.available
+        # The recycled session still writes through its tier: a pool
+        # that dropped the tier on reset would seal nothing here.
+        assert after["appends"] > before["appends"]
+        assert after["boundaries"] > before["boundaries"]
+        assert after["degradations"] == before["degradations"]
         storage.close()
         assert (first, second) == (fresh[0], fresh[1])
 
-
-# ----------------------------------------------------------------------
-# Environment blanket mode
-# ----------------------------------------------------------------------
-
-
-class TestEnvironmentDefault:
-    def test_blanket_sqlite_mode_is_observably_free(self, monkeypatch, tmp_path):
-        split = ot_split()
-        oracle = run_oracle(split)
-        monkeypatch.setenv("REPRO_STORAGE", "sqlite")
-        monkeypatch.setenv("REPRO_STORAGE_DIR", str(tmp_path / "blanket"))
-        image = RuntimeImage(split, KeyRegistry())
-        session = Session(image)
-        assert session.storage is not None and session.storage.auto
+    def test_default_reset_keeps_the_tier_and_none_detaches(self, tmp_path):
+        # A pool built without a storage option recycles through the
+        # default reset(), so that default must keep the session's tier.
+        storage = SessionStorage(str(tmp_path / "kept"))
+        session = Session(RuntimeImage(ot_split(), KeyRegistry()), storage=storage)
         session.run()
-        # Auto tiers are per-run scratch space, discarded on completion.
+
+        session.reset()
+        before = storage_stats()["boundaries"]
+        session.run()
+        assert session.storage is storage
+        assert storage_stats()["boundaries"] > before
+
+        session.reset(storage=None)
+        before = storage_stats()["boundaries"]
+        session.run()
         assert session.storage is None
-        assert fingerprint(session) == oracle
-        assert session.network.fault_events == []
-
-    def test_unknown_backend_name_is_rejected(self, monkeypatch):
-        from repro.runtime.storage import default_storage
-
-        monkeypatch.setenv("REPRO_STORAGE", "postgres")
-        with pytest.raises(ValueError):
-            default_storage()
-
-    def test_memory_names_disable_the_tier(self, monkeypatch):
-        from repro.runtime.storage import default_storage
-
-        for name in ("", "0", "memory", "none", "off"):
-            monkeypatch.setenv("REPRO_STORAGE", name)
-            assert default_storage() is None
+        assert storage_stats()["boundaries"] == before

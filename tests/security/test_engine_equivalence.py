@@ -3,8 +3,8 @@
 
 For seeded random programs under seeded random trust configurations
 (preferences and link costs perturbed around progen's A/B/T setup),
-every engine — the chain-DP heuristic, the exact min-cut, and the
-pairwise-refined hybrid — must
+both engines — the chain-DP heuristic and ``auto`` (the exact min-cut
+where the instance reduces to two hosts, else the heuristic) — must
 
 * produce a split the validator accepts (``split_source`` runs
   ``validate_split`` as its last stage, so success *is* acceptance), and
@@ -24,7 +24,7 @@ from repro.runtime import run_single_host, run_split_program
 from repro.splitter import split_source
 from repro.trust import HostDescriptor, TrustConfiguration
 
-ENGINES = ("heuristic", "auto", "mincut")
+ENGINES = ("heuristic", "auto")
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -75,6 +75,6 @@ def test_engines_agree_with_oracle_and_each_other(seed):
                 f"seed={seed} engine={engine}: {cls}.{field} = {value!r}, "
                 f"oracle {expected!r}\n{source}"
             )
-    assert results["heuristic"] == results["auto"] == results["mincut"], (
+    assert results["heuristic"] == results["auto"], (
         f"seed={seed}: engines disagree on observable results\n{source}"
     )

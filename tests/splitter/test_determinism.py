@@ -43,7 +43,7 @@ def _placement(result):
     )
 
 
-@pytest.mark.parametrize("engine", ["heuristic", "auto", "mincut"])
+@pytest.mark.parametrize("engine", ["heuristic", "auto"])
 def test_assignment_identical_across_repeated_runs(engine):
     cases = [
         (generate_program(7), progen_config),

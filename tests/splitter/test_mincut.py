@@ -9,8 +9,9 @@ Three layers are pinned here:
   small instances, and differentially against the heuristic over the
   progen corpus (the cut may never cost more);
 * the dispatch plumbing: progen's A/B/T configuration reduces to a
-  two-host instance, ``REPRO_MINCUT=0`` falls back to the heuristic
-  bit-for-bit, and pairwise refinement never worsens a 3-host result.
+  two-host instance, ``engine="heuristic"`` is the bare chain-DP
+  optimizer bit-for-bit, the default is ``auto``, and engine names
+  other than ``auto`` / ``heuristic`` are rejected.
 """
 
 import itertools
@@ -20,7 +21,8 @@ import pytest
 
 from repro.progen import config as progen_config
 from repro.progen import generate_program
-from repro.splitter import ir, split_source
+from repro.splitter import assign_hosts, ir, split_source
+from repro.splitter.cache import resolve_engine
 from repro.splitter.mincut import (
     PlacementModel,
     reduce_hosts,
@@ -115,20 +117,6 @@ def test_exact_engine_never_costs_more_than_heuristic():
         )
 
 
-def test_mincut_refinement_never_worse_on_three_hosts():
-    # OT on A/B/T does not reduce to two hosts (forced statements pin
-    # several hosts), so the "mincut" engine takes the heuristic +
-    # pairwise-refinement path.
-    config = config_abt()
-    heuristic = split_source(OT_SOURCE, config, engine="heuristic")
-    refined = split_source(OT_SOURCE, config_abt(), engine="mincut")
-    model_h = _build_model(heuristic, config)
-    cost_h = model_h.cost(model_h.assignment_hosts(heuristic.assignment))
-    model_r = _build_model(refined, config_abt())
-    cost_r = model_r.cost(model_r.assignment_hosts(refined.assignment))
-    assert cost_r <= cost_h + 1e-6
-
-
 # -- exactness by brute force ------------------------------------------------
 
 
@@ -212,17 +200,21 @@ def test_progen_config_reduces_to_two_hosts():
     )
 
 
-def test_repro_mincut_env_escape_hatch(monkeypatch):
+def test_repro_mincut_env_escape_hatch():
+    # The escape hatch is ``engine="heuristic"``: it must be the bare
+    # chain-DP optimizer, while the default resolves to ``auto``.
     source = generate_program(3)
     heuristic = split_source(source, progen_config(), engine="heuristic")
-    monkeypatch.setenv("REPRO_MINCUT", "0")
-    fallback = split_source(source, progen_config())
-    assert fallback.assignment.fields == heuristic.assignment.fields
-    assert _stmt_hosts_in_order(fallback) == _stmt_hosts_in_order(
-        heuristic
-    )
-    monkeypatch.setenv("REPRO_MINCUT", "auto")
-    exact = split_source(source, progen_config())
+    bare = Optimizer(
+        heuristic.checked, heuristic.program, progen_config(),
+        heuristic.candidates,
+    ).run()
+    assert bare.fields == heuristic.assignment.fields
+    assert bare.statements == heuristic.assignment.statements
+    default = split_source(source, progen_config())
+    exact = split_source(source, progen_config(), engine="auto")
+    assert default.assignment.fields == exact.assignment.fields
+    assert _stmt_hosts_in_order(default) == _stmt_hosts_in_order(exact)
     model_e = _build_model(exact, progen_config())
     model_h = _build_model(heuristic, progen_config())
     assert model_e.cost(
@@ -230,3 +222,22 @@ def test_repro_mincut_env_escape_hatch(monkeypatch):
     ) <= model_h.cost(
         model_h.assignment_hosts(heuristic.assignment)
     ) + 1e-6
+
+
+@pytest.mark.parametrize("name", ["mincut", "0", "off", "", "exact"])
+def test_unknown_engine_names_are_rejected(name):
+    # One parser for engine names: a caller naming any other engine
+    # (such as the former ``mincut``) fails loudly instead of silently
+    # getting ``auto``.
+    assert resolve_engine(None) == "auto"
+    assert resolve_engine("heuristic") == "heuristic"
+    with pytest.raises(ValueError, match="unknown placement engine"):
+        resolve_engine(name)
+    with pytest.raises(ValueError, match="unknown placement engine"):
+        split_source(SIMPLE_SOURCE, config_abt(), engine=name)
+    result = split_source(SIMPLE_SOURCE, config_abt())
+    with pytest.raises(ValueError, match="unknown placement engine"):
+        assign_hosts(
+            result.checked, result.program, config_abt(),
+            result.candidates, name,
+        )

@@ -221,7 +221,7 @@ def test_preference_pin_and_link_cost_invalidate():
 def test_engine_choice_is_part_of_the_key():
     config = config_abt()
     assert not split_source(OT_SOURCE, config, engine="heuristic").cached
-    assert not split_source(OT_SOURCE, config, engine="mincut").cached
+    assert not split_source(OT_SOURCE, config, engine="auto").cached
     assert split_source(OT_SOURCE, config, engine="heuristic").cached
 
 
@@ -285,15 +285,15 @@ def test_artifact_under_wrong_engine_key_is_rejected(tmp_path, monkeypatch):
     split_source(OT_SOURCE, config, engine="heuristic")
     digest = cache.digest(OT_SOURCE)
     heuristic_key = cache.split_key(digest, config, "heuristic")
-    mincut_key = cache.split_key(digest, config, "mincut")
+    auto_key = cache.split_key(digest, config, "auto")
     heuristic_path = cache.artifact_path(heuristic_key, str(tmp_path))
-    mincut_path = cache.artifact_path(mincut_key, str(tmp_path))
-    with open(heuristic_path, "rb") as src, open(mincut_path, "wb") as dst:
+    auto_path = cache.artifact_path(auto_key, str(tmp_path))
+    with open(heuristic_path, "rb") as src, open(auto_path, "wb") as dst:
         dst.write(src.read())
     cache.clear()
     # The copied artifact passes magic and digest checks, but its
     # embedded key names the wrong engine: verified away, recompiled.
-    result = split_source(OT_SOURCE, config, engine="mincut")
+    result = split_source(OT_SOURCE, config, engine="auto")
     assert not result.cached
     assert cache.stats()["split.disk"]["misses"] == 1
 
