@@ -14,8 +14,6 @@ Usage (also via ``python -m repro``)::
     python -m repro rehydrate --smoke
     python -m repro rehydrate program.jif --hosts hosts.json
                               --storage-dir DIR
-    python -m repro bench [--quick] [--jobs N] [--compare BASELINE]
-                          [--throughput [--sessions N]]
     python -m repro serve [--host H] [--port P] [--rate R] [--burst B]
     python -m repro serve --smoke
     python -m repro table1
@@ -39,6 +37,10 @@ only environment variables the package reads; durable storage is
 chosen per command (``run --storage sqlite``, ``faultsweep --storage
 sqlite``, which gives each schedule or crash point its own temporary
 SQLite tier).
+
+Performance is measured from outside the package by the repo
+benchmark (``python3 perfbench/run.py``, declared in
+``BENCHMARK.json``).
 
 The hosts file is JSON::
 
@@ -321,36 +323,6 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
     return exit_code
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    from .reporting import bench
-
-    if args.quick:
-        seeds = bench.QUICK_SEEDS
-    elif args.seeds is not None:
-        seeds = args.seeds
-    else:
-        seeds = bench.DEFAULT_SEEDS
-    throughput_sessions = None
-    if args.throughput:
-        from .reporting import throughput
-
-        if args.sessions is not None:
-            throughput_sessions = args.sessions
-        elif args.quick:
-            throughput_sessions = throughput.QUICK_SESSIONS
-        else:
-            throughput_sessions = throughput.DEFAULT_SESSIONS
-    return bench.main(
-        seeds=seeds,
-        out=args.out,
-        baseline=args.compare,
-        tolerance=args.tolerance,
-        jobs=args.jobs,
-        throughput_sessions=throughput_sessions,
-        profile=args.profile,
-    )
-
-
 def cmd_rehydrate(args: argparse.Namespace) -> int:
     """Rehydrate a dead process's session (or run the SIGKILL smoke)."""
     if args.smoke:
@@ -555,43 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
              "verifies graceful degradation and fail-closed rehydration",
     )
     faultsweep.set_defaults(func=cmd_faultsweep)
-
-    bench = sub.add_parser(
-        "bench",
-        help="time the Table 1 workloads and a seeded progen sweep, "
-             "staged as parse/typecheck/split/execute; reports label "
-             "and split cache hit rates — set REPRO_SPLIT_CACHE=0 to "
-             "bench the uncached split path, REPRO_SPLIT_CACHE_DIR to "
-             "persist split artifacts across runs",
-    )
-    bench.add_argument("--quick", action="store_true",
-                       help="short sweep for CI smoke runs")
-    bench.add_argument("--seeds", type=int, default=None,
-                       help="progen sweep size (default 200)")
-    bench.add_argument("--out", help="write the JSON report to this path")
-    bench.add_argument("--compare",
-                       help="baseline JSON (e.g. BENCH_PR2.json) to gate "
-                            "wall-clock regressions against")
-    bench.add_argument("--tolerance", type=float, default=0.25,
-                       help="allowed slowdown fraction vs the baseline")
-    bench.add_argument("--throughput", action="store_true",
-                       help="also run the many-session throughput suite "
-                            "(pooled sessions over shared runtime images "
-                            "vs per-run reconstruction, with p50/p99 "
-                            "latency and scaling sweeps)")
-    bench.add_argument("--sessions", type=int, default=None,
-                       help="sessions per workload for --throughput "
-                            "(default 2000; --quick uses 200)")
-    bench.add_argument("--jobs", type=int, default=1,
-                       help="worker processes for the progen sweep "
-                            "(wall-clock lever only; baselines are "
-                            "recorded with --jobs 1)")
-    bench.add_argument("--profile", action="store_true",
-                       help="run a separate profiled pass attributing "
-                            "per-message time to dispatch / token / "
-                            "label / trace / store (embedded under "
-                            "'profile' in the JSON report)")
-    bench.set_defaults(func=cmd_bench)
 
     rehydrate = sub.add_parser(
         "rehydrate",

@@ -22,8 +22,8 @@ caching"):
 * cached values are themselves interned labels or frozensets — sharing
   them is safe because they are immutable.
 
-Counters are cheap (two int increments per call) and feed the
-``python -m repro bench`` cache-hit-rate report.
+Counters are cheap (two int increments per call) and feed the repo
+benchmark's cache-hit-rate report (``perfbench/``).
 """
 
 from __future__ import annotations

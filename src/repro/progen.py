@@ -9,9 +9,9 @@ seed**: ``generate_program(seed)`` is a pure function of the seed.
 Consumers: the transparency/security property tests
 (``tests/security/test_random_programs.py``), the differential harness
 (``tests/security/test_differential.py``), the fault-injection sweep
-(``tests/runtime/test_fault_sweep.py``), and the benchmark trajectory
-(``python -m repro bench``), which is why the generator lives in the
-package rather than the test tree.
+(``tests/runtime/test_fault_sweep.py``), and the parse
+micro-benchmarks (``benchmarks/test_parse_micro.py``), which is why the
+generator lives in the package rather than the test tree.
 """
 
 from __future__ import annotations

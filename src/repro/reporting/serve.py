@@ -2,11 +2,9 @@
 
 The gateway records one sample per execution request — workload name,
 wall-clock latency, and the structured error code (or ``None`` for
-success).  ``snapshot`` folds the samples into the same
-nearest-rank-percentile summary shape the throughput bench uses, so
-serve-mode latency reads like the rest of the reporting layer:
-``p50``/``p99``/``p999``/``mean`` per workload plus global counters by
-outcome code.
+success).  ``snapshot`` folds the samples into a nearest-rank
+percentile summary — ``p50``/``p99``/``p999``/``mean`` per workload —
+plus global counters by outcome code.
 
 Thread-safety: the gateway handles requests on worker threads (the
 blocking ``Session.run`` runs off the event loop), so ``record`` takes
@@ -16,10 +14,20 @@ not unbounded — and samples are kept raw so percentiles are exact.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Any, Dict, List, Optional
 
-from .throughput import percentile
+
+def percentile(sorted_values: List[float], q: float) -> float:
+    """Nearest-rank percentile of an ascending-sorted list (q in 0..1):
+    the smallest sample with at least ``q`` of the samples at or below
+    it, i.e. index ``ceil(q * n) - 1``; 0.0 for no samples."""
+    if not sorted_values:
+        return 0.0
+    count = len(sorted_values)
+    rank = math.ceil(q * count) - 1
+    return sorted_values[max(0, min(count - 1, rank))]
 
 
 class ServeStats:

@@ -33,8 +33,8 @@ immutable/mutable line the compile caches use:
 
 * :class:`MultiSessionDriver` — interleaves many concurrent sessions
   over one shared image, one control message at a time, measuring
-  per-session wall-clock latency.  This is the engine under
-  ``python -m repro bench --throughput``.
+  per-session wall-clock latency.  The isolation tests and the pinned
+  run invariants (``tests/workloads/test_invariants.py``) drive it.
 
 ``DistributedExecutor`` remains the public single-run API; it is now a
 thin :class:`Session` subclass that builds (or reuses) the image for
@@ -517,8 +517,8 @@ class Session:
 
     def observables(self) -> Dict[str, Any]:
         """The invariant surface one run exposes: message counts,
-        simulated time, and per-host ICS depths — the facts the
-        throughput harness pins bit-identical to the single-run oracle."""
+        simulated time, and per-host ICS depths — the facts the pinned
+        run invariants hold bit-identical to the single-run oracle."""
         return {
             "messages": self.network.table_counts(),
             "simulated_seconds": round(self.network.clock, 6),

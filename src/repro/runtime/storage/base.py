@@ -83,10 +83,12 @@ class StorageRetryPolicy:
 
 
 class DurabilityStats:
-    """Structured counters for the durable tier (``repro bench`` block).
+    """Structured counters for the durable tier.
 
     One process-wide instance (:data:`STATS`) accumulates across every
-    session; ``repro bench`` resets it per run and reports the deltas.
+    session; a reader snapshots it before and after a run and reports
+    the deltas (``perfbench/census.py`` does this for the storage
+    layer).
     """
 
     __slots__ = (

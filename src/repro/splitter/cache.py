@@ -30,7 +30,8 @@ Two tiers:
 
 ``REPRO_SPLIT_CACHE=0`` disables every lookup and every store, so the
 uncached path is exactly the pre-cache pipeline.  Hit/miss counters
-feed ``python -m repro bench`` alongside the label cache stats.  The
+(:func:`stats`) feed the repo benchmark's per-layer cache report
+(``perfbench/``) alongside the label cache stats.  The
 differential battery in ``tests/splitter/test_split_cache.py`` pins
 rehydrated splits observably identical to fresh compiles across both
 tiers.
@@ -324,8 +325,7 @@ def store(key: SplitKey, encoded: Dict) -> None:
 
 def stats() -> Dict[str, Dict[str, float]]:
     """Hit/miss counters per tier, in the same shape as
-    :func:`repro.labels.cache.stats` so the bench report merges them
-    into its one cache section."""
+    :func:`repro.labels.cache.stats` so one reader can report both."""
     report = {}
     for tier in _TIERS:
         total = tier.hits + tier.misses

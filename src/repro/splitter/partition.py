@@ -169,10 +169,10 @@ def _split_uncached(
 def _source_digest(source: Union[str, CheckedProgram]) -> Optional[str]:
     """The content address of the program text, when one is knowable.
 
-    For checked-program inputs (the staged bench pipeline) the digest
-    is the one ``parse_program`` recorded on the AST; an AST built any
-    other way has no stable address, and the split cache simply stands
-    aside for it.
+    For checked-program inputs (a staged parse/check/split pipeline)
+    the digest is the one ``parse_program`` recorded on the AST; an AST
+    built any other way has no stable address, and the split cache
+    simply stands aside for it.
     """
     if isinstance(source, str):
         return split_cache.digest(source)

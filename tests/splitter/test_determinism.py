@@ -5,9 +5,9 @@ engine): repeated runs must produce identical placements — statement
 uids are allocated from a global counter, so statement hosts are
 compared by structural (method, walk-order) position rather than uid.
 
-The ``--jobs`` drivers must be invisible: a parallel bench or fault
-sweep aggregates per-item results in submission order, so every report
-field except wall-clock is identical to a serial run.
+The ``--jobs`` drivers must be invisible: a parallel fault or
+crash-point sweep aggregates per-item results in submission order, so
+every report field is identical to a serial run.
 """
 
 import pytest
@@ -15,7 +15,6 @@ import pytest
 from repro import parallel
 from repro.progen import config as progen_config
 from repro.progen import generate_program
-from repro.reporting.bench import run_bench
 from repro.runtime.executor import run_split_program
 from repro.runtime.faultsweep import crash_point_sweep, sweep
 from repro.splitter import cache as split_cache
@@ -124,16 +123,3 @@ def test_crash_point_sweep_identical_across_jobs():
         for p in forked.points
     ]
     assert serial.failures == forked.failures
-
-
-@fork_only
-def test_bench_invariants_identical_across_jobs():
-    reports = {
-        jobs: run_bench(seeds=4, quiet=True, jobs=jobs)
-        for jobs in (1, 2)
-    }
-    assert reports[1]["invariants"] == reports[2]["invariants"]
-    assert (
-        reports[1]["progen"]["messages"]
-        == reports[2]["progen"]["messages"]
-    )

@@ -1,10 +1,10 @@
-"""The shared-nothing fork_map driver: shadowing fix and re-entrancy.
+"""The shared-nothing fork_map driver: ordering, errors, re-entrancy.
 
-PR5 renamed ``fork_map``'s ``state`` parameter (it shadowed the
-module-level :func:`repro.parallel.state` helper inside the function
-body) to ``shared`` and made the process-global ``_STATE`` dict fail
-fast on nested use instead of silently corrupting the outer call's
-worker state.
+``fork_map``'s state parameter is named ``shared`` (a ``state``
+parameter would shadow the module-level :func:`repro.parallel.state`
+helper inside the function body), and the process-global ``_STATE``
+dict fails fast on nested use instead of silently corrupting the outer
+call's worker state.
 """
 
 import pytest
@@ -35,6 +35,24 @@ class TestForkMap:
             _echo_shared, [10, 20, 30], 2, shared={"key": "value"}
         )
         assert results == [(10, "value"), (20, "value"), (30, "value")]
+
+    def test_results_in_input_order_on_uneven_inputs(self):
+        # 13 items over 3 workers: non-divisible on purpose, and the
+        # interleaved chunks come back out of order.
+        results = parallel.fork_map(
+            _echo_shared, list(range(13)), 3, shared={"key": "p"}
+        )
+        assert results == [(i, "p") for i in range(13)]
+
+    def test_worker_exception_propagates_and_guard_is_released(self):
+        with pytest.raises(ValueError, match="boom"):
+            parallel.fork_map(_boom, [1, 2, 3, 4], 2, shared={"key": "x"})
+        assert not parallel._ACTIVE
+        assert parallel.state() == {}
+        assert parallel.fork_map(_echo_shared, [3, 4], 2) == [
+            (3, None),
+            (4, None),
+        ]
 
     def test_state_cleared_and_guard_released_after_run(self):
         parallel.fork_map(_echo_shared, [1, 2], 2, shared={"key": "v"})
@@ -101,66 +119,6 @@ class TestChunkPlan:
         for count, parts in [(17, 4), (100, 7), (5, 5)]:
             seen = sorted(i for c in parallel.chunk_plan(count, parts) for i in c)
             assert seen == list(range(count))
-
-
-@fork_only
-class TestWorkerPool:
-    def test_map_preserves_input_order_on_uneven_inputs(self):
-        # 13 items over 3 workers: non-divisible on purpose.
-        with parallel.WorkerPool(3, shared={"key": "p"}) as pool:
-            results = pool.map(_echo_shared, list(range(13)))
-        assert results == [(i, "p") for i in range(13)]
-
-    def test_workers_persist_across_maps(self):
-        with parallel.WorkerPool(2, shared={"key": "warm"}) as pool:
-            first = pool.map(_echo_shared, [1, 2, 3])
-            pids_before = [proc.pid for proc in pool._procs]
-            second = pool.map(_echo_shared, [4, 5, 6])
-            pids_after = [proc.pid for proc in pool._procs]
-        assert first == [(1, "warm"), (2, "warm"), (3, "warm")]
-        assert second == [(4, "warm"), (5, "warm"), (6, "warm")]
-        assert pids_before == pids_after  # no re-fork between maps
-
-    def test_new_shared_state_restarts_workers(self):
-        with parallel.WorkerPool(2, shared={"key": "a"}) as pool:
-            assert pool.map(_echo_shared, [1])[0] == (1, "a")
-            pids_a = [proc.pid for proc in pool._procs]
-            assert pool.map(_echo_shared, [2], shared={"key": "b"})[0] == (2, "b")
-            pids_b = [proc.pid for proc in pool._procs]
-        assert set(pids_a).isdisjoint(pids_b)
-
-    def test_same_shared_state_keeps_workers(self):
-        shared = {"key": "same"}
-        with parallel.WorkerPool(2, shared=shared) as pool:
-            pool.map(_echo_shared, [1], shared=shared)
-            pids = [proc.pid for proc in pool._procs]
-            pool.map(_echo_shared, [2], shared=shared)
-            assert [proc.pid for proc in pool._procs] == pids
-
-    def test_serial_pool_runs_inline_with_state(self):
-        pool = parallel.WorkerPool(1, shared={"key": "serial"})
-        try:
-            assert pool.workers == 0
-            assert pool.map(_echo_shared, [7, 8]) == [(7, "serial"), (8, "serial")]
-        finally:
-            pool.close()
-        assert parallel.state() == {}
-        assert not parallel._ACTIVE
-
-    def test_worker_exception_propagates_and_pool_recovers_guard(self):
-        with pytest.raises(ValueError, match="boom"):
-            with parallel.WorkerPool(2) as pool:
-                pool.map(_boom, [1, 2, 3, 4])
-        assert not parallel._ACTIVE
-        assert parallel.state() == {}
-
-    def test_close_releases_guard_and_allows_new_pool(self):
-        pool = parallel.WorkerPool(2, shared={"key": "x"})
-        pool.map(_echo_shared, [1, 2])
-        pool.close()
-        assert not parallel._ACTIVE
-        with parallel.WorkerPool(2, shared={"key": "y"}) as fresh:
-            assert fresh.map(_echo_shared, [3]) == [(3, "y")]
 
 
 def _boom(item):
