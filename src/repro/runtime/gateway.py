@@ -13,8 +13,11 @@ with the run's observables.
 Contract highlights:
 
 * **Framing** — the same 4-byte big-endian length-prefixed JSON frames
-  the host-to-host wire uses (:mod:`repro.runtime.transport.tcp`), so
-  one codec serves both planes.
+  the host-to-host wire uses, decoded by the one codec in
+  :mod:`repro.runtime.transport.base`.  A malformed frame (over the
+  cap, not JSON, not a JSON object) is answered with a ``bad-request``
+  error frame and the connection is closed: the stream cannot be
+  resynchronized after one.
 * **Multiplexing** — each ``run`` frame carries a client-chosen ``id``;
   replies carry it back, so a client may pipeline requests and match
   responses out of order.  Requests from one connection execute
@@ -43,18 +46,18 @@ processes, under ≥16 concurrent clients.
 from __future__ import annotations
 
 import asyncio
-import json
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 
 from ..reporting.serve import ServeStats
 from ..splitter import split_source
 from .network import DeliveryTimeoutError, SecurityAbort
 from .session import RuntimeImage, Session, SessionPool
 from .storage import StorageUnavailableError
+from .transport.base import FrameError, decode_frame, encode_frame
 from .transport.rate_limit import PrincipalRateLimiter
-from .transport.tcp import _LEN, MAX_FRAME, run_split_over_tcp
+from .transport.tcp import run_split_over_tcp
 
 #: The closed set of wire error codes (gateway and CLI share it).
 ERROR_CODES = (
@@ -121,23 +124,22 @@ def classify_error(exc: BaseException) -> Tuple[str, str]:
     return "internal", f"{type(exc).__name__}: {exc}"
 
 
-# -- asyncio framing (same wire format as transport.tcp) -------------------
+# -- asyncio framing (the shared codec of transport.base) -----------------
 
 
 async def read_frame(reader: asyncio.StreamReader) -> Dict[str, Any]:
-    header = await reader.readexactly(_LEN.size)
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME:
-        raise ValueError(f"frame of {length} bytes exceeds cap")
-    body = await reader.readexactly(length)
-    return json.loads(body.decode("utf-8"))
+    buf = b""
+    while True:
+        frame, size = decode_frame(buf)
+        if frame is not None:
+            return frame
+        buf += await reader.readexactly(size - len(buf))
 
 
 async def write_frame(
     writer: asyncio.StreamWriter, frame: Dict[str, Any]
 ) -> None:
-    body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
-    writer.write(_LEN.pack(len(body)) + body)
+    writer.write(encode_frame(frame))
     await writer.drain()
 
 
@@ -262,58 +264,50 @@ class Gateway:
             self._conn_tasks.add(me)
         write_lock = asyncio.Lock()
         tasks: List[asyncio.Task] = []
+
+        async def send(frame: Dict[str, Any]) -> None:
+            async with write_lock:
+                await write_frame(writer, frame)
+
         try:
             hello = await read_frame(reader)
             if hello.get("t") != "hello" or not isinstance(
                 hello.get("principal"), str
             ):
-                async with write_lock:
-                    await write_frame(
-                        writer,
-                        GatewayError(
-                            "bad-request",
-                            "expected hello frame with a principal",
-                        ).frame(None),
-                    )
+                await send(GatewayError(
+                    "bad-request", "expected hello frame with a principal"
+                ).frame(None))
                 return
             principal = hello["principal"]
-            async with write_lock:
-                await write_frame(
-                    writer,
-                    {"t": "welcome", "workloads": list(WORKLOAD_NAMES)},
-                )
+            await send({"t": "welcome", "workloads": list(WORKLOAD_NAMES)})
             while True:
                 try:
                     frame = await read_frame(reader)
+                except FrameError:
+                    raise
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
                 kind = frame.get("t")
                 if kind == "bye":
                     break
                 if kind == "stats":
-                    async with write_lock:
-                        await write_frame(
-                            writer,
-                            {"t": "stats", "stats": self.stats.snapshot()},
-                        )
-                    continue
-                if kind != "run":
-                    async with write_lock:
-                        await write_frame(
-                            writer,
-                            GatewayError(
-                                "bad-request",
-                                f"unknown frame type {kind!r}",
-                            ).frame(frame.get("id")),
-                        )
-                    continue
-                tasks.append(
-                    asyncio.ensure_future(
-                        self._run(frame, principal, writer, write_lock)
-                    )
-                )
+                    await send({"t": "stats", "stats": self.stats.snapshot()})
+                elif kind != "run":
+                    await send(GatewayError(
+                        "bad-request", f"unknown frame type {kind!r}"
+                    ).frame(frame.get("id")))
+                else:
+                    tasks.append(asyncio.ensure_future(
+                        self._run(frame, principal, send)
+                    ))
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
+        except FrameError as error:
+            # Fail closed: say why, then drop the unusable stream.
+            try:
+                await send(GatewayError("bad-request", str(error)).frame(None))
+            except ConnectionError:
+                pass
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         except asyncio.CancelledError:
@@ -337,8 +331,7 @@ class Gateway:
         self,
         frame: Dict[str, Any],
         principal: str,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        send: Callable[[Dict[str, Any]], Awaitable[None]],
     ) -> None:
         request_id = frame.get("id")
         workload = frame.get("workload")
@@ -375,8 +368,7 @@ class Gateway:
                 f"{workload} exceeded the {self.run_timeout:.0f}s budget",
             )
             self.stats.record(str(workload), 0.0, code=error.code)
-            async with write_lock:
-                await write_frame(writer, error.frame(request_id))
+            await send(error.frame(request_id))
         except BaseException as exc:  # noqa: BLE001 — contract boundary
             if isinstance(exc, asyncio.CancelledError):
                 raise
@@ -387,23 +379,18 @@ class Gateway:
                 if isinstance(exc, GatewayError)
                 else GatewayError(code, detail)
             )
-            async with write_lock:
-                await write_frame(writer, error.frame(request_id))
+            await send(error.frame(request_id))
         else:
             wall = time.perf_counter() - start
             self.stats.record(workload, wall, code=None)
-            async with write_lock:
-                await write_frame(
-                    writer,
-                    {
-                        "t": "result",
-                        "id": request_id,
-                        "workload": workload,
-                        "transport": transport,
-                        "observables": observables,
-                        "wall_seconds": round(wall, 9),
-                    },
-                )
+            await send({
+                "t": "result",
+                "id": request_id,
+                "workload": workload,
+                "transport": transport,
+                "observables": observables,
+                "wall_seconds": round(wall, 9),
+            })
 
 
 # -- client helper ---------------------------------------------------------

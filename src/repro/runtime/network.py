@@ -16,21 +16,18 @@ model).  The network also keeps the books the evaluation needs:
 With a :class:`~repro.runtime.faults.FaultInjector` attached, the
 channels stop being reliable: messages may be dropped, duplicated,
 reordered, delayed, and hosts may crash and restart.  The network then
-runs a reliable-delivery protocol on top — per-channel sequence
-numbers and per-message idempotency keys, ack/retry with exponential
-backoff, receiver-side duplicate suppression — whose retransmissions
-show up in the message counts and the simulated clock.  A message that
-cannot be delivered within the retry budget raises
-:class:`DeliveryTimeoutError`: the run fails closed, never answers
-wrong.  With no injector attached every code path, count, and clock
-charge is exactly the fault-free Section 3.1 model.
+delivers through the :class:`~repro.runtime.transport.base.
+ReliableChannel` the TCP backend also uses — stamping, ack/retry with
+exponential backoff, its timers charged to the simulated clock — and
+the hosts' idempotency tables suppress duplicates.  Retransmissions
+show up in the message counts and the clock; a message past the retry
+budget raises :class:`DeliveryTimeoutError`: the run fails closed,
+never answers wrong.  With no injector attached every code path,
+count, and clock charge is exactly the fault-free Section 3.1 model.
 
-:class:`SimNetwork` is the default implementation of the pluggable
-:class:`~repro.runtime.transport.base.Transport` contract; the message
-envelope, cost model, accounting core, and fail-closed error taxonomy
-live in :mod:`repro.runtime.transport.base` (re-exported here under
-their historical names) so the real TCP backend in
-:mod:`repro.runtime.transport.tcp` charges bit-identically.
+The envelope, cost model, accounting core and error taxonomy live in
+:mod:`repro.runtime.transport.base` (re-exported here under their
+historical names), so the TCP backend charges bit-identically.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from .faults import FaultInjector, RetryPolicy
 from .transport.base import (
     CONTROL_KINDS,
+    NO_ACK,
     ROUNDTRIP_KINDS,
     CostModel,
     DeliveryTimeoutError,
@@ -85,19 +83,9 @@ class SimNetwork(Transport):
         faults: Optional[FaultInjector] = None,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
-        """Reset-in-place to a freshly constructed network.
-
-        Host registrations (handlers, crash hooks) survive — they are
-        session wiring, not run state — while every piece of per-run
-        accounting is cleared: clock, counts, logs, channel sequence
-        numbers, idempotency-key counter, the control queue, fault
-        events, event listeners, the quarantine set, and the
-        log-recording flag (a session recycled out of a lean-logging
-        ``record_logs=False`` run records again by default).  Also
-        uninstalls any instance-level ``_account`` override (the tracer
-        patches one in), so a previously traced session stops tracing
-        when recycled.
-        """
+        """Reset-in-place to a freshly constructed network: host
+        registrations (handlers, crash hooks) survive — they are session
+        wiring — and all run state goes (:meth:`reset_run_state`)."""
         self.reset_run_state()
         self.faults = faults
         self.retry = retry or RetryPolicy()
@@ -122,11 +110,6 @@ class SimNetwork(Transport):
     # -- synchronous round trips ----------------------------------------------------
 
     def request(self, message: Message) -> Any:
-        """A request/reply exchange (getField, setField, forward, sync).
-
-        Counts two messages (the paper's "×2" rows), except local calls,
-        which never touch the network.
-        """
         handler = self._handlers.get(message.dst)
         if handler is None:
             raise KeyError(f"unknown host {message.dst!r}")
@@ -136,10 +119,9 @@ class SimNetwork(Transport):
         if self.faults is None:
             self._account(message, messages=2)
             return handler(message)
-        return self._deliver_reliably(message, handler, roundtrip=True)
+        return self._send(message, handler, roundtrip=True)
 
     def one_way(self, message: Message, messages: int = 1) -> Any:
-        """A one-message exchange (asynchronous forward at opt level 2)."""
         handler = self._handlers.get(message.dst)
         if handler is None:
             raise KeyError(f"unknown host {message.dst!r}")
@@ -151,121 +133,103 @@ class SimNetwork(Transport):
             return handler(message)
         # Under faults even "unacknowledged" sends ride the reliable
         # layer: without an ack there is no way to mask a loss.
-        return self._deliver_reliably(message, handler, roundtrip=False)
+        return self._send(message, handler, roundtrip=False)
 
-    def _deliver_reliably(
-        self, message: Message, handler: Callable[[Message], Any], roundtrip: bool
+    def _send(
+        self, message: Message, deliver: Callable[[Message], Any],
+        roundtrip: bool,
     ) -> Any:
-        """Ack/retry loop for a synchronous exchange under faults."""
-        self._stamp(message)
-        attempt = 0
-        waited = 0.0
-        while True:
-            delivered, result = self._try_deliver(message, handler, roundtrip)
-            if delivered:
-                return result
-            # The ack never came: wait out the retransmission timer.
-            timer = self.retry.timeout(attempt)
-            self.clock += timer
-            waited += timer
-            attempt += 1
-            if attempt > self.retry.max_retries or self.retry.past_deadline(
-                waited
-            ):
-                self._emit(
-                    "timeout", message.src, message.dst,
-                    f"{message.kind} #{message.msg_id} gave up after "
-                    f"{attempt} attempts ({waited:.3f}s of timers)",
-                )
-                raise DeliveryTimeoutError(message, attempt)
-            self._emit(
-                "retry", message.src, message.dst,
-                f"{message.kind} #{message.msg_id} attempt {attempt + 1}",
-            )
-
-    def _volatile_crashes(self) -> bool:
-        return (
-            self.faults is not None
-            and self.faults.policy.crash_mode == "volatile"
+        """Reliable delivery under faults: the shared channel's retry
+        schedule, its timers charged to the simulated clock."""
+        self.channel.stamp(message)
+        return self.channel.deliver(
+            message,
+            lambda: self._transmit(message, deliver, roundtrip),
+            self._wait,
+            self.retry,
         )
 
-    def _host_crashed(self, message: Message) -> None:
-        """Bookkeeping for a crash at receipt of ``message``: in volatile
-        mode the destination's state is wiped on the spot."""
-        dst = message.dst
-        self._account(message, messages=1)
-        self._emit(
-            "crash", None, dst,
-            f"{dst} crashed on receipt of {message.kind} "
-            f"#{message.msg_id}",
-        )
-        if self._volatile_crashes():
-            hooks = self._crash_hooks.get(dst)
-            if hooks is not None and hooks[0] is not None:
-                hooks[0]()
+    def _wait(self, timer: float) -> Any:
+        """Nothing arrives while a simulated timer runs: charge it."""
+        self.clock += timer
+        return NO_ACK
 
-    def _host_restarted(self, dst: str) -> None:
-        """Bookkeeping for a restart: in volatile mode the host runs its
-        recovery protocol (checkpoint + WAL replay + announcement)
-        before the pending delivery proceeds."""
-        self._emit("restart", None, dst, f"{dst} back up")
-        if self._volatile_crashes():
-            hooks = self._crash_hooks.get(dst)
-            if hooks is not None and hooks[1] is not None:
-                hooks[1]()
+    def _crash_hook(self, host: str, which: int) -> None:
+        """In the volatile crash mode, run ``host``'s crash hook
+        (``which`` 0: wipe its state) or restart hook (1: checkpoint +
+        WAL replay + announcement, before the pending delivery)."""
+        if self.faults.policy.crash_mode == "volatile":
+            hook = self._crash_hooks.get(host, (None, None))[which]
+            if hook is not None:
+                hook()
 
-    def _try_deliver(
-        self, message: Message, handler: Callable[[Message], Any], roundtrip: bool
-    ) -> Tuple[bool, Any]:
-        """One transmission attempt; (False, None) means 'no ack'."""
+    def _transmit(
+        self, message: Message, deliver: Callable[[Message], Any],
+        roundtrip: bool,
+    ) -> Any:
+        """One transmission attempt; :data:`NO_ACK` means 'no ack'.
+
+        ``deliver`` hands a copy to the receiver: the destination's
+        handler, or the control queue for a post.  Seeded schedules
+        replay only if the fault-RNG draws keep their order: down,
+        crash, drop, jitter, reply-drop (round trips only), then the
+        delivery itself (a handler's nested sends, a post's reorder
+        slot), duplicate.
+        """
         faults = self.faults
         dst = message.dst
         if faults.check_restart(dst, self.clock):
-            self._host_restarted(dst)
+            self._emit("restart", None, dst, f"{dst} back up")
+            self._crash_hook(dst, 1)
         if faults.is_down(dst, self.clock):
             self._account(message, messages=1)
             self._emit(
                 "drop", message.src, dst,
                 f"{message.kind} #{message.msg_id}: {dst} is down",
             )
-            return False, None
+            return NO_ACK
         if faults.maybe_crash(dst, self.clock, message.kind):
-            self._host_crashed(message)
-            return False, None
+            self._account(message, messages=1)
+            self._emit(
+                "crash", None, dst,
+                f"{dst} crashed on receipt of {message.kind} "
+                f"#{message.msg_id}",
+            )
+            self._crash_hook(dst, 0)
+            return NO_ACK
         if faults.should_drop():
             self._account(message, messages=1)
             self._emit(
                 "drop", message.src, dst,
                 f"{message.kind} #{message.msg_id} lost in transit",
             )
-            return False, None
+            return NO_ACK
         self.clock += faults.jitter()
         if roundtrip and faults.should_drop():
             # The request arrived and was processed, but the reply was
             # lost: the receiver's duplicate suppression makes the
             # retransmission harmless.
             self._account(message, messages=2)
-            handler(message)
+            deliver(message)
             self._emit(
                 "drop", dst, message.src,
                 f"reply to {message.kind} #{message.msg_id} lost",
             )
-            return False, None
+            return NO_ACK
         self._account(message, messages=2 if roundtrip else 1)
-        result = handler(message)
+        result = deliver(message)
         if faults.should_duplicate():
             self.counts["messages"] += 1
             self._emit(
                 "duplicate", message.src, dst,
                 f"{message.kind} #{message.msg_id} delivered twice",
             )
-            handler(message)
-        return True, result
+            deliver(message)
+        return result
 
     # -- control transfers -------------------------------------------------------
 
     def post(self, message: Message) -> None:
-        """Queue a control transfer (rgoto/lgoto) for the executor loop."""
         if message.src == message.dst:
             self._queue.append(message)
             return
@@ -274,64 +238,7 @@ class SimNetwork(Transport):
             self._account(message, messages=1)
             self._queue.append(message)
             return
-        self._stamp(message)
-        attempt = 0
-        waited = 0.0
-        while True:
-            if self._try_post(message):
-                return
-            timer = self.retry.timeout(attempt)
-            self.clock += timer
-            waited += timer
-            attempt += 1
-            if attempt > self.retry.max_retries or self.retry.past_deadline(
-                waited
-            ):
-                self._emit(
-                    "timeout", message.src, message.dst,
-                    f"{message.kind} #{message.msg_id} gave up after "
-                    f"{attempt} attempts ({waited:.3f}s of timers)",
-                )
-                raise DeliveryTimeoutError(message, attempt)
-            self._emit(
-                "retry", message.src, message.dst,
-                f"{message.kind} #{message.msg_id} attempt {attempt + 1}",
-            )
-
-    def _try_post(self, message: Message) -> bool:
-        """One transmission attempt into the destination's inbox."""
-        faults = self.faults
-        dst = message.dst
-        if faults.check_restart(dst, self.clock):
-            self._host_restarted(dst)
-        if faults.is_down(dst, self.clock):
-            self._account(message, messages=1)
-            self._emit(
-                "drop", message.src, dst,
-                f"{message.kind} #{message.msg_id}: {dst} is down",
-            )
-            return False
-        if faults.maybe_crash(dst, self.clock, message.kind):
-            self._host_crashed(message)
-            return False
-        if faults.should_drop():
-            self._account(message, messages=1)
-            self._emit(
-                "drop", message.src, dst,
-                f"{message.kind} #{message.msg_id} lost in transit",
-            )
-            return False
-        self.clock += faults.jitter()
-        self._account(message, messages=1)
-        self._enqueue(message)
-        if faults.should_duplicate():
-            self.counts["messages"] += 1
-            self._emit(
-                "duplicate", message.src, dst,
-                f"{message.kind} #{message.msg_id} delivered twice",
-            )
-            self._enqueue(message)
-        return True
+        self._send(message, self._enqueue, roundtrip=False)
 
     def _enqueue(self, message: Message) -> None:
         slot = self.faults.reorder_slot(len(self._queue))

@@ -329,8 +329,8 @@ class SessionStorage:
             "audit_log": list(net.audit_log),
             "fault_counts": dict(net.fault_counts),
             "fault_events": [tuple(event) for event in net.fault_events],
-            "seq": dict(net._seq),
-            "stamped": sum(net._seq.values()),
+            "seq": dict(net.channel.seq),
+            "stamped": sum(net.channel.seq.values()),
             "queue_len": len(net._queue),
             "flow_len": len(net.flow_log),
             "quarantine_enabled": net.quarantine_enabled,
@@ -724,8 +724,8 @@ def rehydrate_session(
         net.audit_log = list(journal["audit_log"])
         net.fault_counts = Counter(journal["fault_counts"])
         net.fault_events = [tuple(event) for event in journal["fault_events"]]
-        net._seq = Counter(journal["seq"])
-        net._msg_ids = _count(journal["stamped"] + 1)
+        net.channel.seq = Counter(journal["seq"])
+        net.channel.msg_ids = _count(journal["stamped"] + 1)
         net.quarantine_enabled = journal["quarantine_enabled"]
         net.quarantined = set(journal["quarantined"])
 

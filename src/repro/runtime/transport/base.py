@@ -6,6 +6,12 @@ per-process TCP backend in :mod:`repro.runtime.transport.tcp` — share:
 
 * the :class:`Message` envelope (kind, src, dst, payload, data labels,
   idempotency key, channel sequence number);
+* the :class:`ReliableChannel`, the one sans-I/O implementation of
+  Section 3.1's reliable in-order channels over a lossy wire (stamping,
+  the retry schedule over an injected wait, the receiver's reply cache
+  and control holdback);
+* the one frame codec (:func:`encode_frame` / :func:`decode_frame`)
+  every reader of the host wire and the gateway shares;
 * the :class:`CostModel` and the Table 1 accounting core (message
   counts, the simulated clock, check/hash charges, flow/audit/message
   logs, fault events, the quarantine blacklist);
@@ -31,6 +37,8 @@ per-host subtotals reproduces the global simulated clock exactly.
 from __future__ import annotations
 
 import itertools
+import json
+import struct
 from collections import Counter, deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
@@ -38,6 +46,8 @@ from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 CONTROL_KINDS = ("rgoto", "lgoto")
 #: Message kinds that are request/reply round trips (two messages each).
 ROUNDTRIP_KINDS = ("getField", "setField", "forward", "sync")
+#: Table 1's rows, in its order.
+TABLE_KINDS = ("forward", "getField", "setField", "sync", "lgoto", "rgoto")
 
 
 class CostModel:
@@ -146,6 +156,7 @@ class SecurityAbort(RuntimeError):
             self.src: Optional[str] = message.src
             self.dst: Optional[str] = message.dst
             self.seq: Optional[int] = message.seq
+            self.msg_id: Optional[int] = message.msg_id
             self.msg_kind: Optional[str] = message.kind
             detail += (
                 f" [channel {message.src}->{message.dst}, "
@@ -156,11 +167,177 @@ class SecurityAbort(RuntimeError):
             self.src = None
             self.dst = None
             self.seq = None
+            self.msg_id = None
             self.msg_kind = None
         super().__init__(detail)
         self.offender = offender
         self.victim = victim
         self.why = why
+
+
+#: the frame header: the body's length as a 4-byte big-endian integer.
+FRAME_HEADER = struct.Struct(">I")
+#: refuse frames over 64 MiB — a length prefix from a confused or
+#: malicious peer must not allocate unbounded memory.
+MAX_FRAME = 64 * 1024 * 1024
+
+
+class FrameError(ConnectionError):
+    """A frame over the cap, or not a JSON object: the stream is lost."""
+
+
+def encode_frame(frame: Dict[str, Any]) -> bytes:
+    """One length-prefixed JSON frame, ready for the wire."""
+    body = json.dumps(frame, separators=(",", ":")).encode("utf-8")
+    return FRAME_HEADER.pack(len(body)) + body
+
+
+def decode_frame(buf: bytes) -> Tuple[Optional[Dict[str, Any]], int]:
+    """Decode the frame at the front of ``buf``: ``(frame, size)`` once
+    ``buf`` holds all ``size`` bytes of it, else ``(None, size)`` with
+    the byte count to read up to before decoding again."""
+    if len(buf) < FRAME_HEADER.size:
+        return None, FRAME_HEADER.size
+    (length,) = FRAME_HEADER.unpack_from(buf)
+    if length > MAX_FRAME:
+        raise FrameError(f"frame of {length} bytes exceeds the cap")
+    size = FRAME_HEADER.size + length
+    if len(buf) < size:
+        return None, size
+    try:
+        frame = json.loads(buf[FRAME_HEADER.size:size].decode("utf-8"))
+    except (ValueError, RecursionError) as error:
+        raise FrameError(f"undecodable frame: {error}") from None
+    if not isinstance(frame, dict):
+        raise FrameError("frame is not a JSON object")
+    return frame, size
+
+
+#: "no acknowledgement yet" (a delivered exchange may answer ``None``).
+NO_ACK = object()
+
+#: replies the receiver keeps per peer.  A sender retransmits only the
+#: requests it still waits on (one nested chain deep), and anything
+#: older is answered by the host's durable ``_seen_requests``.
+REPLY_WINDOW = 1024
+
+
+class ReliableChannel:
+    """Sans-I/O reliable delivery: it never touches a socket or clock.
+
+    The sender stamps messages and runs the ack/retry schedule over the
+    ``send`` and ``wait`` its backend injects; the receiver executes
+    each request once and releases control transfers in channel order.
+    """
+
+    def __init__(
+        self, emit: Callable[[str, Optional[str], Optional[str], str], None]
+    ) -> None:
+        self._emit = emit
+        self.reset()
+
+    def reset(self, msg_id_floor: int = 1) -> None:
+        self.msg_ids = itertools.count(msg_id_floor)
+        #: (src, dst) -> last sequence number stamped on that channel.
+        self.seq: Counter = Counter()
+        self._cseq: Counter = Counter()
+        #: receiver: src -> next expected control sequence number, and
+        #: the out-of-order control transfers held back until then.
+        self._expected: Dict[str, int] = {}
+        self._holdback: Dict[str, Dict[int, Message]] = {}
+        #: receiver: src -> {msg_id: reply} (the last REPLY_WINDOW), and
+        #: the (src, msg_id) requests whose first execution is running.
+        self._served: Dict[str, Dict[int, Any]] = {}
+        self._serving: set = set()
+
+    # -- sender -----------------------------------------------------------
+
+    def stamp(self, message: Message) -> None:
+        """Assign the idempotency key and channel sequence number."""
+        if message.msg_id is None:
+            message.msg_id = next(self.msg_ids)
+            channel = (message.src, message.dst)
+            self.seq[channel] += 1
+            message.seq = self.seq[channel]
+
+    def control_seq(self, message: Message) -> int:
+        """The next control sequence number on ``message``'s channel."""
+        channel = (message.src, message.dst)
+        self._cseq[channel] += 1
+        return self._cseq[channel]
+
+    def deliver(
+        self,
+        message: Message,
+        send: Callable[[], Any],
+        wait: Callable[[float], Any],
+        retry,
+    ) -> Any:
+        """Run ``retry``'s schedule for one stamped message: ``send()``
+        transmits a copy, ``wait(timer)`` lets the backend's clock run;
+        each returns the exchange's result, or :data:`NO_ACK`."""
+        attempt = 0
+        waited = 0.0
+        while True:
+            result = send()
+            if result is not NO_ACK:
+                return result
+            timer = retry.timeout(attempt)
+            result = wait(timer)
+            if result is not NO_ACK:
+                return result
+            waited += timer
+            attempt += 1
+            if attempt > retry.max_retries or retry.past_deadline(waited):
+                self._emit(
+                    "timeout", message.src, message.dst,
+                    f"{message.kind} #{message.msg_id} gave up after "
+                    f"{attempt} attempts ({waited:.3f}s of timers)",
+                )
+                raise DeliveryTimeoutError(message, attempt)
+            self._emit(
+                "retry", message.src, message.dst,
+                f"{message.kind} #{message.msg_id} attempt {attempt + 1}",
+            )
+
+    # -- receiver ---------------------------------------------------------
+
+    def serve(self, src: str, msg_id: int, execute: Callable[[], Any]) -> Any:
+        """``execute()``'s reply, computed once per ``(src, msg_id)``: a
+        retransmission gets the cached reply, or ``None`` while the
+        first execution is still running."""
+        window = self._served.setdefault(src, {})
+        cached = window.get(msg_id)
+        if cached is not None:
+            return cached
+        key = (src, msg_id)
+        if key in self._serving:
+            return None
+        self._serving.add(key)
+        try:
+            reply = execute()
+        finally:
+            self._serving.discard(key)
+        window[msg_id] = reply
+        if len(window) > REPLY_WINDOW:
+            del window[next(iter(window))]
+        return reply
+
+    def release(self, message: Message, cseq: int) -> List[Message]:
+        """Accept a control transfer; return those now deliverable in
+        channel order (duplicates are absorbed)."""
+        src = message.src
+        expected = self._expected.get(src, 1)
+        if cseq < expected:
+            return []
+        hold = self._holdback.setdefault(src, {})
+        hold[cseq] = message
+        ready = []
+        while expected in hold:
+            ready.append(hold.pop(expected))
+            expected += 1
+        self._expected[src] = expected
+        return ready
 
 
 class Transport:
@@ -201,8 +378,7 @@ class Transport:
         self.fault_events: List[Tuple[str, Optional[str], Optional[str], str]] = []
         self.fault_counts: Counter = Counter()
         self._listeners: List[Callable[..., None]] = []
-        self._msg_ids = itertools.count(1)
-        self._seq: Counter = Counter()
+        self.channel = ReliableChannel(self._emit)
         self._queue: Deque[Message] = deque()
         #: quarantine layer: off by default (rejected requests are
         #: silently ignored, the paper's Figure 6 behaviour).  When on,
@@ -250,14 +426,12 @@ class Transport:
     # -- reset-in-place --------------------------------------------------------
 
     def reset_run_state(self) -> None:
-        """Clear every piece of shared per-run state: clock, counts,
-        logs, channel sequence numbers, the idempotency-key counter, the
-        control queue, fault events, event listeners, the quarantine
-        set, and the log-recording flag (a session recycled out of a
-        lean-logging run must come back with recording on, the
-        freshly-constructed default).  Also uninstalls any
-        instance-level ``_account`` override (the tracer patches one
-        in), so a previously traced session stops tracing when recycled.
+        """Clear every piece of per-run state: clock, counts, logs, the
+        reliable channel, the control queue, fault events, listeners,
+        the quarantine set, and the log-recording flag (back on, the
+        freshly-constructed default).  Also uninstalls any instance-level
+        ``_account`` override (the tracer patches one in), so a
+        previously traced session stops tracing when recycled.
         """
         self.clock = 0.0
         self.check_time = 0.0
@@ -271,8 +445,7 @@ class Transport:
         self.fault_events.clear()
         self.fault_counts.clear()
         self._listeners.clear()
-        self._msg_ids = itertools.count(1)
-        self._seq.clear()
+        self.channel.reset()
         self._queue.clear()
         self.quarantine_enabled = False
         self.quarantined.clear()
@@ -351,26 +524,16 @@ class Transport:
         for callback in self._listeners:
             callback(kind, src, dst, detail)
 
-    def _stamp(self, message: Message) -> None:
-        """Assign the idempotency key and channel sequence number."""
-        if message.msg_id is None:
-            message.msg_id = next(self._msg_ids)
-            channel = (message.src, message.dst)
-            self._seq[channel] += 1
-            message.seq = self._seq[channel]
-
     # -- reporting ------------------------------------------------------------------
 
     def table_counts(self) -> Dict[str, int]:
-        """The Table 1 accounting: round-trip kinds reported singly
-        (each costs two messages), control kinds as message counts."""
-        return {
-            "forward": self.counts.get("forward", 0),
-            "getField": self.counts.get("getField", 0),
-            "setField": self.counts.get("setField", 0),
-            "sync": self.counts.get("sync", 0),
-            "lgoto": self.counts.get("lgoto", 0),
-            "rgoto": self.counts.get("rgoto", 0),
-            "total_messages": self.counts.get("messages", 0),
-            "eliminated": self.eliminated_roundtrips,
-        }
+        return table_counts(self.counts, self.eliminated_roundtrips)
+
+
+def table_counts(counts: Counter, eliminated: int) -> Dict[str, int]:
+    """The Table 1 accounting: round-trip kinds reported singly (each
+    costs two messages), control kinds as message counts."""
+    table = {kind: counts.get(kind, 0) for kind in TABLE_KINDS}
+    table["total_messages"] = counts.get("messages", 0)
+    table["eliminated"] = eliminated
+    return table

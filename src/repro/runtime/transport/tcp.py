@@ -5,24 +5,27 @@ message by calling the destination host's handler in the same address
 space.  This backend puts the identical protocol on an actual wire:
 
 * **Framing.**  Every frame is a 4-byte big-endian length prefix
-  followed by that many bytes of UTF-8 JSON.  Message payloads —
+  followed by that many bytes of a UTF-8 JSON object, in the one codec
+  of :mod:`repro.runtime.transport.base`.  Message payloads —
   tokens, frame ids, object/array references, labels, the ``REJECTED``
   sentinel — ride through the storage codec
   (:mod:`repro.runtime.storage.codec`), the same deterministic
   tagged-JSON encoding the durable tier trusts, so the wire format is
   untrusted-input handling by construction.
 
-* **Envelope.**  Frames carry the existing reliable-delivery envelope:
-  the per-message idempotency key (``msg_id``), the per-channel
-  sequence number (``seq``), and — for control transfers — a separate
+* **Envelope.**  The endpoint drives the shared
+  :class:`~repro.runtime.transport.base.ReliableChannel` with sockets.
+  Frames carry its stamps: the idempotency key (``msg_id``), the
+  per-channel sequence number (``seq``) and, for control transfers, a
   per-channel control sequence (``cseq``).  Requests are retransmitted
-  on an ack/retry timer (:class:`WireRetryPolicy`, real seconds this
-  time); receivers suppress duplicates (an in-flight or already-served
-  ``msg_id`` is never re-executed) and hold back out-of-order control
-  messages until the gap fills, so rgoto/lgoto arrive in program
-  order.  A message that exhausts its retry budget raises
-  :class:`~repro.runtime.transport.base.DeliveryTimeoutError` — fail
-  closed, never answer wrong — with full (channel, seq, kind) context.
+  on its retry schedule (:class:`WireRetryPolicy`, real seconds spent
+  pumping sockets); receivers execute each ``msg_id`` once and hold
+  back out-of-order control messages until the gap fills, so
+  rgoto/lgoto arrive in program order.  A message past its retry
+  budget raises :class:`~repro.runtime.transport.base.
+  DeliveryTimeoutError` — fail closed, never answer wrong — with full
+  (channel, seq, kind) context, which a host's ``failed`` frame
+  carries to the coordinator so the run re-raises it with its type.
 
 * **Accounting.**  :class:`HostEndpoint` inherits the Table 1
   accounting from :class:`~repro.runtime.transport.base.Transport`.
@@ -57,24 +60,27 @@ from ordinary function calls.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import selectors
 import signal
 import socket
-import struct
 import time
 import traceback
 from collections import Counter, deque
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..faults import RetryPolicy
 from ..storage.codec import StorageCodecError, dumps, loads
 from .base import (
+    NO_ACK,
     CostModel,
     DeliveryTimeoutError,
     Message,
     SecurityAbort,
     Transport,
+    decode_frame,
+    encode_frame,
+    table_counts,
 )
 
 __all__ = [
@@ -86,11 +92,6 @@ __all__ = [
     "run_split_over_tcp",
     "send_frame",
 ]
-
-_LEN = struct.Struct(">I")
-#: refuse frames over 64 MiB — a length prefix from a confused or
-#: malicious peer must not allocate unbounded memory.
-MAX_FRAME = 64 * 1024 * 1024
 
 #: the id-counter stride handed to each forked host, far above anything
 #: a single run allocates.
@@ -107,30 +108,20 @@ COORD = "__coord__"
 
 def send_frame(sock: socket.socket, frame: Dict[str, Any]) -> None:
     """Write one length-prefixed JSON frame."""
-    blob = json.dumps(frame, separators=(",", ":")).encode("utf-8")
-    sock.sendall(_LEN.pack(len(blob)) + blob)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    while n:
-        chunk = sock.recv(n)
-        if not chunk:
-            raise ConnectionError("peer closed mid-frame")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
+    sock.sendall(encode_frame(frame))
 
 
 def recv_frame(sock: socket.socket) -> Dict[str, Any]:
     """Read one length-prefixed JSON frame (blocking socket)."""
-    (length,) = _LEN.unpack(_recv_exact(sock, _LEN.size))
-    if length > MAX_FRAME:
-        raise ConnectionError(f"frame of {length} bytes exceeds the cap")
-    frame = json.loads(_recv_exact(sock, length).decode("utf-8"))
-    if not isinstance(frame, dict):
-        raise ConnectionError("frame is not a JSON object")
-    return frame
+    buf = bytearray()
+    while True:
+        frame, size = decode_frame(buf)
+        if frame is not None:
+            return frame
+        chunk = sock.recv(size - len(buf))
+        if not chunk:
+            raise ConnectionError("peer closed mid-frame")
+        buf += chunk
 
 
 class _Conn:
@@ -147,21 +138,12 @@ class _Conn:
         """Feed received bytes; return every complete frame."""
         self.buf += data
         out = []
-        while len(self.buf) >= _LEN.size:
-            (length,) = _LEN.unpack(self.buf[: _LEN.size])
-            if length > MAX_FRAME:
-                raise ConnectionError(
-                    f"frame of {length} bytes exceeds the cap"
-                )
-            if len(self.buf) < _LEN.size + length:
-                break
-            blob = self.buf[_LEN.size : _LEN.size + length]
-            self.buf = self.buf[_LEN.size + length :]
-            frame = json.loads(blob.decode("utf-8"))
-            if not isinstance(frame, dict):
-                raise ConnectionError("frame is not a JSON object")
+        while True:
+            frame, size = decode_frame(self.buf)
+            if frame is None:
+                return out
             out.append(frame)
-        return out
+            self.buf = self.buf[size:]
 
 
 def _enc_message(message: Message) -> Dict[str, Any]:
@@ -193,14 +175,9 @@ def _dec_message(data: Dict[str, Any]) -> Message:
 # ---------------------------------------------------------------------------
 
 
-class WireRetryPolicy:
-    """Real-time ack/retry budget for the TCP wire.
-
-    The shape mirrors :class:`~repro.runtime.faults.RetryPolicy`
-    (exponential backoff, bounded retries, an overall deadline), but
-    these are wall-clock seconds burned waiting on an actual socket,
-    not simulated charges.
-    """
+class WireRetryPolicy(RetryPolicy):
+    """The :class:`~repro.runtime.faults.RetryPolicy` defaults for the
+    TCP wire, in wall-clock seconds spent waiting on a real socket."""
 
     def __init__(
         self,
@@ -210,18 +187,11 @@ class WireRetryPolicy:
         max_retries: int = 5,
         deadline: float = 30.0,
     ) -> None:
-        self.base_timeout = base_timeout
-        self.backoff = backoff
-        self.max_timeout = max_timeout
-        self.max_retries = max_retries
-        self.deadline = deadline
-
-    def timeout(self, attempt: int) -> float:
-        return min(self.base_timeout * (self.backoff ** attempt),
-                   self.max_timeout)
-
-    def past_deadline(self, waited: float) -> bool:
-        return waited >= self.deadline
+        super().__init__(
+            base_timeout=base_timeout, backoff=backoff,
+            max_retries=max_retries, max_timeout=max_timeout,
+            deadline=deadline,
+        )
 
 
 class WirePolicy:
@@ -271,7 +241,7 @@ class HostEndpoint(Transport):
         # (the simulation gets this for free from its single shared
         # counter): each endpoint mints from its own disjoint stride so
         # two hosts can never present the same key to one receiver.
-        self._msg_ids = itertools.count(msg_id_floor)
+        self.channel.reset(msg_id_floor)
         self.addr_map = dict(addr_map)
         self.retry = retry or WireRetryPolicy()
         #: test-only outbound fault hook (None in production).
@@ -285,21 +255,6 @@ class HostEndpoint(Transport):
         self._out: Dict[str, _Conn] = {}
         #: replies/acks/errors keyed by msg_id, filled by the pump.
         self._replies: Dict[int, Dict[str, Any]] = {}
-        #: request idempotency at the transport layer: already-served
-        #: msg_id -> reply frame (retransmissions re-send the cached
-        #: reply) and the set of msg_ids whose first execution is still
-        #: on the stack (retransmissions of those are ignored — the
-        #: reply goes out when the original finishes).  The TrustedHost
-        #: keeps its own ``_seen_requests`` table on top; this layer
-        #: exists so *no* handler is ever re-entered for a duplicate.
-        self._served: Dict[int, Dict[str, Any]] = {}
-        self._serving: set = set()
-        #: control-transfer ordering: outbound per-channel control
-        #: sequence, inbound next-expected per source, and the holdback
-        #: buffer for out-of-order arrivals.
-        self._ctrl_out: Counter = Counter()
-        self._ctrl_in: Dict[str, int] = {}
-        self._holdback: Dict[str, Dict[int, Message]] = {}
         #: coordination frames (start/report/shutdown/...) for a serve
         #: loop to consume: (frame, conn) pairs.
         self.inbox: deque = deque()
@@ -383,7 +338,7 @@ class HostEndpoint(Transport):
                 continue
             try:
                 frames = conn.frames(data)
-            except (ConnectionError, ValueError) as error:
+            except ConnectionError as error:
                 self.audit(self.name, f"undecodable frame stream: {error}")
                 self._drop_conn(conn)
                 continue
@@ -406,68 +361,49 @@ class HostEndpoint(Transport):
             self.inbox.append((frame, conn))
 
     def _serve_request(self, frame: Dict[str, Any], conn: _Conn) -> None:
-        msg_id = frame["m"]["msg_id"]
-        dedup_key = (frame["m"]["src"], msg_id)
-        cached = self._served.get(dedup_key)
-        if cached is not None:
-            self._write(conn, cached)
-            return
-        if dedup_key in self._serving:
-            # Retransmission of a request whose first execution is
-            # still running: the reply goes out when it finishes.
-            return
+        # No handler is re-entered for a duplicate, even one arriving
+        # while the first execution still pumps; the TrustedHost's
+        # durable ``_seen_requests`` answers ones older than the window.
+        reply = self.channel.serve(
+            frame["m"]["src"], frame["m"]["msg_id"],
+            lambda: self._execute(frame["m"]),
+        )
+        if reply is not None:
+            self._write(conn, reply)
+
+    def _execute(self, data: Dict[str, Any]) -> Dict[str, Any]:
+        """Run one decoded request through the handler; the reply frame."""
+        msg_id = data["msg_id"]
         try:
-            message = _dec_message(frame["m"])
+            message = _dec_message(data)
         except (StorageCodecError, KeyError, TypeError) as error:
             self.audit(self.name, f"undecodable request: {error}")
-            self._write(conn, {
+            return {
                 "t": "err", "id": msg_id, "code": "bad-request",
                 "detail": f"undecodable request: {error}",
-            })
-            return
-        self._serving.add(dedup_key)
+            }
         try:
-            try:
-                result = self._handler(message)
-            except SecurityAbort as abort:
-                reply = {
-                    "t": "err", "id": msg_id, "code": "quarantine",
-                    "offender": abort.offender, "victim": abort.victim,
-                    "why": abort.why, "detail": str(abort),
-                }
-            else:
-                try:
-                    reply = {"t": "rep", "id": msg_id, "r": dumps(result)}
-                except StorageCodecError as error:
-                    reply = {
-                        "t": "err", "id": msg_id, "code": "internal",
-                        "detail": f"unencodable reply: {error}",
-                    }
-        finally:
-            self._serving.discard(dedup_key)
-        self._served[dedup_key] = reply
-        self._write(conn, reply)
+            result = self._handler(message)
+        except SecurityAbort as abort:
+            return {"t": "err", "id": msg_id, **_failure_fields(abort)}
+        try:
+            return {"t": "rep", "id": msg_id, "r": dumps(result)}
+        except StorageCodecError as error:
+            return {
+                "t": "err", "id": msg_id, "code": "internal",
+                "detail": f"unencodable reply: {error}",
+            }
 
     def _serve_post(self, frame: Dict[str, Any], conn: _Conn) -> None:
-        msg_id = frame["m"]["msg_id"]
         # Always ack — even duplicates and holdbacks — so the sender's
         # retransmission timer stops; ordering is our problem now.
-        self._write(conn, {"t": "ack", "id": msg_id})
+        self._write(conn, {"t": "ack", "id": frame["m"]["msg_id"]})
         try:
             message = _dec_message(frame["m"])
         except (StorageCodecError, KeyError, TypeError) as error:
             self.audit(self.name, f"undecodable control message: {error}")
             return
-        src, cseq = message.src, frame["cseq"]
-        expected = self._ctrl_in.get(src, 1)
-        if cseq < expected:
-            return  # duplicate of an already-delivered control message
-        hold = self._holdback.setdefault(src, {})
-        hold[cseq] = message  # a duplicate at the same cseq is harmless
-        while expected in hold:
-            self._queue.append(hold.pop(expected))
-            expected += 1
-        self._ctrl_in[src] = expected
+        self._queue.extend(self.channel.release(message, frame["cseq"]))
 
     # -- outbound exchanges ---------------------------------------------------
 
@@ -480,87 +416,58 @@ class HostEndpoint(Transport):
             )
         if message.src == message.dst:
             raise KeyError(f"unknown host {message.dst!r}")
-        self._check_quarantine(message)
-        self._stamp(message)
-        self._account(message, messages=2)
-        return self._exchange(message, {"t": "req", "m": _enc_message(message)})
+        return self._send(message, 2)
 
     def one_way(self, message: Message, messages: int = 1) -> Any:
         if message.dst == self.name:
             return self._handler(message)
-        self._check_quarantine(message)
-        self._stamp(message)
-        self._account(message, messages=messages)
-        return self._exchange(message, {"t": "req", "m": _enc_message(message)})
+        return self._send(message, messages)
 
     def post(self, message: Message) -> None:
         if message.src == message.dst:
             self._queue.append(message)
             return
-        self._check_quarantine(message)
-        self._stamp(message)
-        self._account(message, messages=1)
-        channel = (message.src, message.dst)
-        self._ctrl_out[channel] += 1
-        frame = {
-            "t": "post",
-            "m": _enc_message(message),
-            "cseq": self._ctrl_out[channel],
-        }
-        self._exchange(message, frame)
+        self._send(message, 1, control=True)
 
-    def _exchange(self, message: Message, frame: Dict[str, Any]) -> Any:
-        """Send ``frame`` and pump until its reply/ack arrives,
-        retransmitting on the retry schedule; serves incoming frames
-        while waiting (nested chains re-enter here recursively)."""
+    def _send(
+        self, message: Message, messages: int, control: bool = False
+    ) -> Any:
+        """Stamp, account and reliably deliver ``message``: the shared
+        channel's retry schedule, each wait spent pumping the sockets
+        (serving incoming frames, so nested chains re-enter here)."""
+        self._check_quarantine(message)
+        self.channel.stamp(message)
+        self._account(message, messages=messages)
+        if control:
+            frame = {
+                "t": "post", "m": _enc_message(message),
+                "cseq": self.channel.control_seq(message),
+            }
+        else:
+            frame = {"t": "req", "m": _enc_message(message)}
         msg_id = message.msg_id
-        conn = self._dial(message.dst)
-        self._write(conn, frame)
-        attempt = 0
-        waited = 0.0
-        while True:
-            timer = self.retry.timeout(attempt)
+
+        def send() -> Any:
+            self._write(self._dial(message.dst), frame)
+            return NO_ACK
+
+        def wait(timer: float) -> Any:
             deadline = time.monotonic() + timer
             while msg_id not in self._replies:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
-                    break
+                    return NO_ACK
                 self.pump(remaining)
-            reply = self._replies.pop(msg_id, None)
-            if reply is not None:
-                return self._consume_reply(message, reply)
-            waited += timer
-            attempt += 1
-            if attempt > self.retry.max_retries or self.retry.past_deadline(
-                waited
-            ):
-                self._emit(
-                    "timeout", message.src, message.dst,
-                    f"{message.kind} #{msg_id} gave up after "
-                    f"{attempt} attempts ({waited:.3f}s on the wire)",
-                )
-                raise DeliveryTimeoutError(message, attempt)
-            self._emit(
-                "retry", message.src, message.dst,
-                f"{message.kind} #{msg_id} attempt {attempt + 1}",
-            )
-            conn = self._dial(message.dst)
-            self._write(conn, frame)
+            return self._consume_reply(message, self._replies.pop(msg_id))
+
+        return self.channel.deliver(message, send, wait, self.retry)
 
     def _consume_reply(self, message: Message, reply: Dict[str, Any]) -> Any:
         if reply["t"] == "ack":
             return None
         if reply["t"] == "err":
-            code = reply.get("code")
-            if code == "quarantine":
-                raise SecurityAbort(
-                    reply.get("offender"), reply.get("victim"),
-                    reply.get("why", reply.get("detail", "remote abort")),
-                    message=message,
-                )
-            raise RuntimeError(
-                f"remote error from {message.dst}: "
-                f"{reply.get('code')}: {reply.get('detail')}"
+            raise _failure_error(
+                reply, f"remote error from {message.dst}", message
             )
         return loads(reply["r"])
 
@@ -581,6 +488,52 @@ class HostEndpoint(Transport):
         except OSError:
             pass
         self._selector.close()
+
+
+def _failure_fields(error: BaseException) -> Dict[str, Any]:
+    """The wire form of a fail-closed error: its code and detail plus
+    the (src, dst, seq, msg_id, kind, attempts) of the exchange it
+    names, so the far side can re-raise it with its real type."""
+    fields: Dict[str, Any] = {"code": "internal", "detail": str(error)}
+    if isinstance(error, DeliveryTimeoutError):
+        fields.update(
+            code="timeout", kind=error.message_kind,
+            attempts=error.attempts,
+        )
+    elif isinstance(error, SecurityAbort):
+        fields.update(
+            code="quarantine", kind=error.msg_kind, offender=error.offender,
+            victim=error.victim, why=error.why,
+        )
+    else:
+        return fields
+    fields.update(
+        src=error.src, dst=error.dst, seq=error.seq, msg_id=error.msg_id
+    )
+    return fields
+
+
+def _failure_error(
+    fields: Dict[str, Any], where: str, message: Optional[Message] = None
+) -> Exception:
+    """The exception a failure frame describes (see
+    :func:`_failure_fields`); ``message``, when given, is the local
+    exchange the failure answers."""
+    code = fields.get("code")
+    if message is None and fields.get("kind") is not None:
+        message = Message(
+            fields["kind"], fields.get("src"), fields.get("dst"), {},
+            msg_id=fields.get("msg_id"), seq=fields.get("seq"),
+        )
+    if code == "timeout" and message is not None:
+        return DeliveryTimeoutError(message, fields.get("attempts", 0))
+    if code == "quarantine":
+        return SecurityAbort(
+            fields.get("offender"), fields.get("victim"),
+            fields.get("why") or fields.get("detail") or "remote abort",
+            message=message,
+        )
+    return RuntimeError(f"{where}: {code}: {fields.get('detail')}")
 
 
 # ---------------------------------------------------------------------------
@@ -628,17 +581,7 @@ class TcpRunResult:
 
     @property
     def counts(self) -> Dict[str, int]:
-        merged = self._merged
-        return {
-            "forward": merged.get("forward", 0),
-            "getField": merged.get("getField", 0),
-            "setField": merged.get("setField", 0),
-            "sync": merged.get("sync", 0),
-            "lgoto": merged.get("lgoto", 0),
-            "rgoto": merged.get("rgoto", 0),
-            "total_messages": merged.get("messages", 0),
-            "eliminated": self.eliminated,
-        }
+        return table_counts(self._merged, self.eliminated)
 
     def observables(self) -> Dict[str, Any]:
         """Bit-comparable to :meth:`Session.observables`: same keys,
@@ -680,14 +623,8 @@ def _child_serve(endpoint: "HostEndpoint", host, image) -> None:
         endpoint._write(conn, frame)
 
     def run_failed(error: BaseException) -> None:
-        code = (
-            "timeout" if isinstance(error, DeliveryTimeoutError)
-            else "quarantine" if isinstance(error, SecurityAbort)
-            else "internal"
-        )
         tell_coord({
-            "t": "failed", "host": endpoint.name, "code": code,
-            "detail": str(error),
+            "t": "failed", "host": endpoint.name, **_failure_fields(error)
         })
 
     while True:
@@ -875,15 +812,8 @@ def run_split_over_tcp(
         while outcome.get("t") == "hello":
             outcome = recv_frame(csock)
         if outcome.get("t") == "failed":
-            code = outcome.get("code")
-            detail = outcome.get("detail", "")
-            if code == "quarantine":
-                raise SecurityAbort(
-                    None, outcome.get("host"), detail or "remote abort"
-                )
-            raise RuntimeError(
-                f"distributed run failed on {outcome.get('host')}: "
-                f"{code}: {detail}"
+            raise _failure_error(
+                outcome, f"distributed run failed on {outcome.get('host')}"
             )
         if outcome.get("t") != "halt":
             raise RuntimeError(f"unexpected coordination frame {outcome!r}")

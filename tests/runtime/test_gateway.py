@@ -6,6 +6,8 @@ loop with ``asyncio.run`` around an async scenario.
 """
 
 import asyncio
+import json
+import logging
 
 import pytest
 
@@ -25,6 +27,7 @@ from repro.runtime.network import (
     SecurityAbort,
 )
 from repro.runtime.storage import StorageUnavailableError
+from repro.runtime.transport.base import FRAME_HEADER, MAX_FRAME
 from repro.runtime.transport.rate_limit import (
     PrincipalRateLimiter,
     TokenBucket,
@@ -213,6 +216,38 @@ class TestGateway:
             writer.close()
 
         _run(_with_gateway(scenario))
+
+    @pytest.mark.parametrize("after_hello,raw", [
+        (False, json.dumps(["hello", "alice"]).encode()),
+        (False, b"{not json"),
+        (False, FRAME_HEADER.pack(MAX_FRAME + 1)),
+        (True, b"[1, 2, 3]"),
+    ], ids=["list-hello", "invalid-json", "over-cap", "list-after-hello"])
+    def test_malformed_frames_fail_closed(self, caplog, after_hello, raw):
+        if not raw.startswith(FRAME_HEADER.pack(MAX_FRAME + 1)):
+            raw = FRAME_HEADER.pack(len(raw)) + raw
+
+        async def scenario(gateway, host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            if after_hello:
+                await write_frame(writer, {"t": "hello", "principal": "p"})
+                assert (await read_frame(reader))["t"] == "welcome"
+            writer.write(raw)
+            await writer.drain()
+            reply = await read_frame(reader)
+            assert reply["t"] == "error"
+            assert reply["code"] == "bad-request"
+            assert reply["id"] is None
+            # ... and the gateway hangs up: the stream is unusable.
+            assert await reader.read() == b""
+            writer.close()
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            _run(_with_gateway(scenario))
+        assert not [
+            record for record in caplog.records
+            if "client_connected_cb" in record.getMessage()
+        ]
 
     def test_tcp_transport_through_the_gateway_matches_oracle(self):
         async def scenario(gateway, host, port):

@@ -12,10 +12,18 @@ import socket
 
 import pytest
 
+from repro.runtime.gateway import classify_error
+from repro.runtime.network import DeliveryTimeoutError, Message, SecurityAbort
 from repro.runtime.session import RuntimeImage, Session
-from repro.runtime.transport.tcp import (
+from repro.runtime.transport.base import (
+    FRAME_HEADER,
     MAX_FRAME,
-    _LEN,
+    decode_frame,
+    encode_frame,
+)
+from repro.runtime.transport.tcp import (
+    _failure_error,
+    _failure_fields,
     recv_frame,
     run_split_over_tcp,
     send_frame,
@@ -57,18 +65,71 @@ class TestFraming:
 
     def test_oversized_frame_rejected(self):
         a, b = self._pipe()
-        a.sendall(_LEN.pack(MAX_FRAME + 1))
+        a.sendall(FRAME_HEADER.pack(MAX_FRAME + 1))
         with pytest.raises(ConnectionError, match="exceeds"):
             recv_frame(b)
         a.close(), b.close()
 
     def test_truncated_stream_raises_connection_error(self):
         a, b = self._pipe()
-        a.sendall(_LEN.pack(100) + b"short")
+        a.sendall(FRAME_HEADER.pack(100) + b"short")
         a.close()
         with pytest.raises(ConnectionError):
             recv_frame(b)
         b.close()
+
+
+# ---------------------------------------------------------------------------
+# a host's failure, reported to the coordinator
+# ---------------------------------------------------------------------------
+
+
+class TestFailureFrames:
+    """A host's ``failed`` frame re-raises with its real type and the
+    context of the exchange that failed."""
+
+    MESSAGE = Message("sync", "A", "B", {}, msg_id=41, seq=7)
+
+    def _through_the_wire(self, error):
+        frame = {"t": "failed", "host": "A", **_failure_fields(error)}
+        received, _size = decode_frame(encode_frame(frame))
+        return _failure_error(received, "distributed run failed on A")
+
+    def test_timeout_keeps_its_type_and_context(self):
+        error = self._through_the_wire(
+            DeliveryTimeoutError(self.MESSAGE, attempts=6)
+        )
+        assert isinstance(error, DeliveryTimeoutError)
+        assert error.channel == ("A", "B")
+        assert (error.seq, error.msg_id, error.message_kind) == (7, 41, "sync")
+        assert error.attempts == 6
+        assert classify_error(error)[0] == "timeout"
+
+    def test_security_abort_keeps_its_type_and_context(self):
+        error = self._through_the_wire(
+            SecurityAbort("B", "A", "forged token", message=self.MESSAGE)
+        )
+        assert isinstance(error, SecurityAbort)
+        assert (error.offender, error.victim, error.why) == (
+            "B", "A", "forged token"
+        )
+        assert error.channel == ("A", "B")
+        assert (error.seq, error.msg_id, error.msg_kind) == (7, 41, "sync")
+        assert classify_error(error)[0] == "quarantine"
+
+    def test_local_abort_has_no_channel(self):
+        error = self._through_the_wire(
+            SecurityAbort(None, "A", "tampered checkpoint")
+        )
+        assert isinstance(error, SecurityAbort)
+        assert error.channel is None
+        assert classify_error(error)[0] == "quarantine"
+
+    def test_anything_else_is_internal(self):
+        error = self._through_the_wire(KeyError("boom"))
+        assert type(error) is RuntimeError
+        assert "distributed run failed on A: internal" in str(error)
+        assert classify_error(error)[0] == "internal"
 
 
 # ---------------------------------------------------------------------------
