@@ -3,8 +3,8 @@
 The sweeps this repo runs are embarrassingly parallel: every fault
 schedule and crash point is an independent simulation with no shared
 mutable state.  The one obstacle to ``multiprocessing`` is that a
-:class:`~repro.splitter.fragments.SplitProgram` holds compiled fragment
-closures, which do not pickle.  :func:`fork_map` therefore uses the
+:class:`~repro.splitter.fragments.SplitProgram` holds generated fragment
+functions, which do not pickle.  :func:`fork_map` therefore uses the
 ``fork`` start method and hands workers their heavyweight inputs
 through a module-level state dict that the fork inherits by memory
 copy — only the small per-item arguments (a seed, a crash-point

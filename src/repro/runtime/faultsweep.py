@@ -242,8 +242,8 @@ def _run_schedule(
 
 
 def _schedule_task(seed: int) -> Tuple[ScheduleOutcome, Optional[str]]:
-    """Worker-side wrapper: the split program does not pickle (compiled
-    fragment closures), so it arrives via the fork-inherited state."""
+    """Worker-side wrapper: the split program does not pickle (generated
+    fragment functions), so it arrives via the fork-inherited state."""
     state = parallel.state()
     return _run_schedule(
         state["split"], state["reference"], seed,

@@ -1,7 +1,7 @@
 """Tree-walking reference interpreter for fragment bodies.
 
-Production hosts run every fragment through the closures built by
-:mod:`.compiler` (:meth:`~repro.runtime.host.TrustedHost.run_chain`).
+Production hosts run every fragment as the one function generated for
+it by :mod:`.compiler` (:meth:`~repro.runtime.host.TrustedHost.run_chain`).
 This module keeps the original interpreter — one ``isinstance``
 dispatch per IR node on every step — as free functions over a host, so
 the differential tests in ``tests/runtime/test_compiled_differential.py``

@@ -13,7 +13,7 @@ cannot inherit in-memory objects.  This module defines the contract:
 * :func:`decode_split` rebuilds a **fresh** :class:`SplitProgram` from
   that structure.  Labels and principals go through their interning
   constructors, so rehydrated labels are the same hash-consed objects
-  the rest of the process uses; compiled fragment closures are *not*
+  the rest of the process uses; generated fragment functions are *not*
   part of the artifact — they are rebuilt lazily on first execution by
   :mod:`repro.runtime.compiler`, exactly as for a freshly split
   program.
@@ -399,8 +399,8 @@ def decode_split(data: Dict, config) -> SplitProgram:
     output, attached to the caller's ``config``.
 
     The returned program shares nothing mutable with any other decode of
-    the same data, so cache hits can never alias each other.  Compiled
-    closures are absent by construction; the runtime compiles each
+    the same data, so cache hits can never alias each other.  Generated
+    fragment functions are absent by construction; the runtime compiles each
     fragment on its first execution.
     """
     try:
