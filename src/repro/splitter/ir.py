@@ -159,25 +159,30 @@ class DowngradeExpr(IRExpr):
         return f"DowngradeExpr({self.kind}, {self.inner!r})"
 
 
+def children(expr: IRExpr) -> Tuple[IRExpr, ...]:
+    """``expr``'s operands, in evaluation order."""
+    if isinstance(expr, BinOp):
+        return (expr.left, expr.right)
+    if isinstance(expr, UnOp):
+        return (expr.operand,)
+    if isinstance(expr, DowngradeExpr):
+        return (expr.inner,)
+    if isinstance(expr, FieldUse):
+        return () if expr.obj is None else (expr.obj,)
+    if isinstance(expr, NewArr):
+        return (expr.length,)
+    if isinstance(expr, ArrayUse):
+        return (expr.array, expr.index)
+    if isinstance(expr, ArrayLen):
+        return (expr.array,)
+    return ()
+
+
 def walk_expr(expr: IRExpr):
     """Yield every node of an expression tree."""
     yield expr
-    if isinstance(expr, BinOp):
-        yield from walk_expr(expr.left)
-        yield from walk_expr(expr.right)
-    elif isinstance(expr, UnOp):
-        yield from walk_expr(expr.operand)
-    elif isinstance(expr, DowngradeExpr):
-        yield from walk_expr(expr.inner)
-    elif isinstance(expr, FieldUse) and expr.obj is not None:
-        yield from walk_expr(expr.obj)
-    elif isinstance(expr, NewArr):
-        yield from walk_expr(expr.length)
-    elif isinstance(expr, ArrayUse):
-        yield from walk_expr(expr.array)
-        yield from walk_expr(expr.index)
-    elif isinstance(expr, ArrayLen):
-        yield from walk_expr(expr.array)
+    for child in children(expr):
+        yield from walk_expr(child)
 
 
 # ---------------------------------------------------------------------------
