@@ -32,6 +32,7 @@ from .checkpoint import Checkpoint, CheckpointTamperError
 from .executor import DistributedExecutor
 from .host import _REJECTED, TrustedHost
 from .network import Message, SecurityAbort
+from .storage.codec import dumps
 from .tokens import Token, forged_token
 from .values import FrameID
 
@@ -271,8 +272,8 @@ class Adversary:
             store.wal = list(genuine_wal)
 
         forged = Checkpoint(
-            victim, store.high_water, host.snapshot_state(),
-            seal=os.urandom(32),
+            victim, store.high_water, dumps(host.snapshot_state()),
+            os.urandom(32),
         )
         store.checkpoint = forged
         store.wal = []

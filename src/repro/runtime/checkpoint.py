@@ -13,9 +13,17 @@ ran.  This module makes the split explicit.  Each host owns a
   needs), appended *before* the effect is acknowledged to any peer; and
 * a periodic **checkpoint**: a full snapshot of the host's volatile
   state (frames, ICS slice, dedup/seq state, fields, arrays, pending
-  forwards), sealed with HMAC-SHA256 under the host's own key — the
-  same key and registry that sign capability tokens
+  forwards), encoded once with the storage codec
+  (:func:`repro.runtime.storage.codec.dumps`) and sealed once as
+  ``HMAC_k(h)("checkpoint|" + epoch + "|" + blob)`` under the host's
+  own key — the same key and registry that sign capability tokens
   (:mod:`repro.runtime.tokens`).  Taking a checkpoint compacts the WAL.
+
+A persistent backend receives the very same ``(epoch, blob, seal)``
+checkpoint row, plus one row per WAL record sealed as
+``HMAC_k(h)("wal-record|" + epoch + "|" + index + "|" + blob)``.  This
+module writes both row formats and is the only one that checks them:
+:meth:`DurableStore.rehydrate` reads a dead process's rows back.
 
 Stable storage is *untrusted*: a bad host (or a bad storage service)
 may overwrite it.  The seal makes tampering detectable — recovery
@@ -23,7 +31,8 @@ verifies the checkpoint's MAC and its epoch against the host's sealed
 monotonic counter (``high_water``, conceptually a TPM register the
 storage attacker cannot roll back) and **fails closed** with
 :class:`CheckpointTamperError` rather than loading forged or
-rolled-back state.
+rolled-back state.  Loading decodes the blob, so every restore starts
+from a fresh copy.
 
 Recovery announcements ride the same machinery: a restarted host
 broadcasts ``recover`` carrying ``(host, epoch, seq)`` sealed with its
@@ -37,8 +46,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from .storage import codec as _codec
 from .storage.base import STATS as _STATS
-from .tokens import Token
-from .values import REJECTED, FrameID
 
 
 class CheckpointTamperError(RuntimeError):
@@ -47,75 +54,25 @@ class CheckpointTamperError(RuntimeError):
     monotonic counter (a rollback).  Recovery fails closed."""
 
 
-# ----------------------------------------------------------------------
-# Canonical state encoding (the bytes under the checkpoint seal)
-# ----------------------------------------------------------------------
-
-
-def encode(value: Any) -> bytes:
-    """A canonical, deterministic byte encoding of checkpoint state.
-
-    Handles the container and value types that appear in host state;
-    dictionaries are sorted by encoded key so iteration order never
-    leaks into the seal.  Anything else falls back to ``repr`` (stable
-    for the run-time value types, which print their numeric ids).
-    """
-    if value is None:
-        return b"N"
-    if value is True:
-        return b"T"
-    if value is False:
-        return b"F"
-    if value is REJECTED:
-        return b"R"
-    if isinstance(value, int):
-        return b"i%d" % value
-    if isinstance(value, float):
-        return b"f" + repr(value).encode()
-    if isinstance(value, str):
-        raw = value.encode()
-        return b"s%d:" % len(raw) + raw
-    if isinstance(value, (bytes, bytearray)):
-        return b"b%d:" % len(value) + bytes(value)
-    if isinstance(value, Token):
-        return b"tok(" + value.message() + b"," + value.mac + b")"
-    if isinstance(value, FrameID):
-        return b"fid(%d," % value.fid + encode(value.method_key) + b")"
-    if isinstance(value, (list, tuple)):
-        return b"[" + b",".join(encode(item) for item in value) + b"]"
-    if isinstance(value, dict):
-        items = sorted(
-            (encode(key), encode(val)) for key, val in value.items()
-        )
-        return b"{" + b",".join(k + b"=" + v for k, v in items) + b"}"
-    return b"?" + repr(value).encode()
-
-
 def recovery_blob(host: str, epoch: int, seq: int) -> bytes:
     """The sealed byte format of a recovery announcement."""
     return f"{host}|{epoch}|{seq}".encode()
 
 
-def copy_state(state: Dict[str, Any]) -> Dict[str, Any]:
-    """A structural copy of a host-state snapshot.
+def _tamper(host: str, why: str) -> CheckpointTamperError:
+    return CheckpointTamperError(f"{host}: {why}")
 
-    One level deeper than the containers that get mutated in place;
-    leaf values (ints, tokens, refs, labels) are immutable at run time.
-    """
-    return {
-        "fields": dict(state["fields"]),
-        "arrays": {oid: list(vals) for oid, vals in state["arrays"].items()},
-        "array_meta": dict(state["array_meta"]),
-        "frames": {
-            fid: dict(frame) for fid, frame in state["frames"].items()
-        },
-        "stack": list(state["stack"]),
-        "seen": dict(state["seen"]),
-        "pending": {
-            target: dict(slots) for target, slots in state["pending"].items()
-        },
-        "peer_epochs": dict(state["peer_epochs"]),
-    }
+
+# The payloads under the row seals (the token factory prefixes the
+# purpose, ``"checkpoint|"`` or ``"wal-record|"``).
+
+
+def _checkpoint_body(epoch: int, blob: str) -> bytes:
+    return b"%d|" % epoch + blob.encode()
+
+
+def _wal_body(epoch: int, index: int, blob: str) -> bytes:
+    return b"%d|%d|" % (epoch, index) + blob.encode()
 
 
 # ----------------------------------------------------------------------
@@ -124,25 +81,19 @@ def copy_state(state: Dict[str, Any]) -> Dict[str, Any]:
 
 
 class Checkpoint:
-    """One sealed snapshot of a host's volatile state."""
+    """One sealed snapshot of a host's volatile state.
 
-    __slots__ = ("host", "epoch", "state", "seal")
+    ``blob`` is the state's codec JSON and ``seal`` the host-keyed HMAC
+    over ``epoch|blob``; the same row goes to the persistent tier.
+    """
 
-    def __init__(
-        self,
-        host: str,
-        epoch: int,
-        state: Dict[str, Any],
-        seal: bytes = b"",
-    ) -> None:
+    __slots__ = ("host", "epoch", "blob", "seal")
+
+    def __init__(self, host: str, epoch: int, blob: str, seal: bytes) -> None:
         self.host = host
         self.epoch = epoch
-        self.state = state
+        self.blob = blob
         self.seal = seal
-
-    def message_body(self) -> bytes:
-        """The bytes the seal authenticates: host, epoch, and state."""
-        return encode((self.host, self.epoch, self.state))
 
     def __repr__(self) -> str:
         return f"Checkpoint({self.host} epoch={self.epoch})"
@@ -198,11 +149,15 @@ class DurableStore:
             self._persist_wal(len(self.wal) - 1, entry)
 
     def take_checkpoint(self, state: Dict[str, Any]) -> Checkpoint:
-        """Seal ``state`` as the new checkpoint and compact the WAL."""
+        """Seal ``state`` as the new checkpoint and compact the WAL.
+
+        The state is encoded on the spot, so ``state`` may hold the
+        host's live containers: later mutations never reach the blob."""
         epoch = self.high_water + 1
-        checkpoint = Checkpoint(self.host, epoch, state)
-        checkpoint.seal = self._factory.seal(
-            "checkpoint", checkpoint.message_body()
+        blob = _codec.dumps(state)
+        checkpoint = Checkpoint(
+            self.host, epoch, blob,
+            self._factory.seal("checkpoint", _checkpoint_body(epoch, blob)),
         )
         self.checkpoint = checkpoint
         self.high_water = epoch
@@ -223,20 +178,18 @@ class DurableStore:
         records across epochs."""
         blob = _codec.dumps(entry)
         seal = self._factory.seal(
-            "wal-record", b"%d|%d|" % (self.high_water, index) + blob.encode()
+            "wal-record", _wal_body(self.high_water, index, blob)
         )
         _STATS.appends += 1
         self.backend.append_wal(self.high_water, index, blob, seal)
 
     def _persist_checkpoint(self, checkpoint: Checkpoint) -> None:
-        """Write the sealed checkpoint snapshot through to the backend
-        (which compacts the persisted WAL rows it supersedes)."""
-        blob = _codec.dumps(checkpoint.state)
-        seal = self._factory.seal(
-            "checkpoint-blob", b"%d|" % checkpoint.epoch + blob.encode()
-        )
+        """Write the sealed checkpoint row through to the backend (which
+        compacts the persisted WAL rows it supersedes)."""
         _STATS.checkpoints += 1
-        self.backend.save_checkpoint(checkpoint.epoch, blob, seal)
+        self.backend.save_checkpoint(
+            checkpoint.epoch, checkpoint.blob, checkpoint.seal
+        )
 
     def republish(self) -> None:
         """Re-write the current checkpoint and WAL through a newly
@@ -275,28 +228,93 @@ class DurableStore:
 
     # -- recovery path -----------------------------------------------------
 
-    def load(self) -> Tuple[Dict[str, Any], List[Tuple]]:
-        """Verify and return (state copy, WAL suffix) for recovery.
+    def load(
+        self, ctx: Optional[_codec.DecodeContext] = None
+    ) -> Tuple[Dict[str, Any], List[Tuple]]:
+        """Verify and return (state, WAL suffix) for recovery.
 
-        Raises :class:`CheckpointTamperError` — fail closed — when the
-        checkpoint is missing, its seal does not verify, or its epoch
-        disagrees with the sealed ``high_water`` counter (rollback).
+        The state is decoded from the sealed blob, so it is a fresh copy
+        on every call; ``ctx`` collects the ids it contains.  Raises
+        :class:`CheckpointTamperError` — fail closed — when the
+        checkpoint is missing, its seal does not verify, its epoch
+        disagrees with the sealed ``high_water`` counter (rollback), or
+        its blob does not decode.
         """
         checkpoint = self.checkpoint
         if checkpoint is None:
-            raise CheckpointTamperError(
-                f"{self.host}: no checkpoint in stable storage"
-            )
+            raise _tamper(self.host, "no checkpoint in stable storage")
         if not self._factory.verify_seal(
-            self.host, "checkpoint", checkpoint.message_body(),
+            self.host, "checkpoint",
+            _checkpoint_body(checkpoint.epoch, checkpoint.blob),
             checkpoint.seal,
         ):
-            raise CheckpointTamperError(
-                f"{self.host}: checkpoint seal verification failed"
-            )
+            raise _tamper(self.host, "checkpoint seal verification failed")
         if checkpoint.epoch != self.high_water:
-            raise CheckpointTamperError(
-                f"{self.host}: checkpoint epoch {checkpoint.epoch} does not "
-                f"match the sealed counter {self.high_water} (rollback)"
+            raise _tamper(
+                self.host,
+                f"checkpoint epoch {checkpoint.epoch} does not match the "
+                f"sealed counter {self.high_water} (rollback)",
             )
-        return copy_state(checkpoint.state), list(self.wal)
+        try:
+            state = _codec.loads(checkpoint.blob, ctx)
+        except _codec.StorageCodecError as error:
+            raise _tamper(
+                self.host, f"undecodable checkpoint: {error}"
+            ) from error
+        return state, list(self.wal)
+
+    @classmethod
+    def rehydrate(
+        cls,
+        host: str,
+        factory,
+        backend,
+        counters: Dict[str, int],
+        ctx: _codec.DecodeContext,
+    ) -> "DurableStore":
+        """Rebuild a dead process's store from its persisted rows.
+
+        ``counters`` are the store's sealed counters as the session
+        journal recorded them.  Every WAL row must carry its own index,
+        the current epoch and a valid seal, and the row count must match
+        the journal (a truncated log fails closed); WAL records decode
+        into ``ctx``.  The checkpoint row is installed unchecked —
+        :meth:`load` verifies it like any in-memory checkpoint.
+        """
+        store = cls(host, factory, interval=counters["interval"],
+                    backend=backend)
+        store.high_water = counters["high_water"]
+        store.recoveries = counters["recoveries"]
+        store.processed = counters["processed"]
+        store.checkpoints_taken = counters["checkpoints_taken"]
+        row = backend.load_checkpoint()
+        if row is not None:
+            epoch, blob, seal = row
+            store.checkpoint = Checkpoint(host, epoch, blob, seal)
+        rows = backend.load_wal()
+        if len(rows) != counters["wal_len"]:
+            raise _tamper(
+                host,
+                f"WAL has {len(rows)} records, sealed counter says "
+                f"{counters['wal_len']} (truncation)",
+            )
+        for position, (index, epoch, blob, seal) in enumerate(rows):
+            if (
+                index != position
+                or epoch != store.high_water
+                or not factory.verify_seal(
+                    host, "wal-record", _wal_body(epoch, index, blob), seal
+                )
+            ):
+                raise _tamper(
+                    host,
+                    f"WAL record {index} does not verify as record "
+                    f"{position} of epoch {store.high_water}",
+                )
+            try:
+                store.wal.append(tuple(_codec.loads(blob, ctx)))
+            except _codec.StorageCodecError as error:
+                raise _tamper(
+                    host, f"undecodable WAL record {index}: {error}"
+                ) from error
+        return store

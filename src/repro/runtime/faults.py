@@ -126,7 +126,6 @@ class RetryPolicy:
         max_retries: int = 12,
         max_timeout: float = 0.5,
         deadline: Optional[float] = None,
-        jitter_seed: Optional[int] = None,
     ) -> None:
         if base_timeout <= 0:
             raise ValueError("base_timeout must be positive")
@@ -145,36 +144,12 @@ class RetryPolicy:
         #: total simulated time one message may spend waiting on timers
         #: before the sender fails closed.
         self.deadline = deadline
-        #: opt-in decorrelated jitter ("AWS architecture blog" variant:
-        #: each timer draws uniformly from [base, 3 * previous timer],
-        #: truncated at ``max_timeout``).  ``None`` — the default —
-        #: keeps the exact deterministic doubling schedule, so existing
-        #: fault-sweep seeds stay bit-identical; a seed makes the
-        #: jittered schedule itself reproducible.
-        self.jitter_seed = jitter_seed
-        self._jitter_rng = (
-            random.Random(jitter_seed) if jitter_seed is not None else None
-        )
-        self._jitter_prev = base_timeout
 
     def timeout(self, attempt: int) -> float:
         """Retransmission timer after the ``attempt``-th failed send."""
-        rng = self._jitter_rng
-        if rng is None:
-            return min(
-                self.base_timeout * (self.backoff ** attempt),
-                self.max_timeout,
-            )
-        if attempt == 0:
-            # Each message's schedule restarts, so two messages with the
-            # same retry count draw the same number of variates.
-            self._jitter_prev = self.base_timeout
-        value = min(
-            self.max_timeout,
-            rng.uniform(self.base_timeout, self._jitter_prev * 3.0),
+        return min(
+            self.base_timeout * (self.backoff ** attempt), self.max_timeout
         )
-        self._jitter_prev = value
-        return value
 
     def past_deadline(self, waited: float) -> bool:
         """Has ``waited`` (total timer time for one message) run out?"""

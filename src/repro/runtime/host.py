@@ -38,12 +38,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..labels import Label
 from ..splitter.fragments import EdgeAction, Fragment, SplitProgram, TermCall
 from ..trust import KeyRegistry
-from .checkpoint import (
-    CheckpointTamperError,
-    DurableStore,
-    copy_state,
-    recovery_blob,
-)
+from .checkpoint import CheckpointTamperError, DurableStore, recovery_blob
 from .compiler import CompiledFragment
 from .ics import LocalStack
 from .network import Message, SecurityAbort, Transport
@@ -671,19 +666,19 @@ class TrustedHost:
             self.take_checkpoint()
 
     def snapshot_state(self) -> Dict[str, Any]:
-        """A copy of everything a bit-identical recovery must restore."""
-        return copy_state(
-            {
-                "fields": self.field_store,
-                "arrays": self.array_store,
-                "array_meta": self.array_meta,
-                "frames": self.frames,
-                "stack": self.stack._stack,
-                "seen": self._seen_requests,
-                "pending": self.pending,
-                "peer_epochs": self.peer_epochs,
-            }
-        )
+        """Everything a bit-identical recovery must restore.  These are
+        the live containers, not copies: the store encodes them on the
+        spot."""
+        return {
+            "fields": self.field_store,
+            "arrays": self.array_store,
+            "array_meta": self.array_meta,
+            "frames": self.frames,
+            "stack": self.stack._stack,
+            "seen": self._seen_requests,
+            "pending": self.pending,
+            "peer_epochs": self.peer_epochs,
+        }
 
     def crash_wipe(self) -> None:
         """A volatile-state crash: everything outside the durable store
@@ -711,33 +706,43 @@ class TrustedHost:
         if store is None:
             return
         try:
-            state, wal = store.load()
+            self.restore_state()
         except CheckpointTamperError as error:
             self.network.audit(self.name, str(error))
             self.network._emit("quarantine", None, self.name, str(error))
             raise SecurityAbort(None, self.name, str(error)) from error
-        self._install_state(state)
-        for entry in wal:
-            self._replay(entry)
         store.recoveries += 1
         self.network._emit(
             "recover", None, self.name,
-            f"epoch {store.high_water} + {len(wal)} WAL entries "
+            f"epoch {store.high_water} + {len(store.wal)} WAL entries "
             f"(recovery #{store.recoveries})",
         )
         self._announce_recovery()
 
-    def _install_state(self, state: Dict[str, Any]) -> None:
+    def restore_state(self, ctx=None) -> None:
+        """Install the verified checkpoint and replay the WAL on top of
+        it.
+
+        The one restore path for in-process recovery and process-death
+        rehydration.  ``ctx`` (a
+        :class:`~repro.runtime.storage.codec.DecodeContext`) collects
+        the ids the checkpoint holds.  Raises
+        :class:`~repro.runtime.checkpoint.CheckpointTamperError` when
+        the durable store fails verification.
+        """
+        state, wal = self.durable.load(ctx)
         self.field_store = state["fields"]
         self.array_store = state["arrays"]
         self.array_meta = state["array_meta"]
         self.frames = state["frames"]
         stack = LocalStack()
-        stack._stack = list(state["stack"])
+        stack._stack = state["stack"]
         self.stack = stack
         self._seen_requests = state["seen"]
         self.pending = state["pending"]
         self.peer_epochs = state["peer_epochs"]
+        for entry in wal:
+            self._replay(entry)
 
     def _replay(self, entry: Tuple) -> None:
         """Re-apply one WAL record (state mutations only — no messages

@@ -558,7 +558,8 @@ class SessionPool:
         return Session(self.image, **self._opts)
 
     def release(self, session: Session) -> None:
-        assert session.image is self.image, "session from a different image"
+        if session.image is not self.image:
+            raise ValueError("session from a different image")
         session.reset(**self._opts)
         self.resets += 1
         self._free.append(session)

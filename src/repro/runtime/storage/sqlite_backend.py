@@ -3,10 +3,11 @@
 One :class:`SessionStorage` owns one directory holding
 
 * ``session.db`` — a SQLite database in WAL journal mode.  Tables:
-  per-host sealed ``checkpoints`` and write-ahead ``wal`` rows (sealed
-  under each host's own key by its
-  :class:`~repro.runtime.checkpoint.DurableStore` — the database never
-  sees key material), a session-level ``journal`` row (execution flags,
+  per-host ``checkpoints`` and write-ahead ``wal`` rows (sealed under
+  each host's own key by its
+  :class:`~repro.runtime.checkpoint.DurableStore`, a checkpoint row
+  being the in-memory checkpoint itself — the database never sees key
+  material), a session-level ``journal`` row (execution flags,
   accounting, per-store counters, the id high-water marks), a snapshot
   of the pending control ``queue``, and the append-only ``flows`` log.
 * ``sealed.json`` — the simulated TPM/HSM sidecar: the session's HMAC
@@ -30,12 +31,15 @@ re-executing deterministically.
 boundary against the sidecar counter (a lone ``boundary+1`` is the
 commit-then-sidecar crash window and rolls forward — safe because the
 journal seal is unforgeable; anything else is a rollback and fails
-closed), install host keys into a fresh registry, verify + install
-each host's checkpoint, replay its WAL, restore the queue/flow/
-accounting state, and run a management-plane recovery handshake (each
-peer verifies the recovered host's sealed announcement directly — no
-counted protocol messages, so message counts stay bit-identical to the
-fault-free oracle).  Any verification or decode failure raises
+closed), install host keys into a fresh registry, read each host's
+checkpoint and WAL rows back through
+:meth:`~repro.runtime.checkpoint.DurableStore.rehydrate` (which alone
+knows their seal formats), restore each host through the same
+verify-install-replay path as an in-process restart, restore the
+queue/flow/accounting state, and run a management-plane recovery
+handshake (each peer verifies the recovered host's sealed announcement
+directly — no counted protocol messages, so message counts stay
+bit-identical to the fault-free oracle).  Any verification or decode failure raises
 :class:`~repro.runtime.checkpoint.CheckpointTamperError`.
 
 **Graceful degradation.**  Every backend operation funnels through
@@ -547,8 +551,7 @@ def rehydrate_session(
     :class:`~repro.runtime.checkpoint.CheckpointTamperError`.
     """
     from ...trust import KeyRegistry
-    from ..checkpoint import Checkpoint, DurableStore, copy_state
-    from ..checkpoint import recovery_blob
+    from ..checkpoint import DurableStore, recovery_blob
     from ..session import RuntimeImage, Session
 
     started_at = perf_counter()
@@ -604,71 +607,11 @@ def rehydrate_session(
         # Per-host: verify + install checkpoint, replay WAL.
         for name in sorted(session.hosts):
             host = session.hosts[name]
-            meta = journal["stores"][name]
-            backend = storage.backend_for(name)
-            row = backend.load_checkpoint()
-            if row is None:
-                raise _tamper(name, "no checkpoint in stable storage")
-            epoch, cp_blob, cp_seal = row
-            if epoch != meta["high_water"]:
-                raise _tamper(
-                    name,
-                    f"checkpoint epoch {epoch} does not match the sealed "
-                    f"counter {meta['high_water']} (rollback)",
-                )
-            if not host.factory.verify_seal(
-                name, "checkpoint-blob",
-                b"%d|" % epoch + cp_blob.encode(), cp_seal,
-            ):
-                raise _tamper(name, "checkpoint seal verification failed")
-            try:
-                state = codec.loads(cp_blob, ctx)
-            except codec.StorageCodecError as error:
-                raise _tamper(
-                    name, f"undecodable checkpoint: {error}"
-                ) from error
-            wal_rows = backend.load_wal()
-            if len(wal_rows) != meta["wal_len"]:
-                raise _tamper(
-                    name,
-                    f"WAL has {len(wal_rows)} records, sealed counter "
-                    f"says {meta['wal_len']} (truncation)",
-                )
-            entries = []
-            for index, wal_epoch, wal_blob, wal_seal in wal_rows:
-                if not host.factory.verify_seal(
-                    name, "wal-record",
-                    b"%d|%d|" % (wal_epoch, index) + wal_blob.encode(),
-                    wal_seal,
-                ):
-                    raise _tamper(
-                        name, f"WAL record {index} seal verification failed"
-                    )
-                try:
-                    entry = codec.loads(wal_blob, ctx)
-                except codec.StorageCodecError as error:
-                    raise _tamper(
-                        name, f"undecodable WAL record {index}: {error}"
-                    ) from error
-                entries.append(tuple(entry))
-            store = DurableStore(
-                name, host.factory, interval=meta["interval"],
-                backend=backend,
+            host.durable = DurableStore.rehydrate(
+                name, host.factory, storage.backend_for(name),
+                journal["stores"][name], ctx,
             )
-            checkpoint = Checkpoint(name, epoch, copy_state(state))
-            checkpoint.seal = host.factory.seal(
-                "checkpoint", checkpoint.message_body()
-            )
-            store.checkpoint = checkpoint
-            store.high_water = meta["high_water"]
-            store.recoveries = meta["recoveries"]
-            store.processed = meta["processed"]
-            store.checkpoints_taken = meta["checkpoints_taken"]
-            store.wal = list(entries)
-            host.durable = store
-            host._install_state(state)
-            for entry in entries:
-                host._replay(entry)
+            host.restore_state(ctx)
 
         # Control queue, flow log, accounting.
         net = session.network

@@ -26,8 +26,6 @@ from repro.runtime.checkpoint import (
     Checkpoint,
     CheckpointTamperError,
     DurableStore,
-    copy_state,
-    encode,
 )
 from repro.runtime.faultsweep import crash_point_sweep
 from repro.runtime.tokens import TokenFactory
@@ -97,7 +95,7 @@ class TestDurableStore:
         stolen = other_store.checkpoint
         store.high_water = stolen.epoch
         store.checkpoint = Checkpoint(
-            "A", stolen.epoch, stolen.state, seal=stolen.seal
+            "A", stolen.epoch, stolen.blob, stolen.seal
         )
         with pytest.raises(CheckpointTamperError):
             store.load()
@@ -126,24 +124,36 @@ class TestDurableStore:
         again, _ = store.load()
         assert again["fields"][("C", "f", None)] == 7
 
-
-class TestEncoding:
-    def test_deterministic_across_dict_insertion_order(self):
-        a = {"x": 1, "y": 2}
-        b = {"y": 2, "x": 1}
-        assert encode(a) == encode(b)
-
-    def test_distinguishes_types(self):
-        assert encode(1) != encode("1")
-        assert encode(True) != encode(1)
-        assert encode(None) != encode(False)
-        assert encode([1, 2]) != encode([2, 1])
-
-    def test_copy_state_is_deep_enough(self):
+    def test_checkpoint_ignores_later_mutation_of_its_input(self):
+        """The store encodes the live state on the spot, so a host that
+        keeps mutating its containers never changes a sealed checkpoint."""
+        store, _ = make_store()
         state = sample_state()
-        copied = copy_state(state)
-        copied["arrays"][1].append(4)
-        assert state["arrays"][1] == [1, 2, 3]
+        store.take_checkpoint(state)
+        state["arrays"][1].append(4)
+        state["fields"][("C", "f", None)] = 99
+        loaded, _ = store.load()
+        assert loaded["arrays"][1] == [1, 2, 3]
+        assert loaded["fields"][("C", "f", None)] == 7
+
+    def test_flipped_blob_byte_fails_recovery_closed(self):
+        """One altered byte of a host's in-memory checkpoint blob: the
+        seal no longer verifies and the restart aborts."""
+        result = split_source(ot.source(rounds=1), ot.config())
+        executor = DistributedExecutor(result.split)
+        executor.run()
+        host = executor.hosts["A"]
+        host.take_checkpoint()
+        checkpoint = host.durable.checkpoint
+        middle = len(checkpoint.blob) // 2
+        checkpoint.blob = (
+            checkpoint.blob[:middle]
+            + chr(ord(checkpoint.blob[middle]) ^ 1)
+            + checkpoint.blob[middle + 1:]
+        )
+        host.crash_wipe()
+        with pytest.raises(SecurityAbort, match="seal verification failed"):
+            host.recover()
 
 
 # ----------------------------------------------------------------------

@@ -162,3 +162,16 @@ def test_lean_pool_opts_still_win_over_the_reset_default():
     again = pool.acquire()
     assert again is session
     assert again.network.record_logs is False
+
+
+def test_release_rejects_a_session_from_another_image():
+    """Cross-image recycling would let one program's session serve
+    another's requests; the pool refuses it with an exception that
+    ``python -O`` cannot strip, and keeps its free list as it was."""
+    work_split = split_source(work.source(rounds=2, inner=2), work.config()).split
+    ot_split = split_source(ot.source(rounds=1), ot.config()).split
+    pool = SessionPool(RuntimeImage.for_split(work_split), size=1)
+    foreign = Session(RuntimeImage.for_split(ot_split))
+    with pytest.raises(ValueError, match="different image"):
+        pool.release(foreign)
+    assert len(pool) == 1 and pool.resets == 0

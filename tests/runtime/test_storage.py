@@ -34,7 +34,7 @@ import pytest
 
 from repro.labels import parse_label
 from repro.runtime import RetryPolicy, RuntimeImage, Session, SessionPool
-from repro.runtime.checkpoint import CheckpointTamperError
+from repro.runtime.checkpoint import CheckpointTamperError, DurableStore
 from repro.runtime.faultsweep import storage_fault_sweep
 from repro.runtime.storage import (
     STATS,
@@ -60,7 +60,7 @@ from repro.runtime.storage.harness import (
     kill_and_rehydrate,
     run_oracle,
 )
-from repro.runtime.tokens import Token
+from repro.runtime.tokens import Token, TokenFactory
 from repro.runtime.values import REJECTED, ArrayRef, FrameID, ObjectRef, ReturnInfo
 from repro.runtime import values as _values
 from repro.splitter import split_source
@@ -242,6 +242,36 @@ class TestBackendContract:
 
 
 # ----------------------------------------------------------------------
+# One checkpoint format: the persisted row is the in-memory checkpoint
+# ----------------------------------------------------------------------
+
+
+class TestOneCheckpointSeal:
+    def test_checkpoint_with_a_tier_is_sealed_once(self, tmp_path):
+        session, storage = storage_session(ot_split(), str(tmp_path / "one"))
+        try:
+            host = session.hosts["A"]
+            before = host.factory.hash_count
+            host.take_checkpoint()
+            assert host.factory.hash_count == before + 1
+        finally:
+            storage.close()
+
+    def test_backend_row_is_the_in_memory_checkpoint(self, tmp_path):
+        session, storage = storage_session(ot_split(), str(tmp_path / "row"))
+        try:
+            session.start()
+            session.step()
+            for name, host in session.hosts.items():
+                checkpoint = host.take_checkpoint()
+                assert storage.backend_for(name).load_checkpoint() == (
+                    checkpoint.epoch, checkpoint.blob, checkpoint.seal
+                )
+        finally:
+            storage.close()
+
+
+# ----------------------------------------------------------------------
 # Write-through durability is observably free
 # ----------------------------------------------------------------------
 
@@ -365,6 +395,37 @@ class TestTamperFailsClosed:
         with pytest.raises(CheckpointTamperError, match="rollback"):
             rehydrate_session(split, directory)
 
+    def test_wal_row_spliced_from_an_older_epoch_fails_closed(self):
+        """A genuinely sealed WAL row of an earlier epoch, put back in
+        place of the current one, is rejected: the row must belong to
+        the checkpoint epoch the journal names."""
+        factory = TokenFactory("A", KeyRegistry())
+        backend = MemoryBackend("A")
+        store = DurableStore("A", factory, backend=backend)
+        store.take_checkpoint({"x": 1})
+        store.log("var", None, "x", 1)
+        (stale,) = backend.load_wal()
+        store.take_checkpoint({"x": 2})
+        store.log("var", None, "x", 2)
+        counters = {
+            "interval": store.interval,
+            "high_water": store.high_water,
+            "recoveries": 0,
+            "processed": 0,
+            "checkpoints_taken": store.checkpoints_taken,
+            "wal_len": 1,
+        }
+        rebuilt = DurableStore.rehydrate(
+            "A", factory, backend, counters, DecodeContext()
+        )
+        assert rebuilt.load() == ({"x": 2}, [("var", None, "x", 2)])
+        _, epoch, blob, seal = stale
+        backend.append_wal(epoch, 0, blob, seal)
+        with pytest.raises(CheckpointTamperError, match="epoch 2"):
+            DurableStore.rehydrate(
+                "A", factory, backend, counters, DecodeContext()
+            )
+
     def test_missing_directory_reports_unavailable(self, tmp_path):
         with pytest.raises(StorageUnavailableError):
             rehydrate_session(ot_split(), str(tmp_path / "nothing-here"))
@@ -480,45 +541,16 @@ class TestStorageFaultSweep:
 
 
 # ----------------------------------------------------------------------
-# Opt-in retry jitter (satellite)
+# Retry schedule
 # ----------------------------------------------------------------------
 
 
 class TestRetryJitter:
     def test_default_schedule_is_the_exact_doubling(self):
         policy = RetryPolicy(base_timeout=1e-3, backoff=2.0, max_timeout=0.05)
-        assert policy.jitter_seed is None
         assert policy.timeout(0) == pytest.approx(1e-3)
         assert policy.timeout(4) == pytest.approx(16e-3)
         assert policy.timeout(40) == 0.05
-
-    def test_seeded_jitter_is_reproducible(self):
-        a = RetryPolicy(jitter_seed=7)
-        b = RetryPolicy(jitter_seed=7)
-        schedule_a = [a.timeout(i) for i in range(6)]
-        schedule_b = [b.timeout(i) for i in range(6)]
-        assert schedule_a == schedule_b
-        assert schedule_a != [
-            RetryPolicy().timeout(i) for i in range(6)
-        ]
-
-    def test_jitter_stays_within_bounds(self):
-        policy = RetryPolicy(
-            base_timeout=1e-3, max_timeout=0.02, jitter_seed=11
-        )
-        for attempt in range(20):
-            value = policy.timeout(attempt)
-            assert 1e-3 <= value <= 0.02
-
-    def test_attempt_zero_restarts_the_decorrelated_walk(self):
-        policy = RetryPolicy(jitter_seed=5)
-        first = [policy.timeout(i) for i in range(4)]
-        # A second message restarts at attempt 0: the walk re-anchors at
-        # base_timeout instead of compounding the previous message's
-        # last timer.
-        second = [policy.timeout(i) for i in range(4)]
-        assert first[0] <= 3.0 * policy.base_timeout
-        assert second[0] <= 3.0 * policy.base_timeout
 
 
 # ----------------------------------------------------------------------
