@@ -2,6 +2,7 @@
 
 from .attacks import Adversary, AttackReport
 from .checkpoint import Checkpoint, CheckpointTamperError, DurableStore
+from .compiler import ForeignFragmentError
 from .executor import DistributedExecutor, ExecutionResult, run_split_program
 from .faults import CrashPointInjector, FaultInjector, FaultPolicy, RetryPolicy
 from .faultsweep import (
@@ -43,6 +44,7 @@ __all__ = [
     "Checkpoint",
     "CheckpointTamperError",
     "DurableStore",
+    "ForeignFragmentError",
     "DistributedExecutor",
     "ExecutionResult",
     "run_split_program",

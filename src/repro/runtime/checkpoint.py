@@ -206,12 +206,13 @@ class DurableStore:
     def reset(self, interval: Optional[int] = None) -> None:
         """Clear the store in place for session recycling.
 
-        Drops the checkpoint, the WAL, and the sealed counters back to
-        their freshly constructed values — the recycled session is a new
-        storage lifetime, not a continuation, so winding ``high_water``
-        back here is not a rollback the tamper check must catch.  The
-        host key (via the shared factory) is deliberately kept: it is a
-        per-(split, registry) artifact of the runtime image.
+        Drops the checkpoint and the WAL.  The sealed counters
+        ``high_water`` and ``recoveries`` carry on into the new storage
+        lifetime: the host key (via the shared factory) is kept — it is
+        a per-(split, registry) artifact of the runtime image — so a
+        checkpoint or WAL row sealed in an earlier lifetime would verify
+        again if ``high_water`` restarted at 0.  Carried on, its epoch is
+        behind the sealed counter: a rollback.
         """
         if interval is not None:
             if interval < 1:
@@ -219,8 +220,6 @@ class DurableStore:
             self.interval = interval
         self.checkpoint = None
         self.wal.clear()
-        self.high_water = 0
-        self.recoveries = 0
         self.processed = 0
         self.checkpoints_taken = 0
         if self.backend is not None:

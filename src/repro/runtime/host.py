@@ -39,7 +39,7 @@ from ..labels import Label
 from ..splitter.fragments import EdgeAction, Fragment, SplitProgram, TermCall
 from ..trust import KeyRegistry
 from .checkpoint import CheckpointTamperError, DurableStore, recovery_blob
-from .compiler import CompiledFragment
+from .compiler import BodyFn, compile_component, component
 from .ics import LocalStack
 from .network import Message, SecurityAbort, Transport
 from .tokens import Token, TokenFactory
@@ -133,9 +133,9 @@ class TrustedHost:
         #: latest recovery announcement (epoch, seq) seen per peer —
         #: lets stale re-deliveries of genuine announcements be no-ops.
         self.peer_epochs: Dict[str, Tuple[int, int]] = {}
-        #: entry -> fragment compiled to one function, shared by every
-        #: host and session of the image; filled on first entry.
-        self._compiled: Dict[str, CompiledFragment] = image.compiled
+        #: entry -> the function of its component, shared by every host
+        #: and session of the image; filled on first entry.
+        self._compiled: Dict[str, BodyFn] = image.compiled
         self.checkpoint_interval = checkpoint_interval
         #: stable storage (WAL + sealed checkpoints).  Only materialized
         #: under fault injection, so fault-free runs stay bit-identical
@@ -821,25 +821,25 @@ class TrustedHost:
     def run_chain(self, state: ExecutionState) -> None:
         """Execute fragments locally until control leaves this host.
 
-        Each fragment runs as one generated function (:mod:`.compiler`),
-        one call per fragment.  It is compiled the first time any session
-        of the image enters it, so a fragment altered before its first
-        run runs as altered.
+        The fragments linked by local jumps form components, and each
+        component runs as one generated function (:mod:`.compiler`)
+        that loops over its members: one call per component entered,
+        not per fragment.  It is compiled the first time any session of
+        the image enters one of its members, so a fragment altered
+        before then runs as altered.  Compiling checks that every
+        member is placed on this host; entries reach this loop only
+        from this host's entry table, tokens it minted and its own
+        calls and returns.
         """
         compiled = self._compiled
-        charge_ops = self.network.charge_ops
         while True:
-            entry = state.entry
-            fragment = compiled.get(entry)
-            if fragment is None:
-                fragment = compiled[entry] = CompiledFragment(
-                    self.split.fragments[entry]
-                )
-            assert fragment.host == self.name, (
-                f"{self.name} asked to run {entry}"
-            )
-            charge_ops(fragment.charge)
-            state = fragment.body(self, state)
+            body = compiled.get(state.entry)
+            if body is None:
+                members = component(self.split, self.name, state.entry)
+                body = compile_component(members)
+                for fragment in members:
+                    compiled[fragment.entry] = body
+            state = body(self, state)
             if state is None:
                 return
 

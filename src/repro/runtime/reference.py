@@ -1,7 +1,8 @@
 """Tree-walking reference interpreter for fragment bodies.
 
-Production hosts run every fragment as the one function generated for
-it by :mod:`.compiler` (:meth:`~repro.runtime.host.TrustedHost.run_chain`).
+Production hosts run every fragment inside the one function generated
+for its local-jump component by :mod:`.compiler`
+(:meth:`~repro.runtime.host.TrustedHost.run_chain`).
 This module keeps the original interpreter — one ``isinstance``
 dispatch per IR node on every step — as free functions over a host, so
 the differential tests in ``tests/runtime/test_compiled_differential.py``
@@ -32,6 +33,7 @@ from ..splitter.fragments import (
     TermJump,
     TermReturn,
 )
+from .compiler import ForeignFragmentError
 from .host import ExecutionState, HaltSignal, TrustedHost
 from .values import FrameID, ObjectRef
 
@@ -41,9 +43,8 @@ def run_chain(host: TrustedHost, state: ExecutionState) -> None:
     drop-in replacement for :meth:`TrustedHost.run_chain`."""
     while True:
         fragment = host.split.fragments[state.entry]
-        assert fragment.host == host.name, (
-            f"{host.name} asked to run {state.entry}"
-        )
+        if fragment.host != host.name:
+            raise ForeignFragmentError(host.name, state.entry, fragment.host)
         host.network.charge_ops(len(fragment.ops) + 1)
         for op in fragment.ops:
             run_op(host, op, state)

@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from ..labels import Label
 from ..splitter.fragments import Fragment, SplitProgram
 from ..trust import KeyRegistry
-from .compiler import CompiledFragment
+from .compiler import BodyFn
 from .faults import FaultInjector
 from .host import ExecutionState, HaltSignal, TrustedHost
 from .network import CostModel, SimNetwork
@@ -151,7 +151,7 @@ class HostImage:
         split: SplitProgram,
         forward_denied: Dict[str, FrozenSet[Tuple[Tuple[str, str], str]]],
         constant_denied: FrozenSet[str],
-        compiled: Dict[str, CompiledFragment],
+        compiled: Dict[str, BodyFn],
     ) -> None:
         self.name = name
         #: the image-wide compiled fragment cache (shared across hosts).
@@ -204,11 +204,12 @@ class RuntimeImage:
     ) -> None:
         self.split = split
         self.registry = registry or KeyRegistry()
-        #: entry -> compiled fragment, shared across hosts and sessions.
-        #: Filled lazily by ``TrustedHost.run_chain`` on a fragment's
-        #: first entry, so a fragment altered between image build and
-        #: execution is compiled as altered.
-        self.compiled: Dict[str, CompiledFragment] = {}
+        #: entry -> the compiled function of its component, shared
+        #: across hosts and sessions.  Filled lazily by
+        #: ``TrustedHost.run_chain`` on a component's first entry, so a
+        #: fragment altered between image build and execution is
+        #: compiled as altered.
+        self.compiled: Dict[str, BodyFn] = {}
         # Derive every host key now, so no session pays for it.
         for descriptor in split.config.hosts:
             self.registry.register(f"host:{descriptor.name}")

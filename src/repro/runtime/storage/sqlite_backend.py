@@ -381,11 +381,12 @@ class SessionStorage:
     # -- recycling ---------------------------------------------------------
 
     def reset_for_recycle(self) -> None:
-        """Wind the session-level rows back to a fresh storage lifetime
+        """Clear the session-level rows for a fresh storage lifetime
         (the per-host rows are cleared by each DurableStore.reset).
-        Like :meth:`DurableStore.reset`, this is a *legitimate* restart
-        of the counter — the sidecar is rewritten to match, so the
-        rollback check stays sound against database-only attackers."""
+        Like the stores' sealed counters, the boundary counter carries
+        on: the next boundary commits as the sidecar's counter + 1, so
+        a journal row of an earlier lifetime is older than the sidecar
+        and fails the rollback check."""
 
         def work():
             conn = self._conn
@@ -394,7 +395,6 @@ class SessionStorage:
             conn.execute("DELETE FROM flows")
 
         self._run("reset", work)
-        self._boundary = 0
         self._flow_len = 0
 
 

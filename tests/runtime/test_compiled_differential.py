@@ -1,8 +1,9 @@
-"""Differential tests: generated fragment functions ≡ the reference
+"""Differential tests: generated component functions ≡ the reference
 interpreter.
 
-``TrustedHost.run_chain`` runs every fragment as one generated Python
-function (``repro.runtime.compiler``).  The tree-walking oracle in
+``TrustedHost.run_chain`` runs every fragment inside the one generated
+Python function of its local-jump component
+(``repro.runtime.compiler``).  The tree-walking oracle in
 ``repro.runtime.reference`` is swapped in for it here, and both must
 produce bit-identical observable behaviour: message counts, simulated
 network time, audits, frame variables, and field stores.  Runs that
@@ -25,11 +26,11 @@ from repro.runtime import (
     TrustedHost,
 )
 from repro.runtime import reference
-from repro.runtime.compiler import generate
+from repro.runtime.compiler import ForeignFragmentError, component, generate
 from repro.runtime.faults import CrashPointInjector, FaultInjector, FaultPolicy
 from repro.runtime.faultsweep import random_policy
 from repro.runtime.network import DeliveryTimeoutError
-from repro.splitter import split_source
+from repro.splitter import EdgeAction, TermBranch, TermJump, split_source
 from repro.workloads import listcompare, ot, tax, work
 
 from tests.programs import (
@@ -175,9 +176,10 @@ class TestOraclePaths:
         assert RuntimeImage.for_split(split).compiled == {}
 
     def test_every_executed_entry_is_compiled(self, monkeypatch):
-        """A normal run compiles each fragment it enters, and only those
-        (the differential would pass vacuously if compiled code never
-        ran)."""
+        """A normal run compiles the component of each fragment it
+        enters, and only those (the differential would pass vacuously
+        if compiled code never ran); each component is one function
+        registered under every member."""
         split = split_source(work.source(rounds=12), work.config()).split
         executed = set()
         run_fragment = reference.run_terminator
@@ -192,7 +194,20 @@ class TestOraclePaths:
             DistributedExecutor(split).run()
         DistributedExecutor(split).run()
         assert executed
-        assert set(RuntimeImage.for_split(split).compiled) == executed
+        components = {
+            entry: [
+                f.entry
+                for f in component(split, split.entry_host(entry), entry)
+            ]
+            for entry in executed
+        }
+        compiled = RuntimeImage.for_split(split).compiled
+        assert set(compiled) == {
+            member for members in components.values() for member in members
+        }
+        for members in components.values():
+            assert len({id(compiled[member]) for member in members}) == 1
+        assert any(len(members) > 1 for members in components.values())
 
 
 # ----------------------------------------------------------------------
@@ -580,7 +595,8 @@ def faulty_run(split, faults, token_seed):
 
 class CrashSequence(FaultInjector):
     """Crash each ``(host, kind)`` in turn, at its first receipt once
-    the previous crash has fired; nothing else."""
+    the previous crash has fired (``(host, kind, skip)``: after
+    ``skip`` more receipts); nothing else."""
 
     def __init__(self, points):
         super().__init__(
@@ -588,10 +604,14 @@ class CrashSequence(FaultInjector):
                         crash_mode="volatile"),
             seed=0,
         )
-        self.points = list(points)
+        self.points = [(*point, 0)[:3] for point in points]
 
     def maybe_crash(self, host, clock, kind=None):
-        if not self.points or self.points[0] != (host, kind):
+        if not self.points or self.points[0][:2] != (host, kind):
+            return False
+        skip = self.points[0][2]
+        if skip:
+            self.points[0] = (host, kind, skip - 1)
             return False
         self.points.pop(0)
         self.crashes += 1
@@ -670,12 +690,248 @@ class TestUnderFaults:
 
 
 # ----------------------------------------------------------------------
+# Local-jump components: fragments of one host linked by local jumps run
+# as one function that loops over them.
+# ----------------------------------------------------------------------
+
+#: An outer loop on A whose every round leaves for T (a field only T
+#: may hold, fed by a read of B's field) and comes back by rgoto to the
+#: middle of A's component.
+RGOTO_MIDDLE = """
+class Mid authority(Alice) {
+  int{Alice:; Bob:} shared;
+  int{Bob:; ?:Bob} bobVal = 5;
+  int{Alice:; ?:Alice} accF = 1;
+  void main{?:Alice}() where authority(Alice) {
+    int{?:Alice} i = 0;
+    while (i < 3) {
+      int{Alice:; ?:Alice} j = 0;
+      while (j < 4) { accF = (accF * 3 + j) % 1009; j = j + 1; }
+      shared = shared + bobVal;
+      i = i + 1;
+    }
+  }
+}
+"""
+
+#: Nested loops on T with a read of B's field as the last step of every
+#: outer round, right before the local jump back to the loop header.
+LOOP_REMOTE = """
+class Loop authority(Alice) {
+  int{Alice:; Bob:} shared;
+  int{Bob:; ?:Bob} bobVal = 5;
+  int{Alice:; ?:Alice} out;
+  void main{?:Alice}() where authority(Alice) {
+    int{?:Alice} i = 0;
+    int{Alice:; ?:Alice} acc = 1;
+    while (i < 3) {
+      int{Alice:; ?:Alice} j = 0;
+      while (j < 4) { acc = (acc * 3 + j) % 1009; j = j + 1; }
+      i = i + 1;
+      shared = shared + acc + bobVal;
+    }
+    out = acc;
+  }
+}
+"""
+
+#: The first statement's only frame access is the right operand of an
+#: ``&&`` that never runs it; a fused jump into a loop follows.
+RIGHT_OPERAND_ONLY = """
+class Sc {
+  int{Alice:; ?:Alice} out;
+  void main{?:Alice}() {
+    int{Alice:; ?:Alice} k;
+    boolean{Alice:; ?:Alice} c = 1 > 2 && k > 0;
+    while (k < 3) { k = k + 1; }
+    if (c) { out = 1; } else { out = k; }
+  }
+}
+"""
+
+
+def exact(executor, outcome=None):
+    """Observables of a finished or failed run, the clock to the bit."""
+    network = executor.network
+    observed = {
+        "counts": dict(network.counts),
+        "clock": network.clock.hex(),
+        "audits": list(network.audit_log),
+        **host_state(executor.hosts),
+    }
+    if outcome is not None:
+        observed.update(observables(outcome))
+    return observed
+
+
+def transfers_into_middle(split):
+    """The rgoto/lgoto messages of a fault-free run whose target is not
+    the first member of its component."""
+    executor = DistributedExecutor(split)
+    executor.run()
+    found = []
+    for message in executor.network.message_log:
+        if message.kind == "rgoto":
+            entry = message.payload["entry"]
+        elif message.kind == "lgoto":
+            entry = message.payload["token"].entry
+        else:
+            continue
+        members = [f.entry for f in component(split, message.dst, entry)]
+        if members.index(entry) > 0:
+            found.append((message.kind, entry))
+    return found
+
+
+class TestComponents:
+    def test_one_host_loop_like_work(self, monkeypatch):
+        split = split_source(work.source(rounds=6), single_host_config()).split
+        (host,) = {f.host for f in split.fragments.values()}
+        members = component(split, host, split.main_entry)
+        assert len(members) == len(split.fragments)
+
+        def run():
+            executor = DistributedExecutor(split)
+            return exact(executor, executor.run())
+
+        compiled = run()
+        assert compiled == interpreted(run, monkeypatch)
+        assert compiled["counts"]["total_messages"] == 0
+        bodies = RuntimeImage.for_split(split).compiled
+        assert len({id(bodies[f.entry]) for f in members}) == 1
+
+    @pytest.mark.parametrize(
+        "source,config,kind",
+        [
+            (RGOTO_MIDDLE, config_abt(), "rgoto"),
+            (work.source(rounds=4), work.config(), "lgoto"),
+        ],
+        ids=["rgoto", "lgoto"],
+    )
+    def test_entered_at_a_middle_member(
+        self, source, config, kind, monkeypatch
+    ):
+        split = split_source(source, config).split
+        assert kind in {found for found, _ in transfers_into_middle(split)}
+
+        def run():
+            executor = DistributedExecutor(split)
+            return exact(executor, executor.run())
+
+        assert run() == interpreted(run, monkeypatch)
+
+    def test_fused_sync_rejected(self, monkeypatch):
+        """A ``[sync, local]`` plan runs its sync inline; when the sync
+        is rejected (``_do_sync`` returns ``None``) the chain ends there
+        and the run stalls, exactly as through ``_run_plan``."""
+        split = split_source(work.source(rounds=4), work.config()).split
+        ((plan_owner, sync_entry),) = [
+            (fragment.entry, plan[0].entry)
+            for fragment in split.fragments.values()
+            if isinstance(fragment.terminator, TermBranch)
+            for plan in (fragment.terminator.plan_true,
+                         fragment.terminator.plan_false)
+            if [a.kind for a in plan] == ["sync", "local"]
+        ]
+        host = split.entry_host(plan_owner)
+        source, _ = generate(component(split, host, plan_owner))
+        assert f"host._do_sync({sync_entry!r}, fid, state.token)" in source
+        do_sync = TrustedHost._do_sync
+
+        def run():
+            calls = []
+
+            def reject_second(self, entry, frame, token):
+                if entry == sync_entry:
+                    calls.append(entry)
+                    if len(calls) == 2:
+                        self.network.audit(
+                            self.name, f"sync to {entry} refused"
+                        )
+                        return None
+                return do_sync(self, entry, frame, token)
+
+            executor = DistributedExecutor(split)
+            with monkeypatch.context() as patch:
+                patch.setattr(TrustedHost, "_do_sync", reject_second)
+                with pytest.raises(RuntimeError, match="stalled") as info:
+                    executor.run()
+            return {"error": str(info.value), "calls": len(calls),
+                    **exact(executor)}
+
+        compiled = run()
+        assert compiled == interpreted(run, monkeypatch)
+        assert compiled["calls"] == 2
+
+    def test_crash_mid_loop_replaces_frames(self, monkeypatch):
+        """T's loop reads B's field each round.  B crashes on the second
+        read and T on B's recovery announcement, while T's component
+        waits on the read: the jump back to the loop header must carry
+        a stale frame, and T's later writes land in its new frames."""
+        split = split_source(LOOP_REMOTE, config_abt()).split
+        assert len(component(split, "T", split.main_entry)) > 1
+
+        def run():
+            injector = CrashSequence([("B", "getField", 1), ("T", "recover")])
+            executor = DistributedExecutor(
+                split, faults=injector, token_rng=random.Random(0x5EED)
+            )
+            observed = exact(executor, executor.run())
+            assert injector.points == [], "a crash never fired"
+            return observed
+
+        assert run() == interpreted(run, monkeypatch)
+
+    def test_right_operand_only_frame_access(self, monkeypatch):
+        split = split_source(RIGHT_OPERAND_ONLY, single_host_config()).split
+
+        def run():
+            executor = DistributedExecutor(split)
+            return exact(executor, executor.run())
+
+        compiled = run()
+        assert compiled == interpreted(run, monkeypatch)
+        assert compiled["fields"]["H"][("Sc", "out", None)] == 3
+
+
+class TestPlacementCheck:
+    def test_local_jump_to_another_host_fails_closed(self, monkeypatch):
+        """A local plan whose target is placed on another host fails the
+        run with a structured error, also under ``python -O``: the
+        compiled path when the component is compiled, the oracle when it
+        reaches the jump."""
+        split = split_source(
+            work.source(rounds=2, inner=2), work.config()
+        ).split
+        fragment = split.fragments["Work.main.4@A"]
+        assert split.entry_host("Work.main.5@B") == "B"
+        saved = fragment.terminator
+        fragment.terminator = TermJump([EdgeAction("local", "Work.main.5@B")])
+
+        def run():
+            with pytest.raises(ForeignFragmentError) as info:
+                Session(RuntimeImage(split), storage=None).run()
+            error = info.value
+            return error.host, error.entry, error.owner, str(error)
+
+        try:
+            assert run() == interpreted(run, monkeypatch) == (
+                "A", "Work.main.5@B", "B",
+                "A asked to run Work.main.5@B, which is placed on B",
+            )
+        finally:
+            fragment.terminator = saved
+
+
+# ----------------------------------------------------------------------
 # The generated functions themselves
 # ----------------------------------------------------------------------
 
 
 class TestGeneratedCode:
     def test_traceback_names_the_fragment(self):
+        """A traceback names the code object after the members of the
+        failing fragment's component."""
         split = split_source(FAILURES["null-field-read"], config_abt()).split
         with pytest.raises(RuntimeError, match="null dereference") as info:
             DistributedExecutor(split).run()
@@ -683,7 +939,11 @@ class TestGeneratedCode:
             frame.filename
             for frame in traceback.extract_tb(info.value.__traceback__)
         ]
-        assert f"<fragment {split.main_entry}>" in files
+        host = split.entry_host(split.main_entry)
+        members = component(split, host, split.main_entry)
+        assert split.main_entry in [f.entry for f in members]
+        name = " ".join(f.entry for f in members)
+        assert f"<fragments {name}>" in files
 
     def test_dropped_image_frees_bodies_without_gc(self):
         """A body is not reachable from its own globals, so dropping its
@@ -692,7 +952,7 @@ class TestGeneratedCode:
         image = RuntimeImage(split)
         Session(image, storage=None).run()
         gc.collect()  # the finished session's host/network cycles
-        bodies = [weakref.ref(f.body) for f in image.compiled.values()]
+        bodies = [weakref.ref(body) for body in set(image.compiled.values())]
         assert bodies
         gc.disable()
         try:
@@ -702,11 +962,16 @@ class TestGeneratedCode:
             gc.enable()
 
     def test_local_jump_is_inlined(self):
-        """A plan that starts with a local jump sets ``state.entry`` in
-        place instead of calling ``host._run_plan``."""
+        """A local jump inside a component continues the component's
+        loop: it neither sets ``state.entry`` nor calls
+        ``host._run_plan``; only the inner loop's exit (an rgoto to B)
+        leaves through ``_run_plan``."""
         split = split_source(work.source(rounds=2), work.config()).split
-        inner = split.fragments["Work.main.4@A"]
-        source, namespace = generate(inner)
-        assert "_run_plan" not in source
-        assert "state.entry = 'Work.main.3@A'" in source
+        members = component(split, "A", "Work.main.4@A")
+        entries = [f.entry for f in members]
+        assert {"Work.main.3@A", "Work.main.4@A"} <= set(entries)
+        source, namespace = generate(members)
+        assert "state.entry =" not in source
+        assert source.count("_run_plan") == 1
+        assert f"e = {entries.index('Work.main.3@A')}\n" in source
         assert "body" not in namespace

@@ -8,7 +8,7 @@ fragment runs in production.
 import pytest
 
 from repro.runtime import DistributedExecutor, FrameID
-from repro.runtime.compiler import compile_body
+from repro.runtime.compiler import compile_component
 from repro.runtime.host import ExecutionState
 from repro.splitter import ir, split_source
 from repro.splitter.fragments import Fragment, OpAssignVar, TermJump
@@ -32,7 +32,7 @@ def evaluate(host, expr, frame):
     fragment = Fragment("eval", host.name, frame.method_key)
     fragment.ops = [OpAssignVar("_value", expr)]
     fragment.terminator = TermJump([])
-    body = compile_body(fragment)
+    body = compile_component([fragment])
     assert body(host, ExecutionState("eval", frame, None)) is None
     return host.frames[frame].pop("_value")
 

@@ -115,19 +115,24 @@ class TestFailureModes:
         result = split_source(source, single_host_config())
         executor = DistributedExecutor(result.split)
         # Single-host infinite loop never yields control messages; bound
-        # the run externally.
-        import repro.runtime.executor as executor_module
-
-        host = executor.hosts["H"]
-        original = host.network.charge_ops
+        # the run externally.  Every fragment charges its ops to the
+        # simulated clock (inline, in the generated code), so count the
+        # clock's updates.
+        network = executor.hosts["H"].network
         calls = {"n": 0}
 
-        def counting(n):
-            calls["n"] += 1
-            if calls["n"] > 100000:
-                raise RuntimeError("runaway loop detected by test")
-            return original(n)
+        class Bounded(type(network)):
+            @property
+            def clock(self):
+                return self.__dict__["clock"]
 
-        host.network.charge_ops = counting
-        with pytest.raises(RuntimeError):
+            @clock.setter
+            def clock(self, value):
+                calls["n"] += 1
+                if calls["n"] > 100000:
+                    raise RuntimeError("runaway loop detected by test")
+                self.__dict__["clock"] = value
+
+        network.__class__ = Bounded
+        with pytest.raises(RuntimeError, match="runaway loop"):
             executor.run()

@@ -93,8 +93,9 @@ def test_progen_run_reset_run_matches_two_fresh_sessions(seed):
 
 def test_reset_recycles_the_durable_store_in_place():
     """Under an (inactive) fault injector every host keeps a durable
-    store; reset must recycle the same store object — WAL cleared,
-    counters rewound, a fresh base checkpoint sealed — not reallocate."""
+    store; reset must recycle the same store object — WAL cleared, a
+    fresh base checkpoint sealed at the next epoch of the sealed
+    counter, which never winds back — not reallocate."""
     split = split_source(ot.source(rounds=1), ot.config()).split
     image = RuntimeImage.for_split(split)
     faults = FaultInjector(FaultPolicy(), seed=1)
@@ -102,12 +103,14 @@ def test_reset_recycles_the_durable_store_in_place():
     session.run()
     stores = {name: host.durable for name, host in session.hosts.items()}
     assert all(store is not None for store in stores.values())
+    epochs = {name: store.high_water for name, store in stores.items()}
     first = fingerprint(session)
     session.reset(faults=faults)
     for name, host in session.hosts.items():
         assert host.durable is stores[name]
         assert host.durable.wal == []
-        assert host.durable.high_water == 1
+        assert host.durable.high_water == epochs[name] + 1
+        assert host.durable.checkpoint.epoch == epochs[name] + 1
         assert host.durable.checkpoints_taken == 1
     session.run()
     assert fingerprint(session) == first

@@ -426,6 +426,83 @@ class TestTamperFailsClosed:
                 "A", factory, backend, counters, DecodeContext()
             )
 
+    def test_checkpoint_from_an_earlier_lifetime_fails_closed(self):
+        """A recycled store keeps its host key, so its sealed counter
+        must not restart: a checkpoint sealed in the previous pooled
+        lifetime, put back in place, is a rollback."""
+        store = DurableStore("A", TokenFactory("A", KeyRegistry()))
+        first = store.take_checkpoint({"x": "first lifetime"})
+        store.reset()
+        store.take_checkpoint({"x": "second lifetime"})
+        assert store.load() == ({"x": "second lifetime"}, [])
+        store.checkpoint = first
+        with pytest.raises(CheckpointTamperError, match="rollback"):
+            store.load()
+
+    def test_wal_row_from_an_earlier_lifetime_fails_closed(self):
+        factory = TokenFactory("A", KeyRegistry())
+        backend = MemoryBackend("A")
+        store = DurableStore("A", factory, backend=backend)
+        store.take_checkpoint({"x": 0})
+        store.log("var", None, "x", "first lifetime")
+        (stale,) = backend.load_wal()
+        store.reset()
+        store.take_checkpoint({"x": 0})
+        store.log("var", None, "x", "second lifetime")
+        counters = {
+            "interval": store.interval,
+            "high_water": store.high_water,
+            "recoveries": store.recoveries,
+            "processed": store.processed,
+            "checkpoints_taken": store.checkpoints_taken,
+            "wal_len": 1,
+        }
+        rebuilt = DurableStore.rehydrate(
+            "A", factory, backend, counters, DecodeContext()
+        )
+        assert rebuilt.load() == (
+            {"x": 0}, [("var", None, "x", "second lifetime")]
+        )
+        _, epoch, blob, seal = stale
+        backend.append_wal(epoch, 0, blob, seal)
+        with pytest.raises(CheckpointTamperError, match="record 0"):
+            DurableStore.rehydrate(
+                "A", factory, backend, counters, DecodeContext()
+            )
+
+    def test_journal_from_an_earlier_lifetime_fails_closed(self, tmp_path):
+        """The session's boundary counter also carries across a pooled
+        recycle: the previous lifetime's last journal row, put back
+        after the next lifetime ran, is older than the sidecar."""
+        split = ot_split()
+        directory = tmp_path / "lifetimes"
+        storage = SessionStorage(str(directory))
+        pool = SessionPool(RuntimeImage(split, KeyRegistry()), size=1,
+                           storage=storage)
+        session = pool.acquire()
+        session.run()
+        db = str(directory / "session.db")
+        conn = sqlite3.connect(db)
+        try:
+            old = conn.execute(
+                "SELECT boundary, blob, seal FROM journal"
+            ).fetchone()
+        finally:
+            conn.close()
+        pool.release(session)
+        pool.acquire().run()
+        storage.close()
+        conn = sqlite3.connect(db)
+        try:
+            conn.execute(
+                "UPDATE journal SET boundary = ?, blob = ?, seal = ?", old
+            )
+            conn.commit()
+        finally:
+            conn.close()
+        with pytest.raises(CheckpointTamperError, match="rollback"):
+            rehydrate_session(split, str(directory))
+
     def test_missing_directory_reports_unavailable(self, tmp_path):
         with pytest.raises(StorageUnavailableError):
             rehydrate_session(ot_split(), str(tmp_path / "nothing-here"))
@@ -582,11 +659,14 @@ class TestDiskBackedPoolRecycling:
         session = pool.acquire()
         session.run()
         first = pool_fingerprint(session)
+        last_boundary = storage._boundary
         pool.release(session)
 
         # The recycled lifetime starts clean: no queue or flow rows
-        # survive from the previous run, and the journal was rewound to
-        # the fresh-attach boundary rather than continuing the old one.
+        # survive from the previous run, and the journal holds only the
+        # fresh-attach boundary, which continues the monotonic boundary
+        # counter (an old lifetime's journal must fail the rollback
+        # check, so the counter never winds back).
         conn = sqlite3.connect(str(tmp_path / "pool" / "session.db"))
         try:
             for table in ("queue", "flows"):
@@ -594,10 +674,12 @@ class TestDiskBackedPoolRecycling:
                     f"SELECT COUNT(*) FROM {table}"
                 ).fetchone()[0]
                 assert count == 0, f"stale {table} rows survived recycling"
-            boundary = conn.execute(
+            boundaries = conn.execute(
                 "SELECT boundary FROM journal"
-            ).fetchone()[0]
-            assert boundary == 1, "journal continued the old lifetime"
+            ).fetchall()
+            assert boundaries == [(last_boundary + 1,)], (
+                "journal did not start the new lifetime past the old one"
+            )
         finally:
             conn.close()
 
