@@ -101,16 +101,16 @@ def main() -> None:
     print(fig4.render(result))
 
     print("=" * 70)
-    print("Step 4: run it, then let Bob's machine turn hostile")
+    print("Step 4: run it while Bob's machine, hostile, keeps every")
+    print("capability it receives")
     print("=" * 70)
     executor = DistributedExecutor(result.split)
+    adversary = Adversary(executor, "B")
     outcome = executor.run()
     print(f"Bob received: {outcome.main_var('r')} "
           f"(asked for secret #1 = 100)")
     print(f"message profile: {outcome.counts}")
 
-    adversary = Adversary(executor, "B")
-    adversary.capture_tokens()
     print("\nBob races for the second secret:")
     print(" ", adversary.try_get_field("OTExample", "m2"))
     print(" ", adversary.try_set_field("OTExample", "isAccessed", False))

@@ -117,9 +117,8 @@ def scenario_experiment() -> Dict[str, Any]:
 def attack_experiment() -> Dict[str, Any]:
     result = split_source(ot.source(rounds=1), ot.config())
     executor = DistributedExecutor(result.split)
-    executor.run()
     adversary = Adversary(executor, "B")
-    adversary.capture_tokens()
+    executor.run()
     adversary.try_get_field("OTBench", "m1")
     adversary.try_get_field("OTBench", "m2")
     adversary.try_set_field("OTBench", "isAccessed", False)

@@ -20,6 +20,11 @@ raises :class:`~repro.runtime.network.SecurityAbort` and blacklists the
 bad host, which is exactly the fail-closed unwinding the executor needs
 instead of a stall.  The attack helpers catch the abort and record it
 as a rejection.
+
+An :class:`Adversary` also subscribes to the network's event hook when
+it is created and keeps each token a good host sends the bad host
+(``captured_tokens``); create it before the run whose capabilities it
+should see.
 """
 
 from __future__ import annotations
@@ -63,25 +68,24 @@ class Adversary:
         self.reports: List[AttackReport] = []
         #: capabilities observed in transit to the bad host.
         self.captured_tokens: List[Token] = []
+        self.network.on_event(self._capture)
         # Once an adversary is in play, detections escalate: reject,
         # blacklist, and unwind via SecurityAbort.
         self.network.quarantine_enabled = True
 
     # -- reconnaissance ---------------------------------------------------------
 
-    def capture_tokens(self) -> List[Token]:
-        """Harvest every token a good host ever sent to the bad host.
+    def _capture(self, kind, src, dst, detail) -> None:
+        """Keep every token a good host sends to the bad host, as the
+        bad host receives it.
 
         Bad hosts legitimately receive capabilities (to pass back via
         lgoto); the question is what they can do with them.
         """
-        for message in self.network.message_log:
-            if message.dst != self.bad_host:
-                continue
-            token = message.payload.get("token")
+        if dst == self.bad_host and isinstance(detail, Message):
+            token = detail.payload.get("token")
             if isinstance(token, Token):
                 self.captured_tokens.append(token)
-        return self.captured_tokens
 
     def _note(self, name: str, outcome: Any, detail: str = "") -> AttackReport:
         rejected = (

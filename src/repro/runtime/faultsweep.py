@@ -35,8 +35,9 @@ from .. import parallel
 from ..splitter.fragments import SplitProgram
 from .executor import ExecutionResult, run_split_program
 from .faults import CrashPointInjector, FaultInjector, FaultPolicy
-from .network import DeliveryTimeoutError
+from .network import DeliveryTimeoutError, Message
 from .storage import SessionStorage
+from .trace import recorded_run
 
 #: The ``storage`` modes of :func:`sweep` and :func:`crash_point_sweep`.
 STORAGE_MODES = ("memory", "sqlite")
@@ -169,17 +170,19 @@ def reference_fields(
     }
 
 
-def assurance_problems(split: SplitProgram, outcome: ExecutionResult) -> List[str]:
+def assurance_problems(
+    split: SplitProgram, outcome: ExecutionResult, messages: List[Message]
+) -> List[str]:
     """Label violations among everything the network saw delivered.
 
     Checks both the per-message instrumentation (each transmitted
-    message's data labels against the destination's confidentiality
-    clearance) and the flow log (each labeled value that became visible
-    to a host).
+    message in ``messages``, the run's recorded sequence, against the
+    destination's confidentiality clearance) and the flow log (each
+    labeled value that became visible to a host).
     """
     config = split.config
     problems: List[str] = []
-    for message in outcome.network.message_log:
+    for message in messages:
         descriptor = config.host(message.dst)
         for label in message.data_labels:
             if not label.conf.flows_to(descriptor.conf):
@@ -209,7 +212,7 @@ def _run_schedule(
     token_rng = random.Random(seed ^ 0x5EED)
     try:
         with _storage_tier(storage) as tier:
-            outcome = run_split_program(
+            outcome, messages = recorded_run(
                 split, opt_level=opt_level, faults=faults,
                 token_rng=token_rng, storage=tier,
             )
@@ -229,7 +232,7 @@ def _run_schedule(
                 f"field {key[0]}.{key[1]} = {got!r}, expected "
                 f"{expected!r}"
             )
-    problems.extend(assurance_problems(split, outcome))
+    problems.extend(assurance_problems(split, outcome, messages))
     if outcome.audits:
         problems.append(f"audit log not empty: {outcome.audits}")
     counts = dict(outcome.network.fault_counts)
@@ -388,7 +391,7 @@ def _run_crash_point(
     label = f"{dst}/{kind}@{occurrence}"
     try:
         with _storage_tier(storage) as tier:
-            outcome = run_split_program(
+            outcome, messages = recorded_run(
                 split, opt_level=opt_level, faults=injector,
                 token_rng=random.Random(token_seed), storage=tier,
             )
@@ -411,7 +414,7 @@ def _run_crash_point(
                 f"{expected!r}"
             )
     problems.extend(
-        p for p in assurance_problems(split, outcome)
+        p for p in assurance_problems(split, outcome, messages)
         if p not in baseline_problems
     )
     if outcome.audits:
@@ -477,7 +480,7 @@ def crash_point_sweep(
     """
     _check_storage_mode(storage)
     tag = f"{name} " if name else ""
-    reference = run_split_program(
+    reference, ref_messages = recorded_run(
         split, opt_level=opt_level, token_rng=random.Random(token_seed)
     )
     ref_fields = {
@@ -489,11 +492,11 @@ def crash_point_sweep(
     # Some workloads (e.g. medical) declassify data whose static label
     # the per-message instrumentation still flags; only flows the
     # fault-free run does NOT exhibit count against a crash point.
-    baseline_problems = frozenset(assurance_problems(split, reference))
+    baseline_problems = frozenset(
+        assurance_problems(split, reference, ref_messages)
+    )
     receipt_counts = Counter(
-        (m.dst, m.kind)
-        for m in reference.network.message_log
-        if m.src != m.dst
+        (m.dst, m.kind) for m in ref_messages if m.src != m.dst
     )
     points = [
         (dst, kind, occurrence)

@@ -386,13 +386,16 @@ class TrustedHost:
         return True
 
     def _handle_forward(self, message: Message) -> Any:
-        """Apply forwarded frame variables after an integrity check.
+        return self._apply_vars(message.src, message.payload["vars"])
+
+    def _apply_vars(self, src: str, vars_payload: Dict) -> Any:
+        """Apply frame variables ``src`` forwarded (a forward request,
+        or the data an rgoto/lgoto carries) after an integrity check.
 
         A denied variable rejects the request (the accepted ones are
         still applied — they passed their own checks); honest senders
         never mix the two."""
         accepted = True
-        src = message.src
         remote = src != self.name
         # The per-variable integrity check is a precomputed set lookup:
         # I_src ⊑ I(L_var) is static per split.  A sender the image has
@@ -409,7 +412,7 @@ class TrustedHost:
             # per-variable checks reduce to straight slot stores.
             frames = self.frames
             durable = self.durable
-            for fid, var_values in message.payload["vars"].items():
+            for fid, var_values in vars_payload.items():
                 frame = frames.get(fid)
                 if frame is None:
                     frame = frames[fid] = {}
@@ -420,7 +423,7 @@ class TrustedHost:
                         frame[var] = value
                         durable.log("var", fid, var, value)
             return True
-        for fid, var_values in message.payload["vars"].items():
+        for fid, var_values in vars_payload.items():
             plan = self.split.methods[fid.method_key]
             for var, value in var_values.items():
                 if remote:
@@ -523,17 +526,7 @@ class TrustedHost:
     def _apply_payload_data(self, message: Message) -> None:
         vars_payload = message.payload.get("vars")
         if vars_payload:
-            self._handle_forward(
-                Message(
-                    "forward",
-                    message.src,
-                    self.name,
-                    {
-                        "vars": vars_payload,
-                        "digest": message.payload.get("digest"),
-                    },
-                )
-            )
+            self._apply_vars(message.src, vars_payload)
 
     def _handle_recover(self, message: Message) -> Any:
         """A peer announces it has recovered from a volatile crash.

@@ -9,9 +9,13 @@ model).  The network also keeps the books the evaluation needs:
 * eliminated data-forward round trips (Table 1's last row);
 * a simulated clock driven by a configurable cost model calibrated to
   the paper's testbed (310 µs LAN ping, ≥640 µs SSL round trip);
-* a complete message log for the security-assurance instrumentation
-  (tests assert no message ever carries data to a host whose
-  confidentiality label cannot hold it).
+* an event hook (:meth:`~repro.runtime.transport.base.Transport.
+  on_event`) that hands every accounted message and fault to its
+  subscribers, and keeps nothing when there are none — the
+  security-assurance checks attach a recorder
+  (:func:`repro.runtime.trace.record_messages`) to assert no message
+  ever carries data to a host whose confidentiality label cannot hold
+  it.
 
 With a :class:`~repro.runtime.faults.FaultInjector` attached, the
 channels stop being reliable: messages may be dropped, duplicated,

@@ -305,7 +305,6 @@ class Session:
         quarantine: bool = False,
         checkpoint_interval: int = 4,
         storage=None,
-        record_logs: bool = True,
     ) -> None:
         self.image = image
         self.split = image.split
@@ -315,12 +314,6 @@ class Session:
         #: raises SecurityAbort and blacklists the offender instead of
         #: being silently ignored.
         self.network.quarantine_enabled = quarantine
-        #: ``record_logs=False`` runs the lean hot path: per-message and
-        #: per-flow trace events are never constructed (the observables
-        #: — counts, clock, ICS depths — don't depend on them).  The
-        #: throughput driver's sessions run lean; attaching a Tracer
-        #: switches recording back on.
-        self.network.record_logs = record_logs
         #: the optional durable tier (a :class:`~repro.runtime.storage.
         #: sqlite_backend.SessionStorage`); ``None`` runs without one.
         self.storage = storage
@@ -381,7 +374,6 @@ class Session:
         quarantine: bool = False,
         checkpoint_interval: int = 4,
         storage=_KEEP,
-        record_logs: bool = True,
     ) -> "Session":
         """Reset-in-place back to a fresh session over the same image.
 
@@ -414,7 +406,6 @@ class Session:
         if cost_model is not None:
             self.network.cost = cost_model
         self.network.quarantine_enabled = quarantine
-        self.network.record_logs = record_logs
         for host in self.hosts.values():
             # Hosts whose durable store still points at `storage`
             # recycle their persisted rows in place here.
@@ -456,10 +447,11 @@ class Session:
         """Mint the root capability and run the main chain until control
         first leaves the main host; returns True when that already
         completed the program."""
-        assert not self._started, "session already started; reset() first"
+        if self._started:
+            raise RuntimeError("session already started; reset() first")
         split = self.split
-        assert split.main_entry is not None
-        assert self.image.main_method_key is not None
+        if split.main_entry is None or self.image.main_method_key is None:
+            raise RuntimeError("the split program has no main entry")
         storage = self.storage
         if storage is not None and storage.available:
             storage.begin()
@@ -513,7 +505,8 @@ class Session:
         return self.result()
 
     def result(self) -> ExecutionResult:
-        assert self._main_frame is not None, "session never started"
+        if self._main_frame is None:
+            raise RuntimeError("session never started")
         return ExecutionResult(self.network, self.hosts, self._main_frame)
 
     def observables(self) -> Dict[str, Any]:
@@ -587,12 +580,6 @@ class MultiSessionDriver:
     state (frames, dedup tables, quarantine sets) can never migrate
     between programs: a session is only ever reset back into the pool
     of the image that built it.
-
-    Driver sessions default to ``record_logs=False`` (the lean hot
-    path): the driver measures observables — counts, simulated clock,
-    ICS depths — which never depend on the per-message event logs, and
-    no collector is attached.  Pass ``record_logs=True`` to keep full
-    logs, or attach a Tracer to an individual session.
     """
 
     def __init__(
@@ -603,7 +590,6 @@ class MultiSessionDriver:
         **session_opts,
     ) -> None:
         self.concurrency = max(1, concurrency)
-        session_opts.setdefault("record_logs", False)
         images = list(image) if isinstance(image, (list, tuple)) else [image]
         if pool is not None:
             self.pools = [pool]

@@ -14,6 +14,11 @@ delivery they perturbed.  The crash-recovery subsystem adds
 restarted host replayed its checkpoint + WAL and announced itself), and
 ``quarantine`` (a detected protocol violation blacklisted the
 offender).
+
+The tracer and :func:`record_messages` (the bare message sequence the
+assurance checks read) are both subscribers of the network's one event
+hook, :meth:`~repro.runtime.transport.base.Transport.on_event`; a run
+with neither attached records nothing.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from __future__ import annotations
 from typing import List, Optional
 
 from .executor import DistributedExecutor
-from .network import SimNetwork
+from .network import Message, Transport
 
 
 class TraceEvent:
@@ -50,37 +55,19 @@ class TraceEvent:
 
 
 class Tracer:
-    """Wraps a network's send paths to record an event timeline."""
+    """Subscribes to a network's event hook to record an event timeline."""
 
     def __init__(self, executor: DistributedExecutor) -> None:
         self.events: List[TraceEvent] = []
-        self._install(executor.network)
+        executor.network.on_event(self._on_event)
 
-    def _install(self, network: SimNetwork) -> None:
-        # A collector is now attached: switch full event recording back
-        # on in case this network was running the lean (no-log) path.
-        network.record_logs = True
-        original_account = network._account
-
-        def traced_account(message, messages):
-            self.events.append(
-                TraceEvent(
-                    message.kind,
-                    message.src,
-                    message.dst,
-                    message.payload.get("entry")
-                    if isinstance(message.payload, dict)
-                    else None,
-                )
-            )
-            return original_account(message, messages)
-
-        network._account = traced_account
-
-        def on_fault(kind, src, dst, detail):
+    def _on_event(self, kind, src, dst, detail) -> None:
+        if isinstance(detail, Message):
+            payload = detail.payload
+            entry = payload.get("entry") if isinstance(payload, dict) else None
+            self.events.append(TraceEvent(kind, src, dst, entry))
+        else:
             self.events.append(TraceEvent(kind, src, dst, detail=detail))
-
-        network.on_event(on_fault)
 
     # -- queries ------------------------------------------------------------
 
@@ -106,9 +93,34 @@ class Tracer:
         return -1
 
 
+def record_messages(network: Transport) -> List[Message]:
+    """Subscribe to ``network``'s event hook; the returned list fills,
+    in order, with every message the network accounts from then on —
+    what the security-assurance checks and the crash-point enumeration
+    read.  Attach it before the run: a network keeps no messages of its
+    own, and a reset drops the subscription."""
+    messages: List[Message] = []
+
+    def on_event(kind, src, dst, detail) -> None:
+        if isinstance(detail, Message):
+            messages.append(detail)
+
+    network.on_event(on_event)
+    return messages
+
+
 def traced_run(split, opt_level: int = 1, faults=None):
     """Run a split program with tracing; returns (outcome, tracer)."""
     executor = DistributedExecutor(split, opt_level=opt_level, faults=faults)
     tracer = Tracer(executor)
     outcome = executor.run()
     return outcome, tracer
+
+
+def recorded_run(split, **executor_opts):
+    """Run a split program with :func:`record_messages` attached;
+    returns (outcome, messages).  ``executor_opts`` are
+    :class:`DistributedExecutor`'s keyword arguments."""
+    executor = DistributedExecutor(split, **executor_opts)
+    messages = record_messages(executor.network)
+    return executor.run(), messages

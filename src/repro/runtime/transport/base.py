@@ -358,18 +358,9 @@ class Transport:
         self.hash_time = 0.0
         self.counts: Counter = Counter()
         self.eliminated_roundtrips = 0
-        self.message_log: List[Message] = []
         self.audit_log: List[str] = []
         #: (label, host) pairs: data with this label became visible to host.
         self.flow_log: List = []
-        #: whether to retain per-message/per-flow event objects.  The
-        #: logs exist for collectors — the security-assurance checks and
-        #: the tracer — not for the run's observables (counts, clock, ICS
-        #: depths), so a throughput driver with no collector attached
-        #: turns this off and skips building the trace events entirely.
-        #: Attaching a :class:`~repro.runtime.trace.Tracer` switches it
-        #: back on.
-        self.record_logs = True
         #: fault injector; ``None`` on backends (or runs) without one.
         #: Hosts consult this to decide whether to materialize durable
         #: stores, so every Transport exposes it.
@@ -427,21 +418,17 @@ class Transport:
 
     def reset_run_state(self) -> None:
         """Clear every piece of per-run state: clock, counts, logs, the
-        reliable channel, the control queue, fault events, listeners,
-        the quarantine set, and the log-recording flag (back on, the
-        freshly-constructed default).  Also uninstalls any instance-level
-        ``_account`` override (the tracer patches one in), so a
-        previously traced session stops tracing when recycled.
+        reliable channel, the control queue, fault events, the
+        quarantine set, and every event subscriber, so a recycled
+        session neither feeds nor is fed by an earlier run's recorder.
         """
         self.clock = 0.0
         self.check_time = 0.0
         self.hash_time = 0.0
         self.counts.clear()
         self.eliminated_roundtrips = 0
-        self.message_log.clear()
         self.audit_log.clear()
         self.flow_log.clear()
-        self.record_logs = True
         self.fault_events.clear()
         self.fault_counts.clear()
         self._listeners.clear()
@@ -449,7 +436,6 @@ class Transport:
         self._queue.clear()
         self.quarantine_enabled = False
         self.quarantined.clear()
-        self.__dict__.pop("_account", None)
 
     # -- accounting helpers ------------------------------------------------------
 
@@ -458,8 +444,9 @@ class Transport:
         self.counts["messages"] += messages
         if message.src != message.dst:
             self.clock += messages * self.cost.one_way_latency
-        if self.record_logs:
-            self.message_log.append(message)
+        if self._listeners:
+            for callback in self._listeners:
+                callback(message.kind, message.src, message.dst, message)
 
     def charge_check(self) -> None:
         self.clock += self.cost.check_cost
@@ -480,8 +467,7 @@ class Transport:
 
     def flow(self, label, host: str) -> None:
         """Record that data labeled ``label`` became visible to ``host``."""
-        if self.record_logs:
-            self.flow_log.append((label, host))
+        self.flow_log.append((label, host))
 
     # -- quarantine --------------------------------------------------------------
 
@@ -510,10 +496,14 @@ class Transport:
                 message=message,
             )
 
-    # -- fault events ------------------------------------------------------------
+    # -- events ------------------------------------------------------------------
 
     def on_event(self, callback: Callable[..., None]) -> None:
-        """Subscribe to fault events: callback(kind, src, dst, detail)."""
+        """Subscribe to every accounted message and every fault event:
+        ``callback(kind, src, dst, detail)``, where ``detail`` is the
+        :class:`Message` itself for a message and a string for a fault.
+        Nothing is built or kept for a run no one subscribes to; a
+        reset drops every subscriber."""
         self._listeners.append(callback)
 
     def _emit(

@@ -6,7 +6,8 @@ each attempt (and log it for auditing)."""
 
 import pytest
 
-from repro.runtime import Adversary, DistributedExecutor
+from repro.runtime import Adversary, DistributedExecutor, Token
+from repro.runtime.trace import record_messages
 from repro.splitter import split_source
 
 from tests.programs import OT_SOURCE, PINGPONG_SOURCE, config_abt
@@ -18,6 +19,17 @@ def ot_run():
     executor = DistributedExecutor(result.split)
     outcome = executor.run()
     return result, executor, outcome
+
+
+@pytest.fixture
+def ot_watched():
+    """An OT run that B's adversary watched from the start, keeping the
+    capabilities B received."""
+    result = split_source(OT_SOURCE, config_abt())
+    executor = DistributedExecutor(result.split)
+    adversary = Adversary(executor, "B")
+    outcome = executor.run()
+    return result, executor, outcome, adversary
 
 
 class TestFieldAttacks:
@@ -72,23 +84,43 @@ class TestControlAttacks:
             if fragment.host != "B":
                 assert adversary.try_forged_lgoto(entry).rejected
 
-    def test_capability_replay_rejected(self, ot_run):
+    def test_capability_replay_rejected(self, ot_watched):
         """The one-shot property: a consumed capability is dead.
 
         This is exactly the race of Section 5.4 — Bob re-presenting t1
         to sneak a second request for Alice's other secret."""
-        result, executor, _ = ot_run
-        adversary = Adversary(executor, "B")
-        tokens = adversary.capture_tokens()
+        result, executor, _, adversary = ot_watched
+        tokens = list(adversary.captured_tokens)
         assert tokens, "B should have legitimately received a capability"
         for token in tokens:
             assert adversary.try_replay(token).rejected
 
-    def test_race_for_both_secrets_fails(self, ot_run):
-        """After a full honest run, nothing Bob can send yields m2."""
-        result, executor, outcome = ot_run
+    def test_tokens_captured_only_in_transit_to_the_bad_host(self):
+        """Capture is what B sees arrive: every token addressed to B, in
+        order, none of those sent elsewhere, and nothing its own
+        rejected attacks send."""
+        result = split_source(OT_SOURCE, config_abt())
+        executor = DistributedExecutor(result.split)
+        messages = record_messages(executor.network)
         adversary = Adversary(executor, "B")
-        adversary.capture_tokens()
+        executor.run()
+
+        def tokens(to_b):
+            return [
+                m.payload["token"] for m in messages
+                if (m.dst == "B") == to_b
+                and isinstance(m.payload.get("token"), Token)
+            ]
+
+        assert adversary.captured_tokens == tokens(True)
+        assert tokens(False), "A and T exchange capabilities too"
+        for token in tokens(True):
+            adversary.try_replay(token)
+        assert adversary.captured_tokens == tokens(True)
+
+    def test_race_for_both_secrets_fails(self, ot_watched):
+        """After a full honest run, nothing Bob can send yields m2."""
+        result, executor, outcome, adversary = ot_watched
         adversary.try_get_field("OTExample", "m2")
         adversary.try_set_field("OTExample", "isAccessed", False)
         transfer_entry = result.split.methods[("OTExample", "transfer")].entry

@@ -30,6 +30,7 @@ from repro.runtime.compiler import ForeignFragmentError, component, generate
 from repro.runtime.faults import CrashPointInjector, FaultInjector, FaultPolicy
 from repro.runtime.faultsweep import random_policy
 from repro.runtime.network import DeliveryTimeoutError
+from repro.runtime.trace import recorded_run
 from repro.splitter import EdgeAction, TermBranch, TermJump, split_source
 from repro.workloads import listcompare, ot, tax, work
 
@@ -622,10 +623,8 @@ class CrashSequence(FaultInjector):
 def crash_points(split):
     """Every remote receipt boundary of a fault-free run: its first,
     middle and last occurrence per (host, kind)."""
-    run = DistributedExecutor(split, token_rng=random.Random(0)).run()
-    totals = Counter(
-        (m.dst, m.kind) for m in run.network.message_log if m.src != m.dst
-    )
+    _, messages = recorded_run(split, token_rng=random.Random(0))
+    totals = Counter((m.dst, m.kind) for m in messages if m.src != m.dst)
     return [
         (host, kind, occurrence)
         for (host, kind), total in sorted(totals.items())
@@ -767,10 +766,9 @@ def exact(executor, outcome=None):
 def transfers_into_middle(split):
     """The rgoto/lgoto messages of a fault-free run whose target is not
     the first member of its component."""
-    executor = DistributedExecutor(split)
-    executor.run()
+    _, messages = recorded_run(split)
     found = []
-    for message in executor.network.message_log:
+    for message in messages:
         if message.kind == "rgoto":
             entry = message.payload["entry"]
         elif message.kind == "lgoto":

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.runtime import CostModel, Message, SimNetwork
+from repro.runtime import CostModel, Message, SecurityAbort, SimNetwork
+from repro.runtime.trace import record_messages
 
 
 def echo_host(network, name):
@@ -90,11 +91,40 @@ class TestAccounting:
         assert network.audit_log == ["A: something fishy"]
         assert len(network.flow_log) == 1
 
-    def test_message_log_records_transfers(self):
+    def test_recorder_records_transfers(self):
+        network = SimNetwork()
+        echo_host(network, "A")
+        echo_host(network, "B")
+        messages = record_messages(network)
+        network.request(Message("getField", "A", "B", {"x": 1}))
+        network.post(Message("rgoto", "A", "B", {}))
+        kinds = [m.kind for m in messages]
+        assert kinds == ["getField", "rgoto"]
+
+    def test_network_keeps_no_message_log(self):
+        """Messages reach only subscribers: with none attached there is
+        no log to read, so no check can pass on an empty one."""
         network = SimNetwork()
         echo_host(network, "A")
         echo_host(network, "B")
         network.request(Message("getField", "A", "B", {"x": 1}))
-        network.post(Message("rgoto", "A", "B", {}))
-        kinds = [m.kind for m in network.message_log]
-        assert kinds == ["getField", "rgoto"]
+        assert not hasattr(network, "message_log")
+
+    def test_event_hook_carries_messages_and_faults_in_order(self):
+        network = SimNetwork()
+        echo_host(network, "A")
+        echo_host(network, "B")
+        events = []
+        network.on_event(lambda *event: events.append(event))
+        message = Message("getField", "A", "B", {"x": 1})
+        network.request(message)
+        network.quarantine_enabled = True
+        with pytest.raises(SecurityAbort):
+            network.quarantine("B", "A", "probe")
+        assert events == [
+            ("getField", "A", "B", message),
+            ("quarantine", "B", "A", "probe"),
+        ]
+        network.reset()
+        network.request(Message("getField", "A", "B", {"x": 1}))
+        assert len(events) == 2, "a reset drops every subscriber"

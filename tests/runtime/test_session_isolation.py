@@ -141,27 +141,26 @@ def test_mixed_image_driver_matches_each_solo_oracle():
         assert pool.image is image
 
 
-def test_mixed_driver_lean_logging_keeps_observables():
-    """Driver sessions skip message/flow log construction (the lean hot
-    path); the observables surface must not notice."""
+def test_driver_sessions_keep_the_solo_flow_log_and_no_message_log():
+    """Driver sessions run as solo ones do: the same observables and the
+    same always-on flow log, and no message log to read."""
     split = split_source(tax.source(records=3), tax.config()).split
     image = RuntimeImage.for_split(split)
-    solo = Session(image)  # solo default: logs on
+    solo = Session(image)
     solo.run()
-    assert solo.network.message_log, "solo session should keep its logs"
-    want = solo.observables()
+    want = solo.observables(), list(solo.network.flow_log)
+    assert want[1], "the Section 3.2 flow record is always kept"
 
     driver = MultiSessionDriver(image, concurrency=4)
     checked = []
 
     def observer(session):
-        assert session.observables() == want
-        assert session.network.message_log == []
-        assert session.network.flow_log == []
+        assert (session.observables(), session.network.flow_log) == want
+        assert not hasattr(session.network, "message_log")
         checked.append(session)
 
     driver.run_many(8, observer=observer)
-    assert checked
+    assert len(checked) == 8
 
 
 def test_mixed_pools_quarantine_never_leaks_across_images():

@@ -10,16 +10,20 @@ placed field's stored value (global frame/object counters differ
 between runs by design and are excluded).
 """
 
+import gc
+
 import pytest
 
 from repro import progen
 from repro.runtime import (
     FaultInjector,
     FaultPolicy,
+    Message,
     RuntimeImage,
     Session,
     SessionPool,
 )
+from repro.runtime.trace import record_messages
 from repro.splitter import split_source
 from repro.workloads import listcompare, medical, ot, tax, work
 
@@ -131,40 +135,43 @@ def test_pool_acquire_beyond_free_list_constructs_lazily():
     assert len(pool) == 2 and pool.resets == 2
 
 
-def test_recycled_session_records_logs_again_by_default():
-    """Regression: ``Transport.reset_run_state`` must restore
-    ``record_logs = True``.  A session that ran lean (a throughput
-    driver or an attached-then-removed tracer flips the flag off) used
-    to stay lean forever once recycled through a default pool — every
-    later acquirer silently lost its event log."""
+def live_messages():
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, Message))
+
+
+@pytest.mark.parametrize("workload", ["List", "Work"])
+def test_pooled_run_without_subscriber_keeps_no_message(workload):
+    """A run no one listens to retains none of its messages: the
+    network hands each one to its subscribers and keeps nothing."""
+    source, config = dict(WORKLOADS)[workload]()
+    image = RuntimeImage.for_split(split_source(source, config).split)
+    session = SessionPool(image).acquire()
+    before = live_messages()
+    result = session.run()
+    assert result.counts["total_messages"] > 0
+    assert live_messages() == before
+
+
+def test_recorder_attached_to_pooled_session_is_gone_after_release():
+    """A recorder sees its own run only: releasing the session drops
+    the subscription, so the next run neither feeds it nor retains a
+    message."""
     split = split_source(work.source(rounds=2, inner=2), work.config()).split
-    image = RuntimeImage.for_split(split)
-    pool = SessionPool(image)
+    pool = SessionPool(RuntimeImage.for_split(split), size=1)
     session = pool.acquire()
-    session.network.record_logs = False  # a lean run flipped the flag
+    messages = record_messages(session.network)
     session.run()
-    assert session.network.message_log == []
+    counts = session.network.counts
+    recorded = len(messages)
+    assert recorded == sum(counts.values()) - counts["messages"] > 0
     pool.release(session)
     again = pool.acquire()
     assert again is session
-    assert again.network.record_logs is True
+    before = live_messages()
     again.run()
-    assert again.network.message_log, "recycled session must log again"
-
-
-def test_lean_pool_opts_still_win_over_the_reset_default():
-    """A pool built with ``record_logs=False`` re-applies that option on
-    every release: the S1 fix restores the *default*, not a blanket
-    override of the pool's configuration."""
-    split = split_source(work.source(rounds=2, inner=2), work.config()).split
-    image = RuntimeImage.for_split(split)
-    pool = SessionPool(image, record_logs=False)
-    session = pool.acquire()
-    session.run()
-    pool.release(session)
-    again = pool.acquire()
-    assert again is session
-    assert again.network.record_logs is False
+    assert len(messages) == recorded
+    assert live_messages() == before
 
 
 def test_release_rejects_a_session_from_another_image():
@@ -178,3 +185,19 @@ def test_release_rejects_a_session_from_another_image():
     with pytest.raises(ValueError, match="different image"):
         pool.release(foreign)
     assert len(pool) == 1 and pool.resets == 0
+
+
+def test_session_lifecycle_guards_hold_without_asserts():
+    """A second ``start`` would mint a second root capability and run
+    ``main`` again, and ``result`` before ``start`` has no run to
+    report; both refuse with an exception ``python -O`` cannot strip,
+    and the refused start changes nothing."""
+    split = split_source(work.source(rounds=2, inner=2), work.config()).split
+    session = Session(RuntimeImage.for_split(split))
+    with pytest.raises(RuntimeError, match="never started"):
+        session.result()
+    session.run()
+    done = fingerprint(session)
+    with pytest.raises(RuntimeError, match="already started"):
+        session.start()
+    assert fingerprint(session) == done

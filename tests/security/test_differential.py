@@ -24,6 +24,7 @@ from repro.runtime import (
     run_split_program,
 )
 from repro.runtime.faultsweep import assurance_problems, random_policy
+from repro.runtime.trace import recorded_run
 from repro.splitter import split_source
 
 from repro.progen import P_FIELDS, S_FIELDS, config, generate_program
@@ -66,7 +67,7 @@ def test_faulted_differential(seed):
             random_policy(random.Random(fault_seed)), seed=fault_seed
         )
         try:
-            outcome = run_split_program(
+            outcome, messages = recorded_run(
                 split, faults=faults,
                 token_rng=random.Random(fault_seed ^ 0x5EED),
             )
@@ -78,7 +79,9 @@ def test_faulted_differential(seed):
         for field, want in expected.items():
             got = outcome.field_value("R", field)
             assert got == want, f"R.{field}={got!r}, oracle {want!r} {tag}\n{source}"
-        assert assurance_problems(split, outcome) == [], f"{tag}\n{source}"
+        assert assurance_problems(split, outcome, messages) == [], (
+            f"{tag}\n{source}"
+        )
         assert outcome.audits == [], f"{tag}\n{source}"
         for host in outcome.hosts.values():
             assert host.stack.depth == 0, f"unconsumed capability {tag}"

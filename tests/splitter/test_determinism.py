@@ -15,8 +15,8 @@ import pytest
 from repro import parallel
 from repro.progen import config as progen_config
 from repro.progen import generate_program
-from repro.runtime.executor import run_split_program
 from repro.runtime.faultsweep import crash_point_sweep, sweep
+from repro.runtime.trace import recorded_run
 from repro.splitter import cache as split_cache
 from repro.splitter import ir, split_source
 
@@ -64,12 +64,12 @@ def test_cached_and_uncached_splits_observably_identical(
     with the cache disabled outright."""
 
     def run(split):
-        outcome = run_split_program(split)
+        outcome, messages = recorded_run(split)
         return (
             {key: outcome.field_value(*key) for key in sorted(split.fields)},
             dict(outcome.counts),
             outcome.elapsed,
-            [(m.kind, m.src, m.dst) for m in outcome.network.message_log],
+            [(m.kind, m.src, m.dst) for m in messages],
         )
 
     monkeypatch.setenv(split_cache.ENV_FLAG, "0")

@@ -6,6 +6,7 @@ import pytest
 
 from repro.runtime import Adversary, DistributedExecutor, run_split_program
 from repro.splitter import SplitError, split_source
+from repro.runtime.trace import recorded_run
 from repro.trust import HostDescriptor, TrustConfiguration
 
 #: Buyer statement directly followed by a Supplier statement: the direct
@@ -62,8 +63,8 @@ class TestRelayStructure:
         assert market_relays
 
     def test_companies_never_talk_directly(self, split):
-        outcome = run_split_program(split)
-        for message in outcome.network.message_log:
+        _, messages = recorded_run(split)
+        for message in messages:
             assert not (
                 message.src == "BuyerHost" and message.dst == "SupplierHost"
             )

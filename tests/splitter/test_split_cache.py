@@ -15,7 +15,7 @@ import pytest
 
 from repro import parallel, progen
 from repro.labels import ActsForHierarchy, Principal
-from repro.runtime.executor import run_split_program
+from repro.runtime.trace import recorded_run
 from repro.splitter import cache
 from repro.splitter.partition import split_source
 from repro.splitter.serialize import (
@@ -63,7 +63,7 @@ def _clean_cache(monkeypatch):
 
 def observe(split):
     """Every observable the differential battery compares."""
-    outcome = run_split_program(split)
+    outcome, messages = recorded_run(split)
     return {
         "fields": {
             key: outcome.field_value(*key) for key in sorted(split.fields)
@@ -74,9 +74,7 @@ def observe(split):
             name: host.stack.depth
             for name, host in sorted(outcome.hosts.items())
         },
-        "trace": [
-            (m.kind, m.src, m.dst) for m in outcome.network.message_log
-        ],
+        "trace": [(m.kind, m.src, m.dst) for m in messages],
         "audits": list(outcome.audits),
     }
 
