@@ -14,7 +14,7 @@ Principals: Patient, Clinic, Lab, Insurer.
 Run:  python examples/medical_records.py
 """
 
-from repro import Adversary, DistributedExecutor, SplitError, split_source
+from repro import Adversary, RuntimeImage, Session, SplitError, split_source
 from repro.trust import HostDescriptor, TrustConfiguration
 
 SOURCE = """
@@ -71,15 +71,15 @@ def main() -> None:
               f"-> {placement.host} (readable by "
               f"{', '.join(sorted(placement.readers))})")
 
-    executor = DistributedExecutor(split)
-    outcome = executor.run()
+    session = Session(RuntimeImage.for_split(split))
+    outcome = session.run()
     print(f"\ndiagnosis score: "
           f"{outcome.field_value('MedicalRecords', 'diagnosisScore')}")
     print(f"insurer sees only: eligible = "
           f"{outcome.field_value('MedicalRecords', 'eligible')}")
     print(f"messages: {outcome.counts['total_messages']}")
 
-    insurer = Adversary(executor, "InsurerHost")
+    insurer = Adversary(session, "InsurerHost")
     print("\nThe insurer's machine goes fishing for raw data:")
     print(" ", insurer.try_get_field("MedicalRecords", "testA"))
     print(" ", insurer.try_get_field("MedicalRecords", "diagnosisScore"))

@@ -15,7 +15,7 @@ learn which.  This script walks the whole Section 4 story:
 Run:  python examples/oblivious_transfer.py
 """
 
-from repro import Adversary, DistributedExecutor, SplitError, split_source
+from repro import Adversary, RuntimeImage, Session, SplitError, split_source
 from repro.reporting import fig4
 from repro.trust import TrustConfiguration, example_hosts
 
@@ -104,9 +104,9 @@ def main() -> None:
     print("Step 4: run it while Bob's machine, hostile, keeps every")
     print("capability it receives")
     print("=" * 70)
-    executor = DistributedExecutor(result.split)
-    adversary = Adversary(executor, "B")
-    outcome = executor.run()
+    session = Session(RuntimeImage.for_split(result.split))
+    adversary = Adversary(session, "B")
+    outcome = session.run()
     print(f"Bob received: {outcome.main_var('r')} "
           f"(asked for secret #1 = 100)")
     print(f"message profile: {outcome.counts}")
@@ -120,7 +120,7 @@ def main() -> None:
         print(" ", adversary.try_replay(token))
     assert adversary.all_rejected()
     print("\nall attacks rejected — audit log:")
-    for entry in executor.network.audit_log:
+    for entry in session.network.audit_log:
         print("  *", entry)
 
 

@@ -62,7 +62,7 @@ import sys
 from typing import List, Optional
 
 from .lang import JifError, check_source
-from .runtime import DistributedExecutor
+from .runtime import RuntimeImage, Session
 from .splitter import SplitError, split_source
 from .trust import HostDescriptor, TrustConfiguration
 
@@ -213,10 +213,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 exit_code=1,
             )
         print(f"durable storage: sqlite at {directory}")
-    executor = DistributedExecutor(
-        result.split, opt_level=args.opt_level, storage=storage
-    )
-    outcome = executor.run()
+    outcome = Session(
+        RuntimeImage.for_split(result.split), opt_level=args.opt_level,
+        storage=storage,
+    ).run()
     if storage is not None:
         if storage.available:
             from .runtime.storage import stats as storage_stats

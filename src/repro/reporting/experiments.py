@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
-from ..runtime import Adversary, DistributedExecutor, run_split_program
+from ..runtime import Adversary, RuntimeImage, Session, run_split_program
 from ..splitter import SplitError, split_source
 from ..workloads import (
     listcompare,
@@ -116,7 +116,7 @@ def scenario_experiment() -> Dict[str, Any]:
 
 def attack_experiment() -> Dict[str, Any]:
     result = split_source(ot.source(rounds=1), ot.config())
-    executor = DistributedExecutor(result.split)
+    executor = Session(RuntimeImage.for_split(result.split))
     adversary = Adversary(executor, "B")
     executor.run()
     adversary.try_get_field("OTBench", "m1")

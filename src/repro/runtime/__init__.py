@@ -3,7 +3,7 @@
 from .attacks import Adversary, AttackReport
 from .checkpoint import Checkpoint, CheckpointTamperError, DurableStore
 from .compiler import ForeignFragmentError
-from .executor import DistributedExecutor, ExecutionResult, run_split_program
+from .executor import ExecutionResult, run_split_program
 from .faults import CrashPointInjector, FaultInjector, FaultPolicy, RetryPolicy
 from .faultsweep import (
     CrashSweepReport,
@@ -45,7 +45,6 @@ __all__ = [
     "CheckpointTamperError",
     "DurableStore",
     "ForeignFragmentError",
-    "DistributedExecutor",
     "ExecutionResult",
     "run_split_program",
     "CrashPointInjector",

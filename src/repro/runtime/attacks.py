@@ -17,7 +17,7 @@ it.
 Creating an :class:`Adversary` switches the network's quarantine layer
 on: a detected violation no longer just returns ``_REJECTED`` — it
 raises :class:`~repro.runtime.network.SecurityAbort` and blacklists the
-bad host, which is exactly the fail-closed unwinding the executor needs
+bad host, which is exactly the fail-closed unwinding a session needs
 instead of a stall.  The attack helpers catch the abort and record it
 as a rejection.
 
@@ -34,9 +34,9 @@ from typing import Any, Callable, List, Optional
 
 from ..splitter.fragments import SplitProgram
 from .checkpoint import Checkpoint, CheckpointTamperError
-from .executor import DistributedExecutor
 from .host import _REJECTED, TrustedHost
 from .network import Message, SecurityAbort
+from .session import Session
 from .storage.codec import dumps
 from .tokens import Token, forged_token
 from .values import FrameID
@@ -58,9 +58,10 @@ class AttackReport:
 
 
 class Adversary:
-    """A subverted host mounting attacks against the good hosts."""
+    """A subverted host mounting attacks against the good hosts of a
+    simulated :class:`~repro.runtime.session.Session`."""
 
-    def __init__(self, executor: DistributedExecutor, bad_host: str) -> None:
+    def __init__(self, executor: Session, bad_host: str) -> None:
         self.executor = executor
         self.network = executor.network
         self.split: SplitProgram = executor.split

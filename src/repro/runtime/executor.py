@@ -1,4 +1,4 @@
-"""The distributed executor: runs a SplitProgram over simulated hosts.
+"""The single-run entry point: execute a SplitProgram over its hosts.
 
 Good hosts preserve the source program's sequential execution (Section
 3.2): there is a single thread of control, embodied by the rgoto/lgoto
@@ -6,15 +6,14 @@ message queue.  Execution starts at the main method's entry, holding
 the root capability ``t0`` (as host T does in Figure 4); consuming
 ``t0`` ends the program.
 
-The executor is a thin wrapper over the session runtime
-(:mod:`repro.runtime.session`): constructing one resolves — and
-memoizes on the split — the shared :class:`RuntimeImage` holding every
-immutable per-program artifact (compiled fragments, derived key
-material, entry ACLs, initial field values, precomputed label checks),
-then runs as one :class:`Session` over it.  Repeated executions of the
-same split therefore share artifacts automatically; a serving loop that
-wants more should drive a :class:`~repro.runtime.session.SessionPool`
-directly.
+:func:`run_split_program` is one :class:`~repro.runtime.session.
+Session` over the split's memoized :class:`RuntimeImage` (compiled
+fragments, derived key material, entry ACLs, initial field values,
+precomputed label checks), so repeated runs of the same split share
+those artifacts.  A caller that needs the hosts or network of a run, a
+different transport or a serving loop builds the session itself:
+``Session(RuntimeImage.for_split(split), ...)`` or a
+:class:`~repro.runtime.session.SessionPool`.
 """
 
 from __future__ import annotations
@@ -22,51 +21,11 @@ from __future__ import annotations
 from typing import Optional
 
 from ..splitter.fragments import SplitProgram
-from ..trust import KeyRegistry
 from .faults import FaultInjector
-from .host import TrustedHost
 from .network import CostModel
 from .session import ExecutionResult, RuntimeImage, Session
 
-__all__ = ["DistributedExecutor", "ExecutionResult", "run_split_program"]
-
-
-class DistributedExecutor(Session):
-    """Sets up hosts for a split program and drives the control loop.
-
-    Signature-compatible with the pre-session executor: same
-    constructor parameters, same :meth:`run` semantics, same attributes
-    (``split``, ``network``, ``registry``, ``hosts``).  The immutable
-    setup now comes from :meth:`RuntimeImage.for_split`, so two
-    executors over the same split share one image — including one
-    :class:`~repro.trust.KeyRegistry` when none is passed explicitly.
-    """
-
-    def __init__(
-        self,
-        split: SplitProgram,
-        cost_model: Optional[CostModel] = None,
-        opt_level: int = 1,
-        registry: Optional[KeyRegistry] = None,
-        faults: Optional[FaultInjector] = None,
-        token_rng=None,
-        quarantine: bool = False,
-        checkpoint_interval: int = 4,
-        storage=None,
-    ) -> None:
-        super().__init__(
-            RuntimeImage.for_split(split, registry),
-            cost_model=cost_model,
-            opt_level=opt_level,
-            faults=faults,
-            token_rng=token_rng,
-            quarantine=quarantine,
-            checkpoint_interval=checkpoint_interval,
-            storage=storage,
-        )
-
-    def host(self, name: str) -> TrustedHost:
-        return self.hosts[name]
+__all__ = ["ExecutionResult", "run_split_program"]
 
 
 def run_split_program(
@@ -78,7 +37,7 @@ def run_split_program(
     quarantine: bool = False,
     storage=None,
 ) -> ExecutionResult:
-    """Convenience wrapper: execute a split program and return the result.
+    """Execute a split program on simulated hosts and return the result.
 
     With ``faults`` set, the run either completes with the fault-free
     result or raises :class:`~repro.runtime.network.DeliveryTimeoutError`
@@ -89,15 +48,15 @@ def run_split_program(
     **Key-reuse contract.** Every call over the same split shares that
     split's memoized :class:`RuntimeImage`, including its
     :class:`~repro.trust.KeyRegistry`: per-host HMAC keys are derived
-    once per image, not once per call (the registry duplication the old
-    per-run construction paid).  This is safe because keys never appear
-    in any observable — tokens are minted fresh per session (nonces come
-    from ``token_rng``/``os.urandom``), and nothing outlives the
-    session that minted it.  A caller that *wants* distinct key material
-    (e.g. to model key rotation) passes its own registry to
-    :class:`DistributedExecutor`.
+    once per image, not once per call.  This is safe because keys never
+    appear in any observable — tokens are minted fresh per session
+    (nonces come from ``token_rng``/``os.urandom``), and nothing
+    outlives the session that minted it.  A caller that *wants*
+    distinct key material (e.g. to model key rotation) builds its
+    session over ``RuntimeImage.for_split(split, registry)``.
     """
-    return DistributedExecutor(
-        split, cost_model=cost_model, opt_level=opt_level, faults=faults,
-        token_rng=token_rng, quarantine=quarantine, storage=storage,
+    return Session(
+        RuntimeImage.for_split(split), cost_model=cost_model,
+        opt_level=opt_level, faults=faults, token_rng=token_rng,
+        quarantine=quarantine, storage=storage,
     ).run()

@@ -4,11 +4,12 @@
 service.  Clients connect over TCP, authenticate a *principal* in a
 hello frame, and then multiplex any number of concurrent execution
 requests over the single connection; the gateway runs each request
-against a pooled session (:class:`~repro.runtime.session.SessionPool`
-over a shared :class:`~repro.runtime.session.RuntimeImage`) or — on
-request — over real forked host processes via
-:func:`~repro.runtime.transport.tcp.run_split_over_tcp`, and replies
-with the run's observables.
+on a pooled session (:class:`~repro.runtime.session.SessionPool` over
+a shared :class:`~repro.runtime.session.RuntimeImage`, one pool per
+workload and transport) — simulated by default, or over real forked
+host processes (:class:`~repro.runtime.transport.tcp.TcpSession`)
+when the request names ``"transport": "tcp"`` — and replies with the
+run's observables.
 
 Contract highlights:
 
@@ -57,7 +58,6 @@ from .session import RuntimeImage, Session, SessionPool
 from .storage import StorageUnavailableError
 from .transport.base import FrameError, decode_frame, encode_frame
 from .transport.rate_limit import PrincipalRateLimiter
-from .transport.tcp import run_split_over_tcp
 
 #: The closed set of wire error codes (gateway and CLI share it).
 ERROR_CODES = (
@@ -166,13 +166,11 @@ class Gateway:
         self.stats = stats or ServeStats()
         self.limiter = PrincipalRateLimiter(rate, burst)
         self._server: Optional[asyncio.base_events.Server] = None
-        #: workload -> (split, image, pool); built lazily, thread-safe.
-        self._pools: Dict[str, Tuple[Any, RuntimeImage, SessionPool]] = {}
+        #: (workload, transport) -> pool; built lazily, thread-safe.
+        self._pools: Dict[Tuple[str, str], SessionPool] = {}
         self._pools_lock = threading.Lock()
         #: serializes pool acquire/release across worker threads.
         self._session_lock = threading.Lock()
-        #: serializes fork-based TCP runs (fork from one thread at a time).
-        self._tcp_lock = threading.Lock()
         #: live per-connection handler tasks, reaped by close().
         self._conn_tasks: set = set()
         self.address: Optional[Tuple[str, int]] = None
@@ -207,51 +205,44 @@ class Gateway:
 
     # -- execution ---------------------------------------------------------
 
-    def _pool(self, name: str) -> Tuple[Any, RuntimeImage, SessionPool]:
-        """Split + shared image + session pool for one workload.
+    def _pool(self, name: str, transport: str = "sim") -> SessionPool:
+        """The session pool serving ``name`` over ``transport``.
 
         Built on first request (frontend + splitter run once; the pool
         then serves every later request from recycled sessions).
         """
         with self._pools_lock:
-            entry = self._pools.get(name)
-            if entry is None:
+            pool = self._pools.get((name, transport))
+            if pool is None:
                 module = _workload_module(name)
                 split = split_source(module.source(), module.config()).split
-                image = RuntimeImage.for_split(split)
-                pool = SessionPool(image, opt_level=self.opt_level)
-                entry = (split, image, pool)
-                self._pools[name] = entry
-            return entry
+                pool = self._pools[name, transport] = SessionPool(
+                    RuntimeImage.for_split(split),
+                    opt_level=self.opt_level,
+                    transport=transport,
+                )
+            return pool
 
     def oracle(self, name: str) -> Dict[str, Any]:
         """Fresh solo-session observables for ``name`` (the invariant
         every pooled or TCP run must reproduce bit-identically)."""
-        _split, image, _pool = self._pool(name)
-        session = Session(image, opt_level=self.opt_level)
+        session = Session(self._pool(name).image, opt_level=self.opt_level)
         session.run()
         return session.observables()
 
-    def _execute_sim(self, name: str) -> Dict[str, Any]:
+    def _execute(self, name: str, transport: str) -> Dict[str, Any]:
         """Run ``name`` on a pooled session (worker thread)."""
-        _split, _image, pool = self._pool(name)
+        pool = self._pool(name, transport)
         with self._session_lock:
             session = pool.acquire()
         try:
+            if transport == "tcp":
+                session.timeout = self.run_timeout
             session.run()
             return session.observables()
         finally:
             with self._session_lock:
                 pool.release(session)
-
-    def _execute_tcp(self, name: str) -> Dict[str, Any]:
-        """Run ``name`` over real forked host processes (worker thread)."""
-        split, _image, _pool = self._pool(name)
-        with self._tcp_lock:
-            result = run_split_over_tcp(
-                split, opt_level=self.opt_level, timeout=self.run_timeout
-            )
-        return result.observables()
 
     # -- per-connection protocol -------------------------------------------
 
@@ -355,11 +346,8 @@ class Gateway:
                     f"principal {principal!r} over quota",
                     retry_after=retry_after,
                 )
-            execute = (
-                self._execute_tcp if transport == "tcp" else self._execute_sim
-            )
             observables = await asyncio.wait_for(
-                asyncio.to_thread(execute, workload),
+                asyncio.to_thread(self._execute, workload, transport),
                 timeout=self.run_timeout,
             )
         except asyncio.TimeoutError:

@@ -724,6 +724,12 @@ class TrustedHost:
         the durable store fails verification.
         """
         state, wal = self.durable.load(ctx)
+        self.install_state(state)
+        for entry in wal:
+            self._replay(entry)
+
+    def install_state(self, state: Dict[str, Any]) -> None:
+        """Adopt a decoded :meth:`snapshot_state` as this host's state."""
         self.field_store = state["fields"]
         self.array_store = state["arrays"]
         self.array_meta = state["array_meta"]
@@ -734,8 +740,6 @@ class TrustedHost:
         self._seen_requests = state["seen"]
         self.pending = state["pending"]
         self.peer_epochs = state["peer_epochs"]
-        for entry in wal:
-            self._replay(entry)
 
     def _replay(self, entry: Tuple) -> None:
         """Re-apply one WAL record (state mutations only — no messages
@@ -810,6 +814,18 @@ class TrustedHost:
     # ------------------------------------------------------------------
     # Fragment execution
     # ------------------------------------------------------------------
+
+    def run_main(self, frame: FrameID) -> bool:
+        """Mint and adopt the root capability t0 for the main frame and
+        run the main chain; True when that completed the program."""
+        entry = self.split.main_entry
+        root = self.factory.mint(frame, entry)
+        self.adopt_root(root)
+        try:
+            self.run_chain(ExecutionState(entry, frame, root))
+        except HaltSignal:
+            return True
+        return False
 
     def run_chain(self, state: ExecutionState) -> None:
         """Execute fragments locally until control leaves this host.

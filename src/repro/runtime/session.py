@@ -36,9 +36,9 @@ immutable/mutable line the compile caches use:
   per-session wall-clock latency.  The isolation tests and the pinned
   run invariants (``tests/workloads/test_invariants.py``) drive it.
 
-``DistributedExecutor`` remains the public single-run API; it is now a
-thin :class:`Session` subclass that builds (or reuses) the image for
-its split, so every existing call site gets artifact sharing for free.
+``Session(image, transport="tcp")`` is a
+:class:`~repro.runtime.transport.tcp.TcpSession`: the same driver over
+forked host processes, giving the same :class:`ExecutionResult`.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from ..splitter.fragments import Fragment, SplitProgram
 from ..trust import KeyRegistry
 from .compiler import BodyFn
 from .faults import FaultInjector
-from .host import ExecutionState, HaltSignal, TrustedHost
+from .host import HaltSignal, TrustedHost
 from .network import CostModel, SimNetwork
 from .values import FrameID
 
@@ -66,7 +66,8 @@ _RAISE = object()
 
 
 class ExecutionResult:
-    """Everything observable about one distributed run."""
+    """Everything observable about one distributed run, over either
+    transport."""
 
     def __init__(
         self,
@@ -129,6 +130,19 @@ class ExecutionResult:
     def main_var(self, var: str, default: Any = _RAISE) -> Any:
         return self.var_value(self.main_frame, var, default)
 
+    def observables(self) -> Dict[str, Any]:
+        """The invariant surface one run exposes: message counts,
+        simulated time, and per-host ICS depths — the facts the pinned
+        run invariants hold bit-identical to the single-run oracle."""
+        return {
+            "messages": self.network.table_counts(),
+            "simulated_seconds": round(self.network.clock, 6),
+            "ics_depths": {
+                name: host.stack.depth
+                for name, host in sorted(self.hosts.items())
+            },
+        }
+
 
 class HostImage:
     """One host's slice of a :class:`RuntimeImage` — the per-host
@@ -185,7 +199,7 @@ class RuntimeImage:
     """The immutable per-(split, registry) runtime artifacts.
 
     Built once, shared by arbitrarily many sessions (and by every
-    :class:`~repro.runtime.executor.DistributedExecutor` over the same
+    :func:`~repro.runtime.executor.run_split_program` over the same
     split): nothing in here is ever mutated by a run.  Sharing is also
     the key-reuse contract — the registry's HMAC keys are derived once
     per image, not once per run.
@@ -295,6 +309,18 @@ class Session:
     reconstructing hosts or network.
     """
 
+    #: the backend this session runs over.
+    transport = "sim"
+
+    def __new__(cls, *args, transport=None, **kwargs):
+        if transport is None or transport == cls.transport:
+            return super().__new__(cls)
+        if transport == "tcp" and cls is Session:
+            from .transport.tcp import TcpSession
+
+            return super().__new__(TcpSession)
+        raise ValueError(f"unknown transport {transport!r} for {cls.__name__}")
+
     def __init__(
         self,
         image: RuntimeImage,
@@ -305,6 +331,7 @@ class Session:
         quarantine: bool = False,
         checkpoint_interval: int = 4,
         storage=None,
+        transport: str = "sim",
     ) -> None:
         self.image = image
         self.split = image.split
@@ -374,6 +401,7 @@ class Session:
         quarantine: bool = False,
         checkpoint_interval: int = 4,
         storage=_KEEP,
+        transport: Optional[str] = None,
     ) -> "Session":
         """Reset-in-place back to a fresh session over the same image.
 
@@ -386,8 +414,12 @@ class Session:
         ``storage`` defaults to recycling the attached durable tier in
         place (its persisted rows are wound back to a fresh lifetime);
         pass ``None`` to detach it, or a new ``SessionStorage`` to swap
-        tiers.
+        tiers.  ``transport`` may only name the session's own.
         """
+        if transport is not None and transport != self.transport:
+            raise ValueError(
+                f"a {self.transport} session cannot reset to {transport!r}"
+            )
         if storage is _KEEP:
             storage = self.storage
         if storage is not self.storage:
@@ -447,28 +479,24 @@ class Session:
         """Mint the root capability and run the main chain until control
         first leaves the main host; returns True when that already
         completed the program."""
-        if self._started:
-            raise RuntimeError("session already started; reset() first")
-        split = self.split
-        if split.main_entry is None or self.image.main_method_key is None:
-            raise RuntimeError("the split program has no main entry")
+        main_frame = self._begin()
         storage = self.storage
         if storage is not None and storage.available:
             storage.begin()
-        main_host = self.hosts[split.main_host]
-        self._main_frame = FrameID(self.image.main_method_key)
-        # The root capability t0: consuming it halts the program.
-        root = main_host.factory.mint(self._main_frame, split.main_entry)
-        main_host.adopt_root(root)
-        state = ExecutionState(split.main_entry, self._main_frame, root)
-        self._started = True
-        try:
-            main_host.run_chain(state)
-        except HaltSignal:
-            self._halted = True
+        self._halted = self.hosts[self.split.main_host].run_main(main_frame)
         if storage is not None and storage.available:
             storage.save_boundary(self)
         return self._halted
+
+    def _begin(self) -> FrameID:
+        """Guard a start and mint the main activation's frame."""
+        if self._started:
+            raise RuntimeError("session already started; reset() first")
+        if self.split.main_entry is None or self.image.main_method_key is None:
+            raise RuntimeError("the split program has no main entry")
+        self._started = True
+        self._main_frame = FrameID(self.image.main_method_key)
+        return self._main_frame
 
     def step(self) -> bool:
         """Deliver one pending control message; returns True when the
@@ -510,17 +538,10 @@ class Session:
         return ExecutionResult(self.network, self.hosts, self._main_frame)
 
     def observables(self) -> Dict[str, Any]:
-        """The invariant surface one run exposes: message counts,
-        simulated time, and per-host ICS depths — the facts the pinned
-        run invariants hold bit-identical to the single-run oracle."""
-        return {
-            "messages": self.network.table_counts(),
-            "simulated_seconds": round(self.network.clock, 6),
-            "ics_depths": {
-                name: host.stack.depth
-                for name, host in sorted(self.hosts.items())
-            },
-        }
+        """:meth:`ExecutionResult.observables` of this session so far."""
+        return ExecutionResult(
+            self.network, self.hosts, self._main_frame
+        ).observables()
 
 
 class SessionPool:

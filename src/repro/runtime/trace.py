@@ -1,6 +1,6 @@
 """Execution tracing: an event log of a distributed run.
 
-Attach a :class:`Tracer` to a :class:`DistributedExecutor` and every
+Attach a :class:`Tracer` to a simulated :class:`Session` and every
 fragment execution and control transfer is recorded — enough to replay
 the Figure 4 walkthrough ("T sync's e2 ... passes t1 to e5 on B via
 rgoto; there, Bob's host computes n and returns control via lgoto")
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import List, Optional
 
-from .executor import DistributedExecutor
+from .session import RuntimeImage, Session
 from .network import Message, Transport
 
 
@@ -57,7 +57,7 @@ class TraceEvent:
 class Tracer:
     """Subscribes to a network's event hook to record an event timeline."""
 
-    def __init__(self, executor: DistributedExecutor) -> None:
+    def __init__(self, executor: Session) -> None:
         self.events: List[TraceEvent] = []
         executor.network.on_event(self._on_event)
 
@@ -111,16 +111,18 @@ def record_messages(network: Transport) -> List[Message]:
 
 def traced_run(split, opt_level: int = 1, faults=None):
     """Run a split program with tracing; returns (outcome, tracer)."""
-    executor = DistributedExecutor(split, opt_level=opt_level, faults=faults)
+    executor = Session(
+        RuntimeImage.for_split(split), opt_level=opt_level, faults=faults
+    )
     tracer = Tracer(executor)
     outcome = executor.run()
     return outcome, tracer
 
 
-def recorded_run(split, **executor_opts):
+def recorded_run(split, **session_opts):
     """Run a split program with :func:`record_messages` attached;
-    returns (outcome, messages).  ``executor_opts`` are
-    :class:`DistributedExecutor`'s keyword arguments."""
-    executor = DistributedExecutor(split, **executor_opts)
+    returns (outcome, messages).  ``session_opts`` are
+    :class:`~repro.runtime.session.Session`'s keyword arguments."""
+    executor = Session(RuntimeImage.for_split(split), **session_opts)
     messages = record_messages(executor.network)
     return executor.run(), messages

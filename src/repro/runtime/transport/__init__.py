@@ -15,9 +15,10 @@ Two backends implement it:
 * :class:`~repro.runtime.transport.tcp.HostEndpoint` — a real TCP
   backend: each :class:`~repro.runtime.host.TrustedHost` runs in its
   own process and speaks length-prefixed framed messages carrying the
-  same seq / msg-id / ack-retry envelope over 127.0.0.1 sockets
-  (:func:`~repro.runtime.transport.tcp.run_split_over_tcp` drives a
-  whole split program across forked host processes).
+  same seq / msg-id / ack-retry envelope over 127.0.0.1 sockets.
+  ``Session(image, transport="tcp")`` (a
+  :class:`~repro.runtime.transport.tcp.TcpSession`) drives a whole
+  split program across forked host processes.
 
 The simulated backend stays the default everywhere; the TCP backend is
 opt-in (``repro serve``, the transport conformance suite, and the

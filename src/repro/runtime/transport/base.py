@@ -31,7 +31,8 @@ messages and two one-way latencies on both — or the distributed run's
 observables drift from the Table 1 oracle.  In the TCP backend each
 host process accounts only what it locally sends and validates; because
 the partitioned program has a single thread of control, summing the
-per-host subtotals reproduces the global simulated clock exactly.
+per-host subtotals reproduces the global simulated clock (up to float
+rounding in the last bits).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import itertools
 import json
 import struct
 from collections import Counter, deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 #: Message kinds that transfer control (one message each).
 CONTROL_KINDS = ("rgoto", "lgoto")
@@ -71,6 +72,10 @@ class CostModel:
         self.op_cost = op_cost
 
 
+#: the ``data_labels`` of every message that carries no labeled data.
+_NO_LABELS: Tuple = ()
+
+
 class Message:
     """One network message."""
 
@@ -83,7 +88,7 @@ class Message:
         src: str,
         dst: str,
         payload: Dict[str, Any],
-        data_labels: Optional[List] = None,
+        data_labels: Optional[Sequence] = None,
         msg_id: Optional[int] = None,
         seq: Optional[int] = None,
     ) -> None:
@@ -91,8 +96,9 @@ class Message:
         self.src = src
         self.dst = dst
         self.payload = payload
-        #: labels of confidential data carried (for instrumentation).
-        self.data_labels = data_labels or []
+        #: labels of confidential data carried (for instrumentation);
+        #: a label-free message shares one empty tuple.
+        self.data_labels = data_labels or _NO_LABELS
         #: idempotency key: retransmissions and duplicates share it, so
         #: receivers can suppress re-execution (None on reliable nets).
         self.msg_id = msg_id
@@ -517,13 +523,10 @@ class Transport:
     # -- reporting ------------------------------------------------------------------
 
     def table_counts(self) -> Dict[str, int]:
-        return table_counts(self.counts, self.eliminated_roundtrips)
-
-
-def table_counts(counts: Counter, eliminated: int) -> Dict[str, int]:
-    """The Table 1 accounting: round-trip kinds reported singly (each
-    costs two messages), control kinds as message counts."""
-    table = {kind: counts.get(kind, 0) for kind in TABLE_KINDS}
-    table["total_messages"] = counts.get("messages", 0)
-    table["eliminated"] = eliminated
-    return table
+        """The Table 1 accounting: round-trip kinds reported singly
+        (each costs two messages), control kinds as message counts."""
+        counts = self.counts
+        table = {kind: counts.get(kind, 0) for kind in TABLE_KINDS}
+        table["total_messages"] = counts.get("messages", 0)
+        table["eliminated"] = self.eliminated_roundtrips
+        return table

@@ -33,22 +33,19 @@ space.  This backend puts the identical protocol on an actual wire:
   on its side of the wire: the sender charges the message count and
   latency (``_account``), the receiver charges validation and token
   hashing (``charge_check``/``charge_hash``).  The split program has a
-  single thread of control, every charge is an integer number of
-  simulated microseconds, and floats that are integer multiples of
-  1e-6 sum associatively at this magnitude — so summing the per-host
-  subtotals reproduces the global simulated clock of the oracle run
-  *bit-identically* (see :meth:`TcpRunResult.observables`).
+  single thread of control and every charge is an integer number of
+  simulated microseconds, so the per-host subtotals
+  (:class:`TcpSession` adds them up) sum to the oracle run's clock up
+  to float rounding in the last bits — the 6-place
+  ``simulated_seconds`` of the observables is bit-identical.
 
-* **Processes.**  :func:`run_split_over_tcp` pre-binds one listener
-  socket per host (so the port map is known without any discovery
-  protocol), forks one child per host — the child inherits the shared
-  :class:`~repro.runtime.session.RuntimeImage`, key registry, and its
-  listener through fork, nothing is pickled — and coordinates the run
-  over the same framed protocol (``start`` / ``halt`` / ``report`` /
-  ``shutdown``).  Children partition the global object/frame id
-  counters into disjoint strides so ids minted on different hosts can
-  never collide (absolute ids carry no meaning; collision-freedom is
-  all that matters, exactly as in rehydration).
+* **Processes.**  :class:`TcpSession` (``Session(image,
+  transport="tcp")``) forks one process per host and coordinates the
+  run over the same framed protocol (``start`` / ``halt`` / ``failed``
+  / ``report`` / ``shutdown``).  Children partition the global
+  object/frame id counters into disjoint strides so ids minted on
+  different hosts can never collide (absolute ids carry no meaning;
+  collision-freedom is all that matters, exactly as in rehydration).
 
 Each endpoint is single-threaded: while a host waits for a reply it
 keeps pumping its socket set and serves incoming requests, which is
@@ -64,12 +61,14 @@ import os
 import selectors
 import signal
 import socket
+import threading
 import time
 import traceback
-from collections import Counter, deque
+from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults import RetryPolicy
+from ..session import RuntimeImage, Session
 from ..storage.codec import StorageCodecError, dumps, loads
 from .base import (
     NO_ACK,
@@ -80,12 +79,11 @@ from .base import (
     Transport,
     decode_frame,
     encode_frame,
-    table_counts,
 )
 
 __all__ = [
     "HostEndpoint",
-    "TcpRunResult",
+    "TcpSession",
     "WirePolicy",
     "WireRetryPolicy",
     "recv_frame",
@@ -494,7 +492,7 @@ def _failure_fields(error: BaseException) -> Dict[str, Any]:
     """The wire form of a fail-closed error: its code and detail plus
     the (src, dst, seq, msg_id, kind, attempts) of the exchange it
     names, so the far side can re-raise it with its real type."""
-    fields: Dict[str, Any] = {"code": "internal", "detail": str(error)}
+    fields: Dict[str, Any] = {"detail": str(error)}
     if isinstance(error, DeliveryTimeoutError):
         fields.update(
             code="timeout", kind=error.message_kind,
@@ -506,7 +504,9 @@ def _failure_fields(error: BaseException) -> Dict[str, Any]:
             victim=error.victim, why=error.why,
         )
     else:
-        return fields
+        return {
+            "code": "internal", "detail": f"{type(error).__name__}: {error}"
+        }
     fields.update(
         src=error.src, dst=error.dst, seq=error.seq, msg_id=error.msg_id
     )
@@ -536,149 +536,61 @@ def _failure_error(
     return RuntimeError(f"{where}: {code}: {fields.get('detail')}")
 
 
+
+
 # ---------------------------------------------------------------------------
 # whole-program runs: one forked process per host
 # ---------------------------------------------------------------------------
 
-
-class TcpRunResult:
-    """The merged observables of a distributed run over TCP.
-
-    Mirrors the surface of
-    :class:`~repro.runtime.session.ExecutionResult` /
-    :meth:`~repro.runtime.session.Session.observables` so a TCP run can
-    be compared field-for-field against the simulated oracle.
-    """
-
-    def __init__(
-        self, reports: Dict[str, Dict[str, Any]], main_frame
-    ) -> None:
-        self.reports = reports
-        self.main_frame = main_frame
-        merged: Counter = Counter()
-        for report in reports.values():
-            merged.update(report["counts"])
-        self._merged = merged
-        self.eliminated = sum(r["eliminated"] for r in reports.values())
-        self.elapsed = sum(r["clock"] for r in reports.values())
-        self.check_time = sum(r["check_time"] for r in reports.values())
-        self.hash_time = sum(r["hash_time"] for r in reports.values())
-        self.ics_depths = {
-            name: report["ics_depth"]
-            for name, report in sorted(reports.items())
-        }
-        self.audits: List[str] = []
-        for name in sorted(reports):
-            self.audits.extend(reports[name]["audits"])
-        self._fields = {
-            name: loads(report["fields"])
-            for name, report in reports.items()
-        }
-        self._frames = {
-            name: loads(report["frames"])
-            for name, report in reports.items()
-        }
-
-    @property
-    def counts(self) -> Dict[str, int]:
-        return table_counts(self._merged, self.eliminated)
-
-    def observables(self) -> Dict[str, Any]:
-        """Bit-comparable to :meth:`Session.observables`: same keys,
-        same rounding, same per-host ICS depths."""
-        return {
-            "messages": self.counts,
-            "simulated_seconds": round(self.elapsed, 6),
-            "ics_depths": dict(self.ics_depths),
-        }
-
-    def field_value(self, cls: str, field: str, oid=None, default=None):
-        key = (cls, field, oid)
-        for fields in self._fields.values():
-            if key in fields:
-                return fields[key]
-        return default
-
-    def var_value(self, frame, var: str, default=None):
-        for frames in self._frames.values():
-            copy = frames.get(frame)
-            if copy is not None and var in copy:
-                return copy[var]
-        return default
-
-    def main_var(self, var: str, default=None):
-        return self.var_value(self.main_frame, var, default)
+#: Held from fork to reap: one thread at a time forks and runs a
+#: cluster.  Re-entrant, so one thread may interleave clusters (a
+#: MultiSessionDriver over TCP sessions); a TCP session's start, step
+#: and reset therefore belong to one thread.
+_FORK_LOCK = threading.RLock()
 
 
-def _child_serve(endpoint: "HostEndpoint", host, image) -> None:
+def _child_serve(endpoint: HostEndpoint, host) -> None:
     """The forked host's event loop: pump frames, execute control
-    transfers in order, answer coordination frames."""
-    from ..host import ExecutionState, HaltSignal
-    from ..values import FrameID
-
-    main_frame = None
+    transfers in order, answer coordination frames.  Any exception ends
+    it with a ``failed`` frame naming this host."""
+    from ..host import HaltSignal
 
     def tell_coord(frame: Dict[str, Any]) -> None:
-        conn = endpoint._dial(COORD)
-        endpoint._write(conn, frame)
+        endpoint._write(endpoint._dial(COORD), {"host": endpoint.name, **frame})
 
-    def run_failed(error: BaseException) -> None:
-        tell_coord({
-            "t": "failed", "host": endpoint.name, **_failure_fields(error)
-        })
-
-    while True:
-        endpoint.pump(0.1)
-        # Execute pending control transfers, strictly in cseq order —
-        # the distributed analogue of Session.step().
+    try:
         while True:
+            endpoint.pump(0.1)
+            # Pending control transfers run strictly in cseq order.
             message = endpoint.pop_control()
-            if message is None:
-                break
-            try:
-                host.handle(message)
-            except HaltSignal:
-                tell_coord({"t": "halt", "host": endpoint.name})
-            except (SecurityAbort, DeliveryTimeoutError) as error:
-                run_failed(error)
-        while endpoint.inbox:
-            frame, conn = endpoint.inbox.popleft()
-            kind = frame.get("t")
-            if kind == "start":
-                # The distributed analogue of Session.start(): mint the
-                # root capability and run the main chain.
+            while message is not None:
                 try:
-                    main_frame = FrameID(image.main_method_key)
-                    root = host.factory.mint(
-                        main_frame, host.split.main_entry
-                    )
-                    host.adopt_root(root)
-                    state = ExecutionState(
-                        host.split.main_entry, main_frame, root
-                    )
-                    try:
-                        host.run_chain(state)
-                    except HaltSignal:
-                        tell_coord({"t": "halt", "host": endpoint.name})
-                except (SecurityAbort, DeliveryTimeoutError) as error:
-                    run_failed(error)
-            elif kind == "report":
-                endpoint._write(conn, {
-                    "t": "obs",
-                    "host": endpoint.name,
-                    "counts": dict(endpoint.counts),
-                    "clock": endpoint.clock,
-                    "check_time": endpoint.check_time,
-                    "hash_time": endpoint.hash_time,
-                    "eliminated": endpoint.eliminated_roundtrips,
-                    "ics_depth": host.stack.depth,
-                    "audits": list(endpoint.audit_log),
-                    "fields": dumps(host.field_store),
-                    "frames": dumps(host.frames),
-                    "main_frame": dumps(main_frame),
-                })
-            elif kind == "shutdown":
-                return
+                    host.handle(message)
+                except HaltSignal:
+                    tell_coord({"t": "halt"})
+                message = endpoint.pop_control()
+            while endpoint.inbox:
+                frame, conn = endpoint.inbox.popleft()
+                kind = frame.get("t")
+                if kind == "start":
+                    if host.run_main(loads(frame["main"])):
+                        tell_coord({"t": "halt"})
+                elif kind == "report":
+                    # What this host accounted, and its final state.
+                    endpoint._write(conn, {
+                        "t": "obs",
+                        "counts": dict(endpoint.counts),
+                        "clock": endpoint.clock,
+                        "check_time": endpoint.check_time,
+                        "hash_time": endpoint.hash_time,
+                        "eliminated": endpoint.eliminated_roundtrips,
+                        "audits": endpoint.audit_log,
+                        "state": dumps(host.snapshot_state()),
+                    })
+                elif kind == "shutdown":
+                    return
+    except Exception as error:  # noqa: BLE001 — reported, then the host stops
+        tell_coord({"t": "failed", **_failure_fields(error)})
 
 
 def _child_main(
@@ -686,9 +598,7 @@ def _child_main(
     name: str,
     listeners: Dict[str, socket.socket],
     addr_map: Dict[str, Tuple[str, int]],
-    image,
-    opt_level: int,
-    cost_model: Optional[CostModel],
+    session,
 ) -> None:
     from .. import values as values_mod
     from ..host import TrustedHost
@@ -703,144 +613,240 @@ def _child_main(
     values_mod._object_ids = itertools.count(floor)
     values_mod._frame_ids = itertools.count(floor)
     endpoint = HostEndpoint(
-        name, listeners[name], addr_map, cost_model=cost_model,
+        name, listeners[name], addr_map, cost_model=session.network.cost,
         msg_id_floor=floor,
     )
+    image, template = session.image, session.hosts[name]
     host = TrustedHost(
-        name,
-        image.split,
-        endpoint,
-        image.registry,
-        opt_level=opt_level,
+        name, image.split, endpoint, image.registry,
+        opt_level=template.opt_level,
+        checkpoint_interval=template.checkpoint_interval,
         image=image.host_images[name],
     )
     try:
-        _child_serve(endpoint, host, image)
+        _child_serve(endpoint, host)
     finally:
         endpoint.close()
 
 
-def _reap(pids: List[int], deadline: float) -> None:
-    """Wait for the children, escalating to SIGKILL at the deadline."""
-    pending = list(pids)
-    while pending:
-        for pid in list(pending):
-            try:
-                done, _status = os.waitpid(pid, os.WNOHANG)
-            except ChildProcessError:
-                pending.remove(pid)
-                continue
-            if done:
-                pending.remove(pid)
-        if not pending:
-            return
-        if time.monotonic() > deadline:
-            for pid in pending:
-                try:
+def _reap(pids: List[int], grace: float) -> None:
+    """Wait for the children, SIGKILLing any still alive after
+    ``grace`` seconds."""
+    deadline = time.monotonic() + grace
+    for pid in pids:
+        try:
+            while os.waitpid(pid, os.WNOHANG)[0] == 0:
+                if time.monotonic() >= deadline:
                     os.kill(pid, signal.SIGKILL)
-                except ProcessLookupError:
-                    pass
-            for pid in pending:
-                try:
                     os.waitpid(pid, 0)
-                except ChildProcessError:
-                    pass
+                    break
+                time.sleep(0.02)
+        except ChildProcessError:
+            pass
+
+
+def _refuse(simulated: Dict[str, Any]) -> None:
+    """``faults``, ``token_rng``, ``quarantine``, ``storage``: sim only."""
+    for name, value in simulated.items():
+        if value is not None and value is not False:
+            raise ValueError(f"the tcp transport does not support {name}")
+
+
+class TcpSession(Session):
+    """A :class:`~repro.runtime.session.Session` whose hosts run as
+    forked processes over real 127.0.0.1 sockets:
+    ``Session(image, transport="tcp")``.
+
+    :meth:`start` pre-binds one listener per host (the port map needs
+    no discovery), forks one child per host — each inherits the image,
+    key registry and its listener; nothing is pickled — and sends the
+    main host ``start`` with the main frame, for
+    :meth:`~repro.runtime.host.TrustedHost.run_main`.  :meth:`step`
+    blocks until a host reports ``halt`` or ``failed``, then adds the
+    host reports into ``network`` (the summed accounting; nothing is
+    delivered through it, so its event hook stays silent) and
+    ``hosts`` (their final state), so
+    :meth:`result` and :meth:`observables` read as a simulated
+    session's.  A host's failure kills the cluster and re-raises with
+    its type, else as a :class:`RuntimeError` naming the host.  The
+    simulation's own options raise :class:`ValueError`.
+    """
+
+    transport = "tcp"
+    #: wall-clock budget of one run, in seconds.
+    timeout = 120.0
+
+    def __init__(
+        self,
+        image,
+        cost_model: Optional[CostModel] = None,
+        opt_level: int = 1,
+        checkpoint_interval: int = 4,
+        transport: str = "tcp",
+        **simulated,
+    ) -> None:
+        _refuse(simulated)
+        #: the live cluster: host process pid -> host name.
+        self._pids: Dict[int, str] = {}
+        self._coord: Optional[socket.socket] = None
+        super().__init__(
+            image, cost_model, opt_level,
+            checkpoint_interval=checkpoint_interval, storage=None,
+        )
+
+    def reset(
+        self,
+        cost_model: Optional[CostModel] = None,
+        opt_level: int = 1,
+        checkpoint_interval: int = 4,
+        transport: Optional[str] = None,
+        **simulated,
+    ) -> "TcpSession":
+        _refuse(simulated)
+        self._reap(0.0)
+        return super().reset(
+            cost_model, opt_level, checkpoint_interval=checkpoint_interval,
+            storage=None, transport=transport,
+        )
+
+    def start(self) -> bool:
+        main_frame = self._begin()
+        names = [descriptor.name for descriptor in self.split.config.hosts]
+        listeners: Dict[str, socket.socket] = {}
+        for name in names + [COORD]:
+            sock = listeners[name] = socket.socket()
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind(("127.0.0.1", 0))
+            sock.listen(64)
+        self._addr_map = {n: s.getsockname() for n, s in listeners.items()}
+        # Held from fork to reap: _reap releases it with the listener.
+        _FORK_LOCK.acquire()
+        self._coord = listeners.pop(COORD)
+        self._deadline = time.monotonic() + self.timeout
+        try:
+            for index, name in enumerate(names):
+                pid = os.fork()
+                if pid == 0:
+                    status = 0
+                    try:
+                        self._coord.close()
+                        _child_main(
+                            index, name, listeners, self._addr_map, self
+                        )
+                    except BaseException:
+                        traceback.print_exc()
+                        status = 70
+                    finally:
+                        os._exit(status)
+                self._pids[pid] = name
+            with socket.create_connection(
+                self._addr_map[self.split.main_host], timeout=self.timeout
+            ) as conn:
+                send_frame(conn, {"t": "start", "main": dumps(main_frame)})
+        except BaseException:
+            self._reap(0.0)
+            raise
+        finally:
+            for sock in listeners.values():
+                sock.close()
+        return False
+
+    def step(self) -> bool:
+        if self._halted:
+            return True
+        if self._coord is None:
+            raise RuntimeError("the TCP session was never started")
+        try:
+            self._await_halt()
+            reports = {name: self._report(name) for name in self._addr_map
+                       if name != COORD}
+        except BaseException:
+            self._reap(0.0)
+            raise
+        self._reap(10.0)
+        network = self.network
+        for name, report in reports.items():
+            network.counts.update(report["counts"])
+            network.clock += report["clock"]
+            network.check_time += report["check_time"]
+            network.hash_time += report["hash_time"]
+            network.eliminated_roundtrips += report["eliminated"]
+            network.audit_log.extend(report["audits"])
+            self.hosts[name].install_state(loads(report["state"]))
+        self._halted = True
+        return True
+
+    def _await_halt(self) -> None:
+        """Block until a host reports ``halt``.  A ``failed`` frame
+        re-raises the host's error; a host process that exits first, or
+        the wall-clock budget running out, raise too."""
+        self._coord.settimeout(0.05)
+        while True:
+            try:
+                sock, _ = self._coord.accept()
+            except socket.timeout:
+                if time.monotonic() > self._deadline:
+                    raise TimeoutError(
+                        f"the TCP cluster reached no outcome in "
+                        f"{self.timeout:g}s"
+                    ) from None
+                for pid, name in self._pids.items():
+                    if os.waitpid(pid, os.WNOHANG)[0]:
+                        del self._pids[pid]
+                        raise RuntimeError(
+                            f"distributed run failed on {name}: its "
+                            "process exited without reporting"
+                        )
+                continue
+            with sock:
+                sock.settimeout(self.timeout)
+                frame = recv_frame(sock)
+                while frame.get("t") == "hello":
+                    frame = recv_frame(sock)
+            if frame.get("t") == "failed":
+                raise _failure_error(
+                    frame, f"distributed run failed on {frame.get('host')}"
+                )
+            if frame.get("t") == "halt":
+                return
+
+    def _report(self, name: str) -> Dict[str, Any]:
+        """Host ``name``'s report; it shuts down once it has sent it."""
+        with socket.create_connection(
+            self._addr_map[name], timeout=self.timeout
+        ) as conn:
+            send_frame(conn, {"t": "report"})
+            report = recv_frame(conn)
+            if report.get("t") != "obs":
+                raise RuntimeError(
+                    f"unexpected report frame from {name}: {report!r}"
+                )
+            send_frame(conn, {"t": "shutdown"})
+        return report
+
+    def _reap(self, grace: float) -> None:
+        """End the cluster, if one is running: reap its processes (see
+        :func:`_reap`), close the coordinator's listener and release
+        :data:`_FORK_LOCK`."""
+        if self._coord is None:
             return
-        time.sleep(0.02)
+        try:
+            _reap(list(self._pids), grace)
+            self._pids.clear()
+            self._coord.close()
+        finally:
+            self._coord = None
+            _FORK_LOCK.release()
 
 
 def run_split_over_tcp(
-    split,
-    registry=None,
-    opt_level: int = 1,
-    cost_model: Optional[CostModel] = None,
-    timeout: float = 120.0,
-) -> TcpRunResult:
-    """Execute a split program with one forked process per host, all
-    messages on real 127.0.0.1 sockets; returns the merged
-    :class:`TcpRunResult` (observables bit-comparable to the simulated
-    oracle's).  Raises the distributed run's own failure —
-    :class:`DeliveryTimeoutError`, :class:`SecurityAbort` — or
-    :class:`RuntimeError` if the cluster wedges past ``timeout``."""
-    from ..session import RuntimeImage
-
-    image = RuntimeImage.for_split(split, registry)
-    names = [descriptor.name for descriptor in split.config.hosts]
-    listeners: Dict[str, socket.socket] = {}
-    addr_map: Dict[str, Tuple[str, int]] = {}
-    for name in names + [COORD]:
-        sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind(("127.0.0.1", 0))
-        sock.listen(64)
-        listeners[name] = sock
-        addr_map[name] = sock.getsockname()
-
-    pids: List[int] = []
-    try:
-        for index, name in enumerate(names):
-            pid = os.fork()
-            if pid == 0:
-                status = 0
-                try:
-                    listeners[COORD].close()
-                    _child_main(
-                        index, name, listeners, addr_map, image,
-                        opt_level, cost_model,
-                    )
-                except BaseException:
-                    traceback.print_exc()
-                    status = 70
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        for name in names:
-            listeners[name].close()
-
-        coord = listeners[COORD]
-        coord.settimeout(timeout)
-        main_conn = socket.create_connection(
-            addr_map[split.main_host], timeout=timeout
-        )
-        main_conn.settimeout(timeout)
-        send_frame(main_conn, {"t": "start"})
-
-        # Wait for whichever host ends the program to dial in.
-        csock, _ = coord.accept()
-        csock.settimeout(timeout)
-        outcome = recv_frame(csock)
-        while outcome.get("t") == "hello":
-            outcome = recv_frame(csock)
-        if outcome.get("t") == "failed":
-            raise _failure_error(
-                outcome, f"distributed run failed on {outcome.get('host')}"
-            )
-        if outcome.get("t") != "halt":
-            raise RuntimeError(f"unexpected coordination frame {outcome!r}")
-
-        reports: Dict[str, Dict[str, Any]] = {}
-        main_frame = None
-        for name in names:
-            conn = socket.create_connection(addr_map[name], timeout=timeout)
-            conn.settimeout(timeout)
-            send_frame(conn, {"t": "report"})
-            obs = recv_frame(conn)
-            if obs.get("t") != "obs":
-                raise RuntimeError(
-                    f"unexpected report frame from {name}: {obs!r}"
-                )
-            reports[name] = obs
-            if name == split.main_host:
-                main_frame = loads(obs["main_frame"])
-            send_frame(conn, {"t": "shutdown"})
-            conn.close()
-        main_conn.close()
-        csock.close()
-        return TcpRunResult(reports, main_frame)
-    finally:
-        _reap(pids, time.monotonic() + 10.0)
-        for sock in listeners.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
+    split, registry=None, opt_level=1, cost_model=None, timeout=120.0
+):
+    """One run of ``split`` on a :class:`TcpSession`; returns its
+    :class:`~repro.runtime.session.ExecutionResult`."""
+    session = Session(
+        RuntimeImage.for_split(split, registry), cost_model, opt_level,
+        transport="tcp",
+    )
+    session.timeout = timeout
+    return session.run()

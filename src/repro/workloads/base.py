@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Optional
 
-from ..runtime import CostModel, DistributedExecutor, run_single_host
+from ..runtime import CostModel, run_single_host, run_split_program
 from ..runtime.executor import ExecutionResult
 from ..splitter import SplitResult, split_source
 from ..splitter.cache import digest as source_digest
@@ -119,10 +119,9 @@ def run_workload(
 ) -> WorkloadResult:
     """Split and execute one workload."""
     split_result = split_source(source, config)
-    executor = DistributedExecutor(
+    execution = run_split_program(
         split_result.split, cost_model=cost_model, opt_level=opt_level
     )
-    execution = executor.run()
     return WorkloadResult(name, source, split_result, execution)
 
 

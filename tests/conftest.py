@@ -1,14 +1,15 @@
 """Suite-wide options.
 
 ``--session-storage sqlite`` reruns the whole suite with a durable tier
-under every session that did not ask for one: each ``Session`` built
-without a ``storage`` keyword, and each ``DistributedExecutor`` (so each
-``run_split_program`` call) given ``storage=None``, gets its own
-``SessionStorage`` in the test's temporary directory, closed when the
-test tears down.  Write-through persistence must be observably free, so
+under every simulated session that did not ask for one: each
+``Session`` built without a ``storage`` keyword, and each
+``run_split_program``, ``traced_run`` or ``recorded_run`` call given
+``storage=None``, gets its own ``SessionStorage`` in the test's
+temporary directory, closed when the test tears down.  Write-through persistence must be observably free, so
 every assertion of the in-memory run still holds, and pooled sessions
 keep their tier through ``reset``.  An explicit ``Session(...,
-storage=None)`` (the rehydration path) stays without one.
+storage=None)`` (the rehydration path) stays without one, and so does a
+TCP session, which has no durable tier.
 """
 
 import itertools
@@ -16,7 +17,7 @@ import shutil
 
 import pytest
 
-from repro.runtime import DistributedExecutor, Session, SessionStorage
+from repro.runtime import Session, SessionStorage, executor, trace
 
 
 def pytest_addoption(parser):
@@ -44,20 +45,23 @@ def _session_storage(request, monkeypatch):
         return storage
 
     session_init = Session.__init__
-    executor_init = DistributedExecutor.__init__
 
     def init_session(self, image, *args, **kwargs):
         if "storage" not in kwargs:
             kwargs["storage"] = tier()
         session_init(self, image, *args, **kwargs)
 
-    def init_executor(self, split, *args, storage=None, **kwargs):
+    def single_run_session(image, *args, storage=None, **kwargs):
         if storage is None:
             storage = tier()
-        executor_init(self, split, *args, storage=storage, **kwargs)
+        return Session(image, *args, storage=storage, **kwargs)
 
     monkeypatch.setattr(Session, "__init__", init_session)
-    monkeypatch.setattr(DistributedExecutor, "__init__", init_executor)
+    # The single-run helpers build their session through these module
+    # globals; a faultsweep schedule passes storage=None through
+    # trace.recorded_run.
+    for module in (executor, trace):
+        monkeypatch.setattr(module, "Session", single_run_session)
     yield
     for storage in tiers:
         storage.close()

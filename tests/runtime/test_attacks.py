@@ -6,7 +6,7 @@ each attempt (and log it for auditing)."""
 
 import pytest
 
-from repro.runtime import Adversary, DistributedExecutor, Token
+from repro.runtime import Adversary, RuntimeImage, Session, Token
 from repro.runtime.trace import record_messages
 from repro.splitter import split_source
 
@@ -16,7 +16,7 @@ from tests.programs import OT_SOURCE, PINGPONG_SOURCE, config_abt
 @pytest.fixture
 def ot_run():
     result = split_source(OT_SOURCE, config_abt())
-    executor = DistributedExecutor(result.split)
+    executor = Session(RuntimeImage.for_split(result.split))
     outcome = executor.run()
     return result, executor, outcome
 
@@ -26,7 +26,7 @@ def ot_watched():
     """An OT run that B's adversary watched from the start, keeping the
     capabilities B received."""
     result = split_source(OT_SOURCE, config_abt())
-    executor = DistributedExecutor(result.split)
+    executor = Session(RuntimeImage.for_split(result.split))
     adversary = Adversary(executor, "B")
     outcome = executor.run()
     return result, executor, outcome, adversary
@@ -100,7 +100,7 @@ class TestControlAttacks:
         order, none of those sent elsewhere, and nothing its own
         rejected attacks send."""
         result = split_source(OT_SOURCE, config_abt())
-        executor = DistributedExecutor(result.split)
+        executor = Session(RuntimeImage.for_split(result.split))
         messages = record_messages(executor.network)
         adversary = Adversary(executor, "B")
         executor.run()
@@ -201,7 +201,7 @@ class TestRecoveryAttacks:
 class TestPingPongAttacks:
     def test_bob_cannot_corrupt_alice_total(self):
         result = split_source(PINGPONG_SOURCE, config_abt())
-        executor = DistributedExecutor(result.split)
+        executor = Session(RuntimeImage.for_split(result.split))
         outcome = executor.run()
         adversary = Adversary(executor, "B")
         assert adversary.try_set_field("PingPong", "aliceTotal", 0).rejected

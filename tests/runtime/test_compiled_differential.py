@@ -20,7 +20,6 @@ import pytest
 
 from repro import progen
 from repro.runtime import (
-    DistributedExecutor,
     RuntimeImage,
     Session,
     TrustedHost,
@@ -111,7 +110,7 @@ def run_both(source, config, monkeypatch):
     split = split_source(source, config).split
 
     def run():
-        return observables(DistributedExecutor(split).run())
+        return observables(Session(RuntimeImage.for_split(split)).run())
 
     return run(), interpreted(run, monkeypatch)
 
@@ -123,7 +122,7 @@ def failure_both(source, config, monkeypatch):
     split = split_source(source, config).split
 
     def run():
-        executor = DistributedExecutor(split)
+        executor = Session(RuntimeImage.for_split(split))
         with pytest.raises(Exception) as info:
             executor.run()
         network = executor.network
@@ -173,7 +172,7 @@ class TestOraclePaths:
         compiled against compiled."""
         split = split_source(work.source(rounds=12), work.config()).split
         monkeypatch.setattr(TrustedHost, "run_chain", reference.run_chain)
-        DistributedExecutor(split).run()
+        Session(RuntimeImage.for_split(split)).run()
         assert RuntimeImage.for_split(split).compiled == {}
 
     def test_every_executed_entry_is_compiled(self, monkeypatch):
@@ -192,8 +191,8 @@ class TestOraclePaths:
         with monkeypatch.context() as patch:
             patch.setattr(TrustedHost, "run_chain", reference.run_chain)
             patch.setattr(reference, "run_terminator", record)
-            DistributedExecutor(split).run()
-        DistributedExecutor(split).run()
+            Session(RuntimeImage.for_split(split)).run()
+        Session(RuntimeImage.for_split(split)).run()
         assert executed
         components = {
             entry: [
@@ -578,8 +577,8 @@ FAULT_WORKLOADS = {
 
 def faulty_run(split, faults, token_seed):
     """Observables of one run under ``faults`` (a timeout included)."""
-    executor = DistributedExecutor(
-        split, faults=faults, token_rng=random.Random(token_seed)
+    executor = Session(
+        RuntimeImage.for_split(split), faults=faults, token_rng=random.Random(token_seed)
     )
     try:
         observed = observables(executor.run())
@@ -789,7 +788,7 @@ class TestComponents:
         assert len(members) == len(split.fragments)
 
         def run():
-            executor = DistributedExecutor(split)
+            executor = Session(RuntimeImage.for_split(split))
             return exact(executor, executor.run())
 
         compiled = run()
@@ -813,7 +812,7 @@ class TestComponents:
         assert kind in {found for found, _ in transfers_into_middle(split)}
 
         def run():
-            executor = DistributedExecutor(split)
+            executor = Session(RuntimeImage.for_split(split))
             return exact(executor, executor.run())
 
         assert run() == interpreted(run, monkeypatch)
@@ -849,7 +848,7 @@ class TestComponents:
                         return None
                 return do_sync(self, entry, frame, token)
 
-            executor = DistributedExecutor(split)
+            executor = Session(RuntimeImage.for_split(split))
             with monkeypatch.context() as patch:
                 patch.setattr(TrustedHost, "_do_sync", reject_second)
                 with pytest.raises(RuntimeError, match="stalled") as info:
@@ -871,8 +870,8 @@ class TestComponents:
 
         def run():
             injector = CrashSequence([("B", "getField", 1), ("T", "recover")])
-            executor = DistributedExecutor(
-                split, faults=injector, token_rng=random.Random(0x5EED)
+            executor = Session(
+                RuntimeImage.for_split(split), faults=injector, token_rng=random.Random(0x5EED)
             )
             observed = exact(executor, executor.run())
             assert injector.points == [], "a crash never fired"
@@ -884,7 +883,7 @@ class TestComponents:
         split = split_source(RIGHT_OPERAND_ONLY, single_host_config()).split
 
         def run():
-            executor = DistributedExecutor(split)
+            executor = Session(RuntimeImage.for_split(split))
             return exact(executor, executor.run())
 
         compiled = run()
@@ -932,7 +931,7 @@ class TestGeneratedCode:
         failing fragment's component."""
         split = split_source(FAILURES["null-field-read"], config_abt()).split
         with pytest.raises(RuntimeError, match="null dereference") as info:
-            DistributedExecutor(split).run()
+            Session(RuntimeImage.for_split(split)).run()
         files = [
             frame.filename
             for frame in traceback.extract_tb(info.value.__traceback__)

@@ -15,7 +15,8 @@ import pytest
 from repro.runtime import (
     CrashPointInjector,
     DeliveryTimeoutError,
-    DistributedExecutor,
+    RuntimeImage,
+    Session,
     FaultInjector,
     FaultPolicy,
     RetryPolicy,
@@ -140,7 +141,7 @@ class TestDurableStore:
         """One altered byte of a host's in-memory checkpoint blob: the
         seal no longer verifies and the restart aborts."""
         result = split_source(ot.source(rounds=1), ot.config())
-        executor = DistributedExecutor(result.split)
+        executor = Session(RuntimeImage.for_split(result.split))
         executor.run()
         host = executor.hosts["A"]
         host.take_checkpoint()
@@ -188,7 +189,7 @@ class TestRetryBounds:
                         crashable_hosts=("B",)),
             seed=0,
         )
-        executor = DistributedExecutor(result.split, faults=faults)
+        executor = Session(RuntimeImage.for_split(result.split), faults=faults)
         executor.network.retry = RetryPolicy(
             base_timeout=1e-3, max_timeout=4e-3, deadline=0.02,
             max_retries=10_000,
@@ -281,7 +282,7 @@ class TestQuarantine:
         from repro.runtime import Message
 
         result = split_source(ot.source(rounds=1), ot.config())
-        executor = DistributedExecutor(result.split, quarantine=True)
+        executor = Session(RuntimeImage.for_split(result.split), quarantine=True)
         executor.run()
         network = executor.network
         with pytest.raises(SecurityAbort):

@@ -7,7 +7,7 @@ fragment runs in production.
 
 import pytest
 
-from repro.runtime import DistributedExecutor, FrameID
+from repro.runtime import RuntimeImage, Session, FrameID
 from repro.runtime.compiler import compile_component
 from repro.runtime.host import ExecutionState
 from repro.splitter import ir, split_source
@@ -19,8 +19,8 @@ from tests.programs import SIMPLE_SOURCE, single_host_config
 @pytest.fixture(scope="module")
 def host():
     result = split_source(SIMPLE_SOURCE, single_host_config())
-    executor = DistributedExecutor(result.split)
-    return executor.host("H")
+    executor = Session(RuntimeImage.for_split(result.split))
+    return executor.hosts["H"]
 
 
 @pytest.fixture

@@ -1,9 +1,9 @@
-"""Tests for the distributed executor itself: lifecycle, determinism,
-and its failure modes."""
+"""Tests for a single distributed run (a ``Session`` or
+``run_split_program``): lifecycle, determinism, and its failure modes."""
 
 import pytest
 
-from repro.runtime import DistributedExecutor, run_split_program
+from repro.runtime import RuntimeImage, Session, run_split_program
 from repro.splitter import split_source
 
 from tests.programs import OT_SOURCE, SIMPLE_SOURCE, config_abt, single_host_config
@@ -12,13 +12,13 @@ from tests.programs import OT_SOURCE, SIMPLE_SOURCE, config_abt, single_host_con
 class TestLifecycle:
     def test_run_returns_result(self):
         result = split_source(SIMPLE_SOURCE, single_host_config())
-        outcome = DistributedExecutor(result.split).run()
+        outcome = Session(RuntimeImage.for_split(result.split)).run()
         assert outcome.field_value("Simple", "total") == 285
 
     def test_two_executors_are_independent(self):
         result = split_source(OT_SOURCE, config_abt())
-        first = DistributedExecutor(result.split).run()
-        second = DistributedExecutor(result.split).run()
+        first = Session(RuntimeImage.for_split(result.split)).run()
+        second = Session(RuntimeImage.for_split(result.split)).run()
         assert first.counts == second.counts
         assert first.main_var("r") == second.main_var("r") == 100
 
@@ -39,7 +39,7 @@ class TestLifecycle:
 
     def test_root_capability_on_main_host(self):
         result = split_source(OT_SOURCE, config_abt())
-        executor = DistributedExecutor(result.split)
+        executor = Session(RuntimeImage.for_split(result.split))
         outcome = executor.run()
         # After a complete run every local stack is empty again: all
         # capabilities were consumed (the global ICS is balanced).
@@ -61,7 +61,7 @@ class TestLifecycle:
 
     def test_frames_are_distributed(self):
         result = split_source(OT_SOURCE, config_abt())
-        executor = DistributedExecutor(result.split)
+        executor = Session(RuntimeImage.for_split(result.split))
         executor.run()
         hosts_with_frames = [
             name
@@ -78,7 +78,7 @@ class TestFailureModes:
         from repro.splitter import TermJump
 
         result = split_source(OT_SOURCE, config_abt())
-        executor = DistributedExecutor(result.split)
+        executor = Session(RuntimeImage.for_split(result.split))
         # Sabotage: empty the main entry's plan so control goes nowhere.
         main_fragment = result.split.fragments[result.split.main_entry]
         saved = main_fragment.terminator
@@ -113,7 +113,7 @@ class TestFailureModes:
         }
         """
         result = split_source(source, single_host_config())
-        executor = DistributedExecutor(result.split)
+        executor = Session(RuntimeImage.for_split(result.split))
         # Single-host infinite loop never yields control messages; bound
         # the run externally.  Every fragment charges its ops to the
         # simulated clock (inline, in the generated code), so count the

@@ -14,7 +14,8 @@ import pytest
 from repro.runtime import (
     CostModel,
     DeliveryTimeoutError,
-    DistributedExecutor,
+    RuntimeImage,
+    Session,
     FaultInjector,
     FaultPolicy,
     FrameID,
@@ -191,7 +192,7 @@ class TestReliableDelivery:
 class TestIdempotentHosts:
     def _executor(self, **kwargs):
         result = split_source(OT_SOURCE, config_abt())
-        return result.split, DistributedExecutor(result.split, **kwargs)
+        return result.split, Session(RuntimeImage.for_split(result.split), **kwargs)
 
     def _find_remote_entry(self, split):
         """(server_host, client_host, entry) with client in the ACL."""

@@ -26,7 +26,7 @@ import random
 
 import pytest
 
-from repro.runtime.executor import DistributedExecutor
+from repro.runtime import RuntimeImage, Session
 from repro.runtime.faults import FaultInjector, RetryPolicy
 from repro.runtime.faultsweep import random_policy
 from repro.runtime.network import DeliveryTimeoutError
@@ -48,8 +48,8 @@ LEGS = {
 def observe(split, seed, retry=None):
     """What one seeded schedule did, in JSON-comparable form."""
     policy = random_policy(random.Random(seed))
-    executor = DistributedExecutor(
-        split,
+    executor = Session(
+        RuntimeImage.for_split(split),
         faults=FaultInjector(policy, seed=seed),
         token_rng=random.Random(seed ^ 0x5EED),
     )

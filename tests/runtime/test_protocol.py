@@ -3,7 +3,7 @@ row of the table — rgoto, lgoto, sync — with its exact check."""
 
 import pytest
 
-from repro.runtime import DistributedExecutor, FrameID
+from repro.runtime import RuntimeImage, Session, FrameID
 from repro.runtime.host import _REJECTED
 from repro.runtime.network import Message
 from repro.splitter import split_source
@@ -14,7 +14,7 @@ from tests.programs import OT_SOURCE, config_abt
 @pytest.fixture
 def setup():
     result = split_source(OT_SOURCE, config_abt())
-    executor = DistributedExecutor(result.split)
+    executor = Session(RuntimeImage.for_split(result.split))
     return result.split, executor
 
 
@@ -29,7 +29,7 @@ class TestSyncRow:
 
     def test_authorized_sync_returns_fresh_token(self, setup):
         split, executor = setup
-        host_a = executor.host("A")
+        host_a = executor.hosts["A"]
         entry = next(f.entry for f in split.fragments_on("A"))
         frame = FrameID(("OTExample", "main"))
         token = host_a.handle(
@@ -43,7 +43,7 @@ class TestSyncRow:
 
     def test_unauthorized_sync_ignored(self, setup):
         split, executor = setup
-        host_a = executor.host("A")
+        host_a = executor.hosts["A"]
         entry = next(f.entry for f in split.fragments_on("A"))
         frame = FrameID(("OTExample", "main"))
         result = host_a.handle(
@@ -55,7 +55,7 @@ class TestSyncRow:
 
     def test_sync_unknown_entry_ignored(self, setup):
         split, executor = setup
-        host_a = executor.host("A")
+        host_a = executor.hosts["A"]
         result = host_a.handle(
             Message("sync", "T", "A",
                     payload(split, entry="no.such.entry@A",
@@ -70,7 +70,7 @@ class TestLgotoRow:
 
     def test_valid_capability_pops(self, setup):
         split, executor = setup
-        host_t = executor.host("T")
+        host_t = executor.hosts["T"]
         # Mint a capability for T's return-like entry via a legal sync.
         entry = next(
             f.entry for f in split.fragments_on("T")
@@ -94,7 +94,7 @@ class TestLgotoRow:
 
     def test_non_top_capability_ignored(self, setup):
         split, executor = setup
-        host_t = executor.host("T")
+        host_t = executor.hosts["T"]
         entries = [f.entry for f in split.fragments_on("T")][:2]
         frame = FrameID(("OTExample", "main"))
         token1 = host_t.handle(
@@ -116,8 +116,8 @@ class TestLgotoRow:
 
     def test_foreign_token_ignored(self, setup):
         split, executor = setup
-        host_t = executor.host("T")
-        host_a = executor.host("A")
+        host_t = executor.hosts["T"]
+        host_a = executor.hosts["A"]
         entry = next(f.entry for f in split.fragments_on("A"))
         frame = FrameID(("OTExample", "main"))
         token = host_a.handle(
@@ -135,7 +135,7 @@ class TestRgotoRow:
 
     def test_unauthorized_rgoto_ignored(self, setup):
         split, executor = setup
-        host_a = executor.host("A")
+        host_a = executor.hosts["A"]
         entry = next(f.entry for f in split.fragments_on("A"))
         result = host_a.handle(
             Message("rgoto", "B", "A",
@@ -147,7 +147,7 @@ class TestRgotoRow:
 
     def test_rgoto_unknown_entry_ignored(self, setup):
         split, executor = setup
-        host_a = executor.host("A")
+        host_a = executor.hosts["A"]
         result = host_a.handle(
             Message("rgoto", "T", "A",
                     payload(split, entry="bogus@A",
@@ -160,7 +160,7 @@ class TestRgotoRow:
 class TestDigestHandshake:
     def test_any_request_with_wrong_digest_ignored(self, setup):
         split, executor = setup
-        host_a = executor.host("A")
+        host_a = executor.hosts["A"]
         for kind in ("getField", "setField", "sync", "rgoto", "lgoto",
                      "forward"):
             result = host_a.handle(
@@ -170,7 +170,7 @@ class TestDigestHandshake:
 
     def test_local_messages_skip_digest_check(self, setup):
         split, executor = setup
-        host_a = executor.host("A")
+        host_a = executor.hosts["A"]
         entry = next(f.entry for f in split.fragments_on("A"))
         # A host trusts its own memory: src == dst bypasses the check.
         token = host_a.handle(
@@ -185,7 +185,7 @@ class TestDigestHandshake:
 class TestFrameIsolation:
     def test_forward_applies_to_named_frame_only(self, setup):
         split, executor = setup
-        host_t = executor.host("T")
+        host_t = executor.hosts["T"]
         frame1 = FrameID(("OTExample", "main"))
         frame2 = FrameID(("OTExample", "main"))
         host_t.handle(
@@ -197,7 +197,7 @@ class TestFrameIsolation:
 
     def test_default_values_by_base_type(self, setup):
         split, executor = setup
-        host_t = executor.host("T")
+        host_t = executor.hosts["T"]
         frame = FrameID(("OTExample", "transfer"))
         assert host_t.var(frame, "tmp1") == 0
         main_frame = FrameID(("OTExample", "main"))

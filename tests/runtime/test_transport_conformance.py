@@ -15,6 +15,10 @@ channels behave — or fail closed:
 * a permanently dead channel raises
   :class:`~repro.runtime.network.DeliveryTimeoutError` carrying the
   (channel, src, dst, seq, msg-kind) context — never a wrong answer.
+
+Above the wire, a :class:`~repro.runtime.session.Session` over either
+transport runs every Table 1 workload to the solo simulated session's
+observables and result.
 """
 
 import socket
@@ -28,6 +32,7 @@ from repro.runtime.network import (
     Message,
     SimNetwork,
 )
+from repro.runtime.session import RuntimeImage, Session
 from repro.runtime.transport.tcp import (
     HostEndpoint,
     WirePolicy,
@@ -36,6 +41,8 @@ from repro.runtime.transport.tcp import (
     recv_frame,
     send_frame,
 )
+from repro.splitter import split_source
+from repro.workloads import listcompare, medical, ot, tax, work
 
 
 # ---------------------------------------------------------------------------
@@ -302,3 +309,40 @@ class TestSimConformance:
         assert error.seq == 1
         assert error.attempts == retry.max_retries + 1
         assert "failing closed" in str(error)
+
+
+# ---------------------------------------------------------------------------
+# a Session over either transport matches the solo simulated session
+# ---------------------------------------------------------------------------
+
+
+WORKLOADS = {
+    "work": work,
+    "tax": tax,
+    "medical": medical,
+    "ot": ot,
+    "list": listcompare,
+}
+
+
+class TestBothBackends:
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    @pytest.mark.parametrize("transport", ["sim", "tcp"])
+    def test_matches_sim_oracle(self, transport, name):
+        module = WORKLOADS[name]
+        split = split_source(module.source(), module.config()).split
+        image = RuntimeImage.for_split(split)
+        oracle = Session(image)
+        expected = oracle.run()
+        session = Session(image, transport=transport)
+        outcome = session.run()
+        assert session.observables() == oracle.observables()
+        assert outcome.counts == expected.counts
+        # Per-host subtotals summed: equal up to float addition order.
+        assert outcome.elapsed == pytest.approx(expected.elapsed, abs=1e-9)
+        # The sim logs audits in occurrence order, a TCP run per host.
+        assert sorted(outcome.audits) == sorted(expected.audits)
+        for cls, field in split.fields:
+            assert outcome.field_value(cls, field) == expected.field_value(
+                cls, field
+            ), (cls, field)

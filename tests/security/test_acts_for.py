@@ -8,7 +8,7 @@ import pytest
 
 from repro.labels import ActsForHierarchy, Principal, principals
 from repro.lang import SecurityError, check_source
-from repro.runtime import DistributedExecutor, run_split_program
+from repro.runtime import RuntimeImage, Session, run_split_program
 from repro.splitter import SplitError, split_source
 from repro.trust import (
     DelegationDeclaration,
@@ -106,7 +106,7 @@ class TestSplitterWithDelegation:
         hierarchy = delegating_hierarchy()
         config = hosts(hierarchy)
         result = split_source(SOURCE, config)
-        executor = DistributedExecutor(result.split)
+        executor = Session(RuntimeImage.for_split(result.split))
         executor.run()
         from repro.runtime import Adversary
 

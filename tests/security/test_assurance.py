@@ -11,7 +11,7 @@ end to end.)
 import pytest
 
 from repro.labels import C
-from repro.runtime import DistributedExecutor, run_split_program
+from repro.runtime import run_split_program
 from repro.splitter import split_source
 from repro.trust import HostDescriptor, TrustConfiguration
 

@@ -4,7 +4,7 @@ capability stack discipline intact."""
 
 import pytest
 
-from repro.runtime import Adversary, DistributedExecutor, run_split_program
+from repro.runtime import Adversary, RuntimeImage, Session, run_split_program
 from repro.splitter import SplitError, split_source
 from repro.runtime.trace import recorded_run
 from repro.trust import HostDescriptor, TrustConfiguration
@@ -77,7 +77,7 @@ class TestRelayStructure:
         assert outcome.field_value("Deal", "dealStruck") is True
 
     def test_neither_company_can_probe_the_other(self, split):
-        executor = DistributedExecutor(split)
+        executor = Session(RuntimeImage.for_split(split))
         executor.run()
         supplier = Adversary(executor, "SupplierHost")
         assert supplier.try_get_field("Deal", "maxPrice").rejected

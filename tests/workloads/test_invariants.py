@@ -1,6 +1,6 @@
 """Pinned run invariants: observables no change to the runtime may move.
 
-Three groups, each checked on the solo ``DistributedExecutor`` oracle,
+Three groups, each checked on the solo ``Session`` oracle,
 on a pooled session run, reset in place and run again, and on one
 interleaved ``MultiSessionDriver`` pass over every program at once:
 
@@ -38,7 +38,7 @@ from repro.reporting.throughput import (
     request_workloads,
 )
 from repro.runtime import (
-    DistributedExecutor,
+    Session,
     MultiSessionDriver,
     RuntimeImage,
     SessionPool,
@@ -152,7 +152,7 @@ def splits():
 
 
 def oracle(split):
-    executor = DistributedExecutor(split)
+    executor = Session(RuntimeImage.for_split(split))
     executor.run()
     return executor.observables()
 
@@ -248,16 +248,16 @@ def test_pooled_runs_after_the_first_rebuild_nothing(name):
 
 _CHILD = """
 import json
-from repro.runtime import DistributedExecutor
+from repro.runtime import RuntimeImage, Session
 from repro.splitter import cache, split_source
 from repro.workloads import listcompare, ot, tax, work
 
 invariants = {}
 for name, module in (("List", listcompare), ("OT", ot), ("Tax", tax),
                      ("Work", work)):
-    executor = DistributedExecutor(
+    executor = Session(RuntimeImage.for_split(
         split_source(module.source(), module.config()).split
-    )
+    ))
     executor.run()
     observables = executor.observables()
     invariants[name] = {

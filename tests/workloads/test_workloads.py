@@ -255,11 +255,11 @@ class TestMedical:
             )
 
     def test_partner_and_insurer_cannot_probe(self, result):
-        from repro.runtime import Adversary, DistributedExecutor
+        from repro.runtime import Adversary, RuntimeImage, Session
         from repro.workloads import medical
 
         split = result.split_result.split
-        executor = DistributedExecutor(split)
+        executor = Session(RuntimeImage.for_split(split))
         executor.run()
         partner = Adversary(executor, "PartnerHost")
         assert partner.try_get_field("MedicalSystem", "totalScore").rejected
