@@ -341,11 +341,12 @@ def cmd_rehydrate(args: argparse.Namespace) -> int:
         for name, source, config in targets:
             split = split_source(source, config).split
             for kill_after in (2, 6):
-                oracle, resumed, child = kill_and_rehydrate(
+                outcome, child = kill_and_rehydrate(
                     split, kill_after_boundaries=kill_after
                 )
-                verdict = "ok" if oracle == resumed else "MISMATCH"
-                if oracle != resumed:
+                verdict = "ok"
+                if outcome.status != "ok":
+                    verdict = f"MISMATCH: {outcome.detail}"
                     exit_code = 1
                 print(f"  {name}: SIGKILL after boundary {kill_after} "
                       f"(child exit {child}) -> rehydrated {verdict}")

@@ -21,7 +21,10 @@ gradient across the input order is spread across workers instead of
 concentrated in one chunk.  With several chunks per worker pulled
 dynamically from a task queue, a slow chunk overlaps the fast ones.
 Results are always reassembled in input order, so aggregation in the
-caller is deterministic and independent of the worker count.
+caller is deterministic and independent of the worker count.  When
+forking is unavailable or pointless, :func:`fork_map` runs the same
+tasks in-process under the same :func:`state` binding, so a caller has
+one task path.
 """
 
 from __future__ import annotations
@@ -123,27 +126,34 @@ def fork_map(
     items: Iterable[Any],
     jobs: Optional[int],
     shared: Optional[Dict[str, Any]] = None,
-) -> Optional[List[Any]]:
+) -> List[Any]:
     """Map ``func`` over ``items`` with a pool of forked workers.
 
-    Returns the results in input order, or ``None`` when the parallel
-    path is unavailable (``jobs <= 1``, a single item, or no ``fork``)
-    — the caller then runs its serial loop.  ``func`` must be a
+    Returns the results in input order.  ``func`` must be a
     module-level function; anything unpicklable it needs goes in
     ``shared`` (bound at fork time) and is read back with
     :func:`state`.  A worker's exception is re-raised in the parent.
+    When the parallel path is unavailable (``jobs <= 1``, a single
+    item, or no ``fork``) the items run in this process instead, with
+    ``shared`` bound the same way, so callers have one task path.
 
-    ``fork_map`` is not re-entrant: the fork-inherited state dict is
-    process-global, so a nested call (from a worker task, or from
-    concurrently driven sweeps in one process) raises ``RuntimeError``
-    rather than silently corrupting the outer call's worker state.
+    The forked path is not re-entrant: the fork-inherited state dict is
+    process-global, so a nested parallel call (from a worker task, or
+    from concurrently driven sweeps in one process) raises
+    ``RuntimeError`` rather than silently corrupting the outer call's
+    worker state.  The serial path restores the outer state after it.
     """
     global _ACTIVE
     work = list(items)
-    if jobs is None or jobs <= 1 or len(work) <= 1:
-        return None
-    if not fork_available():
-        return None
+    if jobs is None or jobs <= 1 or len(work) <= 1 or not fork_available():
+        outer = dict(_STATE)
+        _STATE.clear()
+        _STATE.update(shared or {})
+        try:
+            return [func(item) for item in work]
+        finally:
+            _STATE.clear()
+            _STATE.update(outer)
     if _ACTIVE:
         raise RuntimeError(
             "nested fork_map call: the fork-inherited state dict is "

@@ -6,8 +6,8 @@ from .compiler import ForeignFragmentError
 from .executor import ExecutionResult, run_split_program
 from .faults import CrashPointInjector, FaultInjector, FaultPolicy, RetryPolicy
 from .faultsweep import (
-    CrashSweepReport,
-    SweepReport,
+    FaultOutcome,
+    FaultReport,
     crash_point_sweep,
     random_policy,
     sweep,
@@ -51,8 +51,8 @@ __all__ = [
     "FaultInjector",
     "FaultPolicy",
     "RetryPolicy",
-    "CrashSweepReport",
-    "SweepReport",
+    "FaultOutcome",
+    "FaultReport",
     "crash_point_sweep",
     "random_policy",
     "sweep",

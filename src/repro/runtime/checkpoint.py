@@ -47,6 +47,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from .storage import codec as _codec
 from .storage.base import STATS as _STATS
 
+#: Messages a host processes between checkpoints.
+CHECKPOINT_INTERVAL = 4
+
 
 class CheckpointTamperError(RuntimeError):
     """Stable storage failed verification: forged seal, missing
@@ -111,11 +114,7 @@ class DurableStore:
     makes rollback detectable.
     """
 
-    def __init__(
-        self, host: str, factory, interval: int = 4, backend=None
-    ) -> None:
-        if interval < 1:
-            raise ValueError("checkpoint interval must be >= 1")
+    def __init__(self, host: str, factory, backend=None) -> None:
         self.host = host
         self._factory = factory
         #: optional persistent tier (a
@@ -124,8 +123,6 @@ class DurableStore:
         #: receives sealed *copies* so a fresh process can rehydrate.
         #: ``None`` (the default) persists nothing and costs nothing.
         self.backend = backend
-        #: processed-message count between checkpoints.
-        self.interval = interval
         self.checkpoint: Optional[Checkpoint] = None
         #: mutations since the last checkpoint, in apply order.
         self.wal: List[Tuple] = []
@@ -135,7 +132,8 @@ class DurableStore:
         #: sealed monotonic counter of completed recoveries (makes
         #: every announcement unique, so replays are detectable).
         self.recoveries = 0
-        #: messages processed since the last checkpoint.
+        #: messages processed since the last checkpoint (one is taken
+        #: every :data:`CHECKPOINT_INTERVAL`).
         self.processed = 0
         #: lifetime statistics.
         self.checkpoints_taken = 0
@@ -203,7 +201,7 @@ class DurableStore:
         for index, entry in enumerate(self.wal):
             self._persist_wal(index, entry)
 
-    def reset(self, interval: Optional[int] = None) -> None:
+    def reset(self) -> None:
         """Clear the store in place for session recycling.
 
         Drops the checkpoint and the WAL.  The sealed counters
@@ -214,10 +212,6 @@ class DurableStore:
         again if ``high_water`` restarted at 0.  Carried on, its epoch is
         behind the sealed counter: a rollback.
         """
-        if interval is not None:
-            if interval < 1:
-                raise ValueError("checkpoint interval must be >= 1")
-            self.interval = interval
         self.checkpoint = None
         self.wal.clear()
         self.processed = 0
@@ -280,8 +274,7 @@ class DurableStore:
         into ``ctx``.  The checkpoint row is installed unchecked —
         :meth:`load` verifies it like any in-memory checkpoint.
         """
-        store = cls(host, factory, interval=counters["interval"],
-                    backend=backend)
+        store = cls(host, factory, backend=backend)
         store.high_water = counters["high_water"]
         store.recoveries = counters["recoveries"]
         store.processed = counters["processed"]

@@ -1,17 +1,28 @@
 """Seeded fault-injection sweeps: the "never a wrong answer" check.
 
-A sweep takes one split program and runs it under many randomly drawn —
-but seed-reproducible — fault schedules.  Each schedule must end in one
-of exactly two ways:
+Every fault driver — the random-schedule :func:`sweep`, the
+deterministic :func:`crash_point_sweep`, the durable tier's
+:func:`storage_fault_sweep` and the SIGKILL harness
+(:func:`repro.runtime.storage.harness.kill_and_rehydrate`) — judges
+its runs against one **oracle**, the :func:`fingerprint` of the split's
+fault-free run (field values, observables, ICS depths, audit log and
+flow log), with one :func:`verdict`.  A run either
 
-* the run **completes** with field values identical to the fault-free
-  reference run, every delivered message's data labels within the
-  receiving host's confidentiality clearance, and an empty audit log; or
-* the run **fails closed** with an explicit
+* **completes** with the oracle's field values and ICS depths, an
+  empty audit log, and no recorded message or flow-log entry above the
+  receiving host's confidentiality clearance — an absolute check, the
+  Section 3.2 assurance property, with no exemption for what the
+  fault-free run itself does; a run that must equal the fault-free run
+  (a rehydrated one) also matches the whole fingerprint; or
+* **fails closed** with an explicit
   :class:`~repro.runtime.network.DeliveryTimeoutError`.
 
 Anything else — a wrong field value, a label above the receiver's
-clearance, an unexpected exception — is recorded as a failure.  The CLI
+clearance, an unexpected exception — is a failure.  Each driver adds
+only its own checks on top (the crash point fired, a volatile crash
+logged a recovery, a ``degraded`` event appears exactly when the tier
+was detached, tampering was detected) and reports one
+:class:`FaultOutcome` per run in one :class:`FaultReport`.  The CLI
 (``python -m repro faultsweep``) and the differential test harness both
 drive this engine.
 
@@ -19,7 +30,7 @@ drive this engine.
 (the default) runs every schedule without a durable tier, ``sqlite``
 runs each one over its own :class:`~repro.runtime.storage.SessionStorage`
 in a temporary directory, so protocol faults also exercise the durable
-write-through path.  The fault-free reference always runs without one.
+write-through path.  The fault-free oracle always runs without one.
 """
 
 from __future__ import annotations
@@ -29,15 +40,24 @@ import random
 import shutil
 import tempfile
 from collections import Counter
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from .. import parallel
 from ..splitter.fragments import SplitProgram
-from .executor import ExecutionResult, run_split_program
+from ..trust import KeyRegistry
+from .checkpoint import CheckpointTamperError
+from .executor import ExecutionResult
 from .faults import CrashPointInjector, FaultInjector, FaultPolicy
 from .network import DeliveryTimeoutError, Message
-from .storage import SessionStorage
-from .trace import recorded_run
+from .session import RuntimeImage, Session
+from .storage import SessionStorage, StorageUnavailableError, rehydrate_session
+from .storage.faultsim import (
+    TAMPER_KINDS,
+    StorageFaultInjector,
+    StorageFaultPolicy,
+    tamper,
+)
+from .trace import record_messages, recorded_run
 
 #: The ``storage`` modes of :func:`sweep` and :func:`crash_point_sweep`.
 STORAGE_MODES = ("memory", "sqlite")
@@ -105,69 +125,132 @@ def random_policy(rng: random.Random) -> FaultPolicy:
     return policy
 
 
-class ScheduleOutcome:
-    """What happened under one fault schedule."""
+class FaultOutcome:
+    """One driver run and its verdict."""
 
-    __slots__ = ("seed", "policy", "status", "detail", "fault_counts")
+    __slots__ = ("key", "name", "status", "detail", "fault_counts",
+                 "degraded", "tampered")
 
     def __init__(
         self,
-        seed: int,
-        policy: FaultPolicy,
+        key: Any,
+        name: str,
         status: str,
         detail: str = "",
         fault_counts: Optional[Dict[str, int]] = None,
+        degraded: bool = False,
+        tampered: str = "",
     ) -> None:
-        self.seed = seed
-        self.policy = policy
+        #: what determines the run: a seed, a ``(host, kind,
+        #: occurrence)`` crash point, or a kill trigger.
+        self.key = key
+        #: how a failure line names the run.
+        self.name = name
         #: "ok" | "timeout" | "failure"
         self.status = status
         self.detail = detail
         self.fault_counts = fault_counts or {}
+        #: whether the live run lost its durable tier mid-flight.
+        self.degraded = degraded
+        #: the post-mortem tamper kind applied ("" = none).
+        self.tampered = tampered
+
+    @classmethod
+    def from_problems(
+        cls, key: Any, name: str, problems: List[str], **extra
+    ) -> "FaultOutcome":
+        """A finished run's outcome: ok unless a check failed."""
+        if problems:
+            return cls(key, name, "failure", "; ".join(problems), **extra)
+        return cls(key, name, "ok", **extra)
 
     def __repr__(self) -> str:
-        return f"ScheduleOutcome(seed={self.seed}, {self.status})"
+        return f"FaultOutcome({self.name}, {self.status})"
 
 
-class SweepReport:
-    """Aggregate of a whole sweep."""
+class FaultReport:
+    """Aggregate of one sweep: its oracle and every run's outcome, in
+    input order (independent of ``jobs``)."""
 
-    def __init__(self, reference: Dict[Tuple[str, str], object]) -> None:
-        self.reference = reference
-        self.schedules: List[ScheduleOutcome] = []
-        self.failures: List[str] = []
+    def __init__(self, kind: str, oracle: Dict[str, Any], name: str = "") -> None:
+        #: "schedules" | "crash points" | "storage schedules"
+        self.kind = kind
+        self.oracle = oracle
+        self.tag = f"{name} " if name else ""
+        self.outcomes: List[FaultOutcome] = []
+
+    @property
+    def failures(self) -> List[str]:
+        return [
+            f"{self.tag}{o.name}: {o.detail}"
+            for o in self.outcomes if o.status == "failure"
+        ]
 
     @property
     def completed(self) -> int:
-        return sum(1 for s in self.schedules if s.status == "ok")
+        return sum(1 for o in self.outcomes if o.status == "ok")
 
     @property
     def timeouts(self) -> int:
-        return sum(1 for s in self.schedules if s.status == "timeout")
+        return sum(1 for o in self.outcomes if o.status == "timeout")
+
+    @property
+    def degradations(self) -> int:
+        return sum(1 for o in self.outcomes if o.degraded)
 
     def summary(self) -> str:
-        total = len(self.schedules)
-        faults = sum(
-            sum(s.fault_counts.values()) for s in self.schedules
-        )
-        lines = [
-            f"{total} schedules: {self.completed} completed with the "
-            f"fault-free result, {self.timeouts} failed closed (timeout), "
-            f"{len(self.failures)} FAILED; {faults} injected fault events"
-        ]
-        for failure in self.failures:
-            lines.append(f"  FAIL {failure}")
-        return "\n".join(lines)
+        total, failed = len(self.outcomes), len(self.failures)
+        if self.kind == "storage schedules":
+            tampers = sum(1 for o in self.outcomes if o.tampered)
+            line = (
+                f"{total} storage schedules: {self.completed} ok "
+                f"({self.degradations} degraded gracefully, {tampers} "
+                f"tamper checks failed closed), {failed} FAILED"
+            )
+        else:
+            verb = "completed" if self.kind == "schedules" else "recovered"
+            line = (
+                f"{total} {self.kind}: {self.completed} {verb} with the "
+                f"fault-free result, {self.timeouts} failed closed "
+                f"(timeout), {failed} FAILED"
+            )
+            if self.kind == "schedules":
+                faults = sum(
+                    sum(o.fault_counts.values()) for o in self.outcomes
+                )
+                line += f"; {faults} injected fault events"
+        return "\n".join([line] + [f"  FAIL {f}" for f in self.failures])
 
 
-def reference_fields(
-    split: SplitProgram, opt_level: int = 1
-) -> Dict[Tuple[str, str], object]:
-    """Field values of the fault-free run — the oracle for the sweep."""
-    outcome = run_split_program(split, opt_level=opt_level)
+# ----------------------------------------------------------------------
+# The oracle and the verdict
+# ----------------------------------------------------------------------
+
+
+def fingerprint(split: SplitProgram, outcome: ExecutionResult) -> Dict[str, Any]:
+    """Everything observable about a finished run: field values,
+    observables (message counts, simulated time, ICS depths), the audit
+    log and the flow log."""
     return {
-        key: outcome.field_value(*key) for key in split.fields
+        "fields": {
+            key: outcome.field_value(*key, default=None)
+            for key in sorted(split.fields)
+        },
+        "observables": outcome.observables(),
+        "audits": list(outcome.network.audit_log),
+        "flows": [tuple(flow) for flow in outcome.network.flow_log],
     }
+
+
+def oracle(
+    split: SplitProgram, opt_level: int = 1, cost_model=None
+) -> Tuple[Dict[str, Any], List[Message]]:
+    """The fault-free run's fingerprint — what every driver's runs are
+    judged against — and its message sequence."""
+    outcome, messages = recorded_run(
+        split, opt_level=opt_level, cost_model=cost_model
+    )
+    return fingerprint(split, outcome), messages
 
 
 def assurance_problems(
@@ -197,60 +280,83 @@ def assurance_problems(
     return problems
 
 
-def _run_schedule(
+def verdict(
     split: SplitProgram,
-    reference: Dict[Tuple[str, str], object],
-    seed: int,
-    opt_level: int,
-    policy_factory: Callable[[random.Random], FaultPolicy],
-    storage: str,
-) -> Tuple[ScheduleOutcome, Optional[str]]:
-    """One fault schedule; returns the outcome plus the untagged failure
-    line (``None`` unless the schedule is a failure)."""
-    policy = policy_factory(random.Random(seed))
-    faults = FaultInjector(policy, seed=seed)
-    token_rng = random.Random(seed ^ 0x5EED)
+    expected: Dict[str, Any],
+    outcome: ExecutionResult,
+    messages: List[Message],
+    exact: bool = False,
+) -> List[str]:
+    """What is wrong with a finished run, judged against the oracle
+    fingerprint ``expected``: wrong field values or ICS depths, a
+    non-empty audit log, or data above a receiver's clearance.  With
+    ``exact`` the run must also match the whole fingerprint.  Empty
+    means never a wrong answer."""
+    run = fingerprint(split, outcome)
+    problems: List[str] = []
+    for key, want in expected["fields"].items():
+        got = run["fields"][key]
+        if got != want:
+            problems.append(
+                f"field {key[0]}.{key[1]} = {got!r}, expected {want!r}"
+            )
+    depths = run["observables"]["ics_depths"]
+    for host, want in expected["observables"]["ics_depths"].items():
+        got = depths[host]
+        if got != want:
+            problems.append(f"{host} ICS depth {got} != fault-free {want}")
+    if run["audits"]:
+        problems.append(f"audit log not empty: {run['audits']}")
+    problems.extend(assurance_problems(split, outcome, messages))
+    if exact:
+        for part in ("observables", "flows"):
+            if run[part] != expected[part]:
+                problems.append(f"{part} diverge from the fault-free run")
+    return problems
+
+
+def _faulty_run(
+    key: Any,
+    name: str,
+    faults: FaultInjector,
+    token_rng: random.Random,
+    checks: Callable[[ExecutionResult], List[str]] = lambda outcome: [],
+) -> FaultOutcome:
+    """One run under ``faults`` with the fork-shared split, oracle,
+    opt level and storage mode, judged by :func:`verdict` plus the
+    driver's own ``checks(outcome)``."""
+    shared = parallel.state()
+    split = shared["split"]
     try:
-        with _storage_tier(storage) as tier:
+        with _storage_tier(shared["storage"]) as tier:
             outcome, messages = recorded_run(
-                split, opt_level=opt_level, faults=faults,
+                split, opt_level=shared["opt_level"], faults=faults,
                 token_rng=token_rng, storage=tier,
             )
     except DeliveryTimeoutError as error:
-        return ScheduleOutcome(
-            seed, policy, "timeout", str(error), {"crashes": faults.crashes}
-        ), None
+        return FaultOutcome(
+            key, name, "timeout", str(error), {"crashes": faults.crashes}
+        )
     except Exception as error:  # noqa: BLE001 — any other escape is a bug
-        return ScheduleOutcome(
-            seed, policy, "failure", repr(error)
-        ), f"seed={seed} {policy}: unexpected {error!r}"
-    problems: List[str] = []
-    for key, expected in reference.items():
-        got = outcome.field_value(*key)
-        if got != expected:
-            problems.append(
-                f"field {key[0]}.{key[1]} = {got!r}, expected "
-                f"{expected!r}"
-            )
-    problems.extend(assurance_problems(split, outcome, messages))
-    if outcome.audits:
-        problems.append(f"audit log not empty: {outcome.audits}")
-    counts = dict(outcome.network.fault_counts)
-    if problems:
-        detail = "; ".join(problems)
-        return ScheduleOutcome(
-            seed, policy, "failure", detail, counts
-        ), f"seed={seed} {policy}: {detail}"
-    return ScheduleOutcome(seed, policy, "ok", fault_counts=counts), None
+        return FaultOutcome(key, name, "failure", f"unexpected {error!r}")
+    problems = verdict(split, shared["oracle"], outcome, messages)
+    problems.extend(checks(outcome))
+    return FaultOutcome.from_problems(
+        key, name, problems, fault_counts=dict(outcome.network.fault_counts)
+    )
 
 
-def _schedule_task(seed: int) -> Tuple[ScheduleOutcome, Optional[str]]:
-    """Worker-side wrapper: the split program does not pickle (generated
-    fragment functions), so it arrives via the fork-inherited state."""
-    state = parallel.state()
-    return _run_schedule(
-        state["split"], state["reference"], seed,
-        state["opt_level"], state["policy_factory"], state["storage"],
+# ----------------------------------------------------------------------
+# Random fault schedules
+# ----------------------------------------------------------------------
+
+
+def _run_schedule(seed: int) -> FaultOutcome:
+    """One seeded fault schedule (a :func:`parallel.fork_map` task)."""
+    policy = parallel.state()["policy_factory"](random.Random(seed))
+    return _faulty_run(
+        seed, f"seed={seed} {policy}", FaultInjector(policy, seed=seed),
+        random.Random(seed ^ 0x5EED),
     )
 
 
@@ -263,7 +369,7 @@ def sweep(
     name: str = "",
     jobs: int = 1,
     storage: str = "memory",
-) -> SweepReport:
+) -> FaultReport:
     """Run ``schedules`` seeded fault schedules against ``split``, each
     over the durable tier ``storage`` names (see the module docstring).
 
@@ -275,87 +381,26 @@ def sweep(
     pool forks, so workers inherit warm caches by memory copy.
     """
     _check_storage_mode(storage)
-    reference = reference_fields(split, opt_level=opt_level)
-    report = SweepReport(reference)
-    tag = f"{name} " if name else ""
-    seeds = [base_seed + index for index in range(schedules)]
-    results = parallel.fork_map(
-        _schedule_task, seeds, jobs,
+    expected, _ = oracle(split, opt_level)
+    report = FaultReport("schedules", expected, name)
+    report.outcomes = parallel.fork_map(
+        _run_schedule,
+        [base_seed + index for index in range(schedules)],
+        jobs,
         shared={
             "split": split,
-            "reference": reference,
+            "oracle": expected,
             "opt_level": opt_level,
             "policy_factory": policy_factory,
             "storage": storage,
         },
     )
-    if results is None:
-        results = [
-            _run_schedule(
-                split, reference, seed, opt_level, policy_factory, storage
-            )
-            for seed in seeds
-        ]
-    for outcome, failure in results:
-        report.schedules.append(outcome)
-        if failure is not None:
-            report.failures.append(tag + failure)
     return report
 
 
 # ----------------------------------------------------------------------
 # Crash-point sweep: crash every host at every message-kind boundary
 # ----------------------------------------------------------------------
-
-
-class CrashPointOutcome:
-    """One deterministic crash point's result."""
-
-    __slots__ = ("host", "kind", "occurrence", "status", "detail")
-
-    def __init__(
-        self, host: str, kind: str, occurrence: int, status: str,
-        detail: str = "",
-    ) -> None:
-        self.host = host
-        self.kind = kind
-        self.occurrence = occurrence
-        #: "ok" | "timeout" | "failure"
-        self.status = status
-        self.detail = detail
-
-    def __repr__(self) -> str:
-        return (
-            f"CrashPointOutcome({self.host}/{self.kind}"
-            f"@{self.occurrence}, {self.status})"
-        )
-
-
-class CrashSweepReport:
-    """Aggregate of a crash-point sweep."""
-
-    def __init__(self, reference: Dict[Tuple[str, str], object]) -> None:
-        self.reference = reference
-        self.points: List[CrashPointOutcome] = []
-        self.failures: List[str] = []
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for p in self.points if p.status == "ok")
-
-    @property
-    def timeouts(self) -> int:
-        return sum(1 for p in self.points if p.status == "timeout")
-
-    def summary(self) -> str:
-        lines = [
-            f"{len(self.points)} crash points: {self.completed} recovered "
-            f"with the fault-free result, {self.timeouts} failed closed "
-            f"(timeout), {len(self.failures)} FAILED"
-        ]
-        for failure in self.failures:
-            lines.append(f"  FAIL {failure}")
-        return "\n".join(lines)
 
 
 def _pick_occurrences(total: int, per_point: Optional[int]) -> List[int]:
@@ -369,84 +414,29 @@ def _pick_occurrences(total: int, per_point: Optional[int]) -> List[int]:
     return sorted({round(i * step) for i in range(per_point)})
 
 
-def _run_crash_point(
-    split: SplitProgram,
-    point: Tuple[str, str, int],
-    opt_level: int,
-    crash_mode: str,
-    crash_downtime: float,
-    token_seed: int,
-    ref_fields: Dict[Tuple[str, str], object],
-    ref_depths: Dict[str, int],
-    baseline_problems: frozenset,
-    storage: str,
-) -> Tuple[CrashPointOutcome, Optional[str]]:
-    """One deterministic crash point; returns the outcome plus the
-    untagged failure line (``None`` unless the point is a failure)."""
+def _run_crash_point(point: Tuple[str, str, int]) -> FaultOutcome:
+    """One deterministic crash point (a :func:`parallel.fork_map`
+    task): it must fire and, when volatile, log a recovery."""
+    shared = parallel.state()
     dst, kind, occurrence = point
     injector = CrashPointInjector(
         dst, kind, occurrence,
-        crash_downtime=crash_downtime, crash_mode=crash_mode,
+        crash_downtime=shared["crash_downtime"],
+        crash_mode=shared["crash_mode"],
     )
-    label = f"{dst}/{kind}@{occurrence}"
-    try:
-        with _storage_tier(storage) as tier:
-            outcome, messages = recorded_run(
-                split, opt_level=opt_level, faults=injector,
-                token_rng=random.Random(token_seed), storage=tier,
-            )
-    except DeliveryTimeoutError as error:
-        return CrashPointOutcome(
-            dst, kind, occurrence, "timeout", str(error)
-        ), None
-    except Exception as error:  # noqa: BLE001 — any escape is a bug
-        return CrashPointOutcome(
-            dst, kind, occurrence, "failure", repr(error)
-        ), f"{label}: unexpected {error!r}"
-    problems: List[str] = []
-    if not injector.fired:
-        problems.append("crash point never reached")
-    for key, expected in ref_fields.items():
-        got = outcome.field_value(*key)
-        if got != expected:
-            problems.append(
-                f"field {key[0]}.{key[1]} = {got!r}, expected "
-                f"{expected!r}"
-            )
-    problems.extend(
-        p for p in assurance_problems(split, outcome, messages)
-        if p not in baseline_problems
-    )
-    if outcome.audits:
-        problems.append(f"audit log not empty: {outcome.audits}")
-    for host, h in outcome.hosts.items():
-        if h.stack.depth != ref_depths[host]:
-            problems.append(
-                f"{host} ICS depth {h.stack.depth} != "
-                f"fault-free {ref_depths[host]}"
-            )
-    if crash_mode == "volatile" and injector.fired and not any(
-        event[0] == "recover"
-        for event in outcome.network.fault_events
-    ):
-        problems.append("no recovery event after a volatile crash")
-    if problems:
-        detail = "; ".join(problems)
-        return CrashPointOutcome(
-            dst, kind, occurrence, "failure", detail
-        ), f"{label}: {detail}"
-    return CrashPointOutcome(dst, kind, occurrence, "ok"), None
 
+    def checks(outcome: ExecutionResult) -> List[str]:
+        if not injector.fired:
+            return ["crash point never reached"]
+        if injector.policy.crash_mode == "volatile" and not any(
+            event[0] == "recover" for event in outcome.network.fault_events
+        ):
+            return ["no recovery event after a volatile crash"]
+        return []
 
-def _crash_point_task(
-    point: Tuple[str, str, int]
-) -> Tuple[CrashPointOutcome, Optional[str]]:
-    """Worker-side wrapper; heavyweight inputs come via the fork state."""
-    state = parallel.state()
-    return _run_crash_point(
-        state["split"], point, state["opt_level"], state["crash_mode"],
-        state["crash_downtime"], state["token_seed"], state["ref_fields"],
-        state["ref_depths"], state["baseline_problems"], state["storage"],
+    return _faulty_run(
+        point, f"{dst}/{kind}@{occurrence}", injector,
+        random.Random(shared["token_seed"]), checks,
     )
 
 
@@ -460,17 +450,17 @@ def crash_point_sweep(
     token_seed: int = 0x5EED,
     jobs: int = 1,
     storage: str = "memory",
-) -> CrashSweepReport:
+) -> FaultReport:
     """Crash each host at each message-kind receipt boundary, recover,
-    and check the run still ends bit-identical to fault-free.  Each
+    and check the run still ends with the fault-free answer.  Each
     point runs over the durable tier ``storage`` names (see the module
     docstring).
 
-    The boundaries are enumerated from a fault-free reference run's
-    message log: every remote ``(dst host, kind)`` pair, sampled at up
-    to ``per_point`` receipt indices (``None`` = every single receipt).
+    The boundaries are enumerated from the oracle run's message
+    sequence: every remote ``(dst host, kind)`` pair, sampled at up to
+    ``per_point`` receipt indices (``None`` = every single receipt).
     Because :class:`~repro.runtime.faults.CrashPointInjector` injects no
-    other fault, the pre-crash prefix of each run matches the reference
+    other fault, the pre-crash prefix of each run matches the oracle
     exactly, so every enumerated point is guaranteed to fire.
 
     With ``jobs > 1`` the crash points run in a shared-nothing pool of
@@ -479,58 +469,28 @@ def crash_point_sweep(
     a serial run regardless of ``jobs``.
     """
     _check_storage_mode(storage)
-    tag = f"{name} " if name else ""
-    reference, ref_messages = recorded_run(
-        split, opt_level=opt_level, token_rng=random.Random(token_seed)
-    )
-    ref_fields = {
-        key: reference.field_value(*key) for key in split.fields
-    }
-    ref_depths = {
-        host: h.stack.depth for host, h in reference.hosts.items()
-    }
-    # Some workloads (e.g. medical) declassify data whose static label
-    # the per-message instrumentation still flags; only flows the
-    # fault-free run does NOT exhibit count against a crash point.
-    baseline_problems = frozenset(
-        assurance_problems(split, reference, ref_messages)
-    )
+    expected, messages = oracle(split, opt_level)
     receipt_counts = Counter(
-        (m.dst, m.kind) for m in ref_messages if m.src != m.dst
+        (m.dst, m.kind) for m in messages if m.src != m.dst
     )
     points = [
         (dst, kind, occurrence)
         for (dst, kind), total in sorted(receipt_counts.items())
         for occurrence in _pick_occurrences(total, per_point)
     ]
-    report = CrashSweepReport(ref_fields)
-    results = parallel.fork_map(
-        _crash_point_task, points, jobs,
+    report = FaultReport("crash points", expected, name)
+    report.outcomes = parallel.fork_map(
+        _run_crash_point, points, jobs,
         shared={
             "split": split,
+            "oracle": expected,
             "opt_level": opt_level,
             "crash_mode": crash_mode,
             "crash_downtime": crash_downtime,
             "token_seed": token_seed,
-            "ref_fields": ref_fields,
-            "ref_depths": ref_depths,
-            "baseline_problems": baseline_problems,
             "storage": storage,
         },
     )
-    if results is None:
-        results = [
-            _run_crash_point(
-                split, point, opt_level, crash_mode, crash_downtime,
-                token_seed, ref_fields, ref_depths, baseline_problems,
-                storage,
-            )
-            for point in points
-        ]
-    for outcome, failure in results:
-        report.points.append(outcome)
-        if failure is not None:
-            report.failures.append(tag + failure)
     return report
 
 
@@ -539,53 +499,94 @@ def crash_point_sweep(
 # ----------------------------------------------------------------------
 
 
-class StorageScheduleOutcome:
-    """One storage fault schedule's result."""
-
-    __slots__ = ("seed", "status", "detail", "degraded", "tampered")
-
-    def __init__(
-        self, seed: int, status: str, detail: str = "",
-        degraded: bool = False, tampered: str = "",
-    ) -> None:
-        self.seed = seed
-        #: "ok" | "failure"
-        self.status = status
-        self.detail = detail
-        #: whether the live run lost its durable tier mid-flight.
-        self.degraded = degraded
-        #: the post-mortem tamper kind applied ("" = none).
-        self.tampered = tampered
-
-    def __repr__(self) -> str:
-        return f"StorageScheduleOutcome(seed={self.seed}, {self.status})"
+def rehydrated_run(
+    split: SplitProgram,
+    directory: str,
+    expected: Dict[str, Any],
+    opt_level: int = 1,
+    cost_model=None,
+) -> List[str]:
+    """Rehydrate the session a dead process left in ``directory``, run
+    the rest of it at the dead run's ``opt_level`` and ``cost_model``,
+    and judge it: it must equal the fault-free run.  A tier that fails
+    verification raises, as
+    :func:`~repro.runtime.storage.rehydrate_session` does."""
+    session = rehydrate_session(split, directory, cost_model, opt_level)
+    try:
+        messages = record_messages(session.network)
+        return verdict(split, expected, session.run(), messages, exact=True)
+    finally:
+        session.storage.close()
 
 
-class StorageSweepReport:
-    """Aggregate of a storage fault sweep."""
-
-    def __init__(self) -> None:
-        self.schedules: List[StorageScheduleOutcome] = []
-        self.failures: List[str] = []
-
-    @property
-    def completed(self) -> int:
-        return sum(1 for s in self.schedules if s.status == "ok")
-
-    @property
-    def degradations(self) -> int:
-        return sum(1 for s in self.schedules if s.degraded)
-
-    def summary(self) -> str:
-        tampers = sum(1 for s in self.schedules if s.tampered)
-        lines = [
-            f"{len(self.schedules)} storage schedules: {self.completed} ok "
-            f"({self.degradations} degraded gracefully, {tampers} tamper "
-            f"checks failed closed), {len(self.failures)} FAILED"
-        ]
-        for failure in self.failures:
-            lines.append(f"  FAIL {failure}")
-        return "\n".join(lines)
+def _run_storage_schedule(seed: int) -> FaultOutcome:
+    """One seeded storage fault schedule (a :func:`parallel.fork_map`
+    task); see :func:`storage_fault_sweep`."""
+    shared = parallel.state()
+    split, expected = shared["split"], shared["oracle"]
+    rng = random.Random(seed ^ 0x570AA6E)
+    policy = StorageFaultPolicy(
+        busy_prob=rng.uniform(0.0, 0.3),
+        diskfull_after=rng.randrange(5, 80) if rng.random() < 0.4 else None,
+    )
+    directory = tempfile.mkdtemp(prefix="repro-storage-sweep-")
+    storage = SessionStorage(directory)
+    problems: List[str] = []
+    degraded, tampered = False, ""
+    try:
+        StorageFaultInjector(policy, seed=seed).install(storage)
+        session = Session(
+            shared["image"], opt_level=shared["opt_level"], storage=storage
+        )
+        messages = record_messages(session.network)
+        try:
+            outcome = session.run()
+        except Exception as error:  # noqa: BLE001 — any escape is a bug
+            problems.append(f"live run raised {error!r}")
+            outcome = None
+        if outcome is not None:
+            problems.extend(verdict(split, expected, outcome, messages))
+            degraded = not storage.available
+            event = any(
+                e[0] == "degraded" for e in session.network.fault_events
+            )
+            if degraded and not event:
+                problems.append("storage degraded without a recorded event")
+            if event and not degraded:
+                problems.append(
+                    "degraded event recorded but tier still attached"
+                )
+        if outcome is not None and not degraded:
+            # Post-mortem: tamper half the surviving directories.
+            storage.fault_hook = None
+            storage.close()
+            if rng.random() < 0.5:
+                tampered = TAMPER_KINDS[rng.randrange(len(TAMPER_KINDS))]
+                try:
+                    tamper(directory, tampered)
+                except RuntimeError:
+                    # No rows of the targeted kind (e.g. an empty WAL
+                    # right after a checkpoint): tamper the checkpoint
+                    # instead, which always exists.
+                    tampered = "corrupt-page"
+                    tamper(directory, tampered)
+            try:
+                problems.extend(rehydrated_run(
+                    split, directory, expected, shared["opt_level"]
+                ))
+                if tampered:
+                    problems.append(f"tamper {tampered} was not detected")
+            except (CheckpointTamperError, StorageUnavailableError):
+                if not tampered:
+                    problems.append("untampered directory failed rehydration")
+            except Exception as error:  # noqa: BLE001
+                problems.append(f"rehydration raised unexpected {error!r}")
+    finally:
+        storage.close()
+        shutil.rmtree(directory, ignore_errors=True)
+    return FaultOutcome.from_problems(
+        seed, f"seed={seed}", problems, degraded=degraded, tampered=tampered
+    )
 
 
 def storage_fault_sweep(
@@ -594,136 +595,31 @@ def storage_fault_sweep(
     base_seed: int = 0,
     opt_level: int = 1,
     name: str = "",
-) -> StorageSweepReport:
+) -> FaultReport:
     """Run seeded storage-fault schedules against the SQLite tier.
 
     Each schedule runs the workload on a SQLite-backed session with a
     seeded :class:`~repro.runtime.storage.faultsim.StorageFaultInjector`
     (locked/busy databases exercising the bounded retry path, disk-full
-    exercising graceful degradation).  The live run must always complete
-    with the fault-free field values — the in-memory state is
-    authoritative, so a dying disk may cost durability, never
-    correctness — and a degradation must leave a recorded ``degraded``
-    trace event.  When the tier survives, the schedule then attacks the
-    directory post-mortem with a seeded tamper kind and requires
-    rehydration to fail closed (or, untampered, to reproduce the
-    oracle's observables bit-identically).
+    exercising graceful degradation).  The live run must pass the
+    :func:`verdict` — the in-memory state is authoritative, so a dying
+    disk may cost durability, never correctness — and a degradation
+    must leave a recorded ``degraded`` trace event.  When the tier
+    survives, the schedule then attacks the directory post-mortem with
+    a seeded tamper kind and requires rehydration to fail closed (or,
+    untampered, to reproduce the oracle's whole fingerprint).
     """
-    from ..trust import KeyRegistry
-    from .checkpoint import CheckpointTamperError
-    from .session import RuntimeImage, Session
-    from .storage import StorageUnavailableError, rehydrate_session
-    from .storage.faultsim import (
-        TAMPER_KINDS,
-        StorageFaultInjector,
-        StorageFaultPolicy,
+    expected, _ = oracle(split, opt_level)
+    report = FaultReport("storage schedules", expected, name)
+    report.outcomes = parallel.fork_map(
+        _run_storage_schedule,
+        [base_seed + index for index in range(schedules)],
+        1,
+        shared={
+            "split": split,
+            "oracle": expected,
+            "opt_level": opt_level,
+            "image": RuntimeImage(split, KeyRegistry()),
+        },
     )
-
-    tag = f"{name} " if name else ""
-    report = StorageSweepReport()
-    image = RuntimeImage(split, KeyRegistry())
-    oracle = Session(image)
-    oracle.run()
-    oracle_fields = {
-        key: oracle.result().field_value(*key) for key in split.fields
-    }
-    oracle_observables = oracle.observables()
-    for index in range(schedules):
-        seed = base_seed + index
-        rng = random.Random(seed ^ 0x570AA6E)
-        policy = StorageFaultPolicy(
-            busy_prob=rng.uniform(0.0, 0.3),
-            diskfull_after=(
-                rng.randrange(5, 80) if rng.random() < 0.4 else None
-            ),
-        )
-        directory = tempfile.mkdtemp(prefix="repro-storage-sweep-")
-        problems: List[str] = []
-        degraded = False
-        tampered = ""
-        try:
-            storage = SessionStorage(directory)
-            injector = StorageFaultInjector(policy, seed=seed)
-            injector.install(storage)
-            session = Session(image, opt_level=opt_level, storage=storage)
-            try:
-                outcome = session.run()
-            except Exception as error:  # noqa: BLE001 — any escape is a bug
-                problems.append(f"live run raised {error!r}")
-                outcome = None
-            if outcome is not None:
-                for key, expected in oracle_fields.items():
-                    got = outcome.field_value(*key)
-                    if got != expected:
-                        problems.append(
-                            f"field {key[0]}.{key[1]} = {got!r}, "
-                            f"expected {expected!r}"
-                        )
-                degraded = not storage.available
-                events = [
-                    e for e in session.network.fault_events
-                    if e[0] == "degraded"
-                ]
-                if degraded and not events:
-                    problems.append(
-                        "storage degraded without a recorded event"
-                    )
-                if events and not degraded:
-                    problems.append(
-                        "degraded event recorded but tier still attached"
-                    )
-            if outcome is not None and not degraded:
-                # Post-mortem: tamper half the surviving directories.
-                storage.fault_hook = None
-                storage.close()
-                if rng.random() < 0.5:
-                    tampered = TAMPER_KINDS[rng.randrange(len(TAMPER_KINDS))]
-                    try:
-                        from .storage.faultsim import tamper
-
-                        tamper(directory, tampered)
-                    except RuntimeError:
-                        # No rows of the targeted kind (e.g. an empty
-                        # WAL right after a checkpoint): tamper the
-                        # checkpoint instead, which always exists.
-                        tampered = "corrupt-page"
-                        from .storage.faultsim import tamper
-
-                        tamper(directory, tampered)
-                try:
-                    resumed = rehydrate_session(split, directory)
-                    if tampered:
-                        problems.append(
-                            f"tamper {tampered} was not detected"
-                        )
-                    else:
-                        resumed.run()
-                        if resumed.observables() != oracle_observables:
-                            problems.append(
-                                "rehydrated observables diverge from "
-                                "the oracle"
-                            )
-                except (CheckpointTamperError, StorageUnavailableError):
-                    if not tampered:
-                        problems.append(
-                            "untampered directory failed rehydration"
-                        )
-                except Exception as error:  # noqa: BLE001
-                    problems.append(
-                        f"rehydration raised unexpected {error!r}"
-                    )
-        finally:
-            shutil.rmtree(directory, ignore_errors=True)
-        if problems:
-            detail = "; ".join(problems)
-            report.schedules.append(
-                StorageScheduleOutcome(
-                    seed, "failure", detail, degraded, tampered
-                )
-            )
-            report.failures.append(f"{tag}seed={seed}: {detail}")
-        else:
-            report.schedules.append(
-                StorageScheduleOutcome(seed, "ok", "", degraded, tampered)
-            )
     return report

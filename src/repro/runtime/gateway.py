@@ -91,7 +91,8 @@ class GatewayError(Exception):
     def __init__(
         self, code: str, detail: str, retry_after: Optional[float] = None
     ) -> None:
-        assert code in ERROR_CODES, code
+        if code not in ERROR_CODES:
+            raise ValueError(f"unknown gateway error code {code!r}")
         super().__init__(f"{code}: {detail}")
         self.code = code
         self.detail = detail
@@ -186,7 +187,8 @@ class Gateway:
         return self.address
 
     async def serve_forever(self) -> None:
-        assert self._server is not None, "call start() first"
+        if self._server is None:
+            raise RuntimeError("call start() first")
         async with self._server:
             await self._server.serve_forever()
 

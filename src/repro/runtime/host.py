@@ -38,7 +38,12 @@ from typing import Any, Dict, List, Optional, Tuple
 from ..labels import Label
 from ..splitter.fragments import EdgeAction, Fragment, SplitProgram, TermCall
 from ..trust import KeyRegistry
-from .checkpoint import CheckpointTamperError, DurableStore, recovery_blob
+from .checkpoint import (
+    CHECKPOINT_INTERVAL,
+    CheckpointTamperError,
+    DurableStore,
+    recovery_blob,
+)
 from .compiler import BodyFn, compile_component, component
 from .ics import LocalStack
 from .network import Message, SecurityAbort, Transport
@@ -77,7 +82,6 @@ class TrustedHost:
         registry: KeyRegistry,
         opt_level: int = 1,
         token_rng=None,
-        checkpoint_interval: int = 4,
         *,
         image,
     ) -> None:
@@ -136,7 +140,6 @@ class TrustedHost:
         #: entry -> the function of its component, shared by every host
         #: and session of the image; filled on first entry.
         self._compiled: Dict[str, BodyFn] = image.compiled
-        self.checkpoint_interval = checkpoint_interval
         #: stable storage (WAL + sealed checkpoints).  Only materialized
         #: under fault injection, so fault-free runs stay bit-identical
         #: to the Section 3.1 model — no WAL writes, no seal hashing.
@@ -147,12 +150,7 @@ class TrustedHost:
         if network.faults is not None:
             self.ensure_durable()
 
-    def reset(
-        self,
-        opt_level: int = 1,
-        token_rng=None,
-        checkpoint_interval: int = 4,
-    ) -> None:
+    def reset(self, opt_level: int = 1, token_rng=None) -> None:
         """Reset-in-place to a freshly constructed host.
 
         Clears every piece of per-run mutable state — ICS slice, dedup
@@ -175,7 +173,6 @@ class TrustedHost:
         self.frames.clear()
         self.pending.clear()
         self.peer_epochs.clear()
-        self.checkpoint_interval = checkpoint_interval
         keep_durable = self.durable is not None and (
             self.network.faults is not None
             or self.durable.backend is not None
@@ -184,7 +181,7 @@ class TrustedHost:
             # Recycle the stable-storage object in place (persistent
             # rows included): clear the WAL and counters, then seal a
             # fresh base checkpoint of the just-reset state.
-            self.durable.reset(interval=checkpoint_interval)
+            self.durable.reset()
             self.durable.take_checkpoint(self.snapshot_state())
         else:
             self.durable = None
@@ -610,9 +607,7 @@ class TrustedHost:
         """The host's stable storage, materialized on first use with a
         sealed checkpoint of the current state."""
         if self.durable is None:
-            self.durable = DurableStore(
-                self.name, self.factory, interval=self.checkpoint_interval
-            )
+            self.durable = DurableStore(self.name, self.factory)
             self.durable.take_checkpoint(self.snapshot_state())
         return self.durable
 
@@ -638,8 +633,7 @@ class TrustedHost:
         backend = storage.backend_for(self.name)
         if self.durable is None:
             self.durable = DurableStore(
-                self.name, self.factory, interval=self.checkpoint_interval,
-                backend=backend,
+                self.name, self.factory, backend=backend
             )
             self.durable.take_checkpoint(self.snapshot_state())
         else:
@@ -655,7 +649,7 @@ class TrustedHost:
     def _maybe_checkpoint(self) -> None:
         store = self.durable
         store.processed += 1
-        if store.processed >= store.interval:
+        if store.processed >= CHECKPOINT_INTERVAL:
             self.take_checkpoint()
 
     def snapshot_state(self) -> Dict[str, Any]:

@@ -311,6 +311,8 @@ class Session:
 
     #: the backend this session runs over.
     transport = "sim"
+    #: the network type a session builds for its hosts.
+    network_type = SimNetwork
 
     def __new__(cls, *args, transport=None, **kwargs):
         if transport is None or transport == cls.transport:
@@ -329,14 +331,13 @@ class Session:
         faults: Optional[FaultInjector] = None,
         token_rng=None,
         quarantine: bool = False,
-        checkpoint_interval: int = 4,
         storage=None,
         transport: str = "sim",
     ) -> None:
         self.image = image
         self.split = image.split
         self.registry = image.registry
-        self.network = SimNetwork(cost_model, faults=faults)
+        self.network = self.network_type(cost_model, faults=faults)
         #: opt in to the quarantine layer: a rejected remote request
         #: raises SecurityAbort and blacklists the offender instead of
         #: being silently ignored.
@@ -354,7 +355,6 @@ class Session:
                 self.registry,
                 opt_level=opt_level,
                 token_rng=token_rng,
-                checkpoint_interval=checkpoint_interval,
                 image=image.host_images[descriptor.name],
             )
         self._main_frame: Optional[FrameID] = None
@@ -399,7 +399,6 @@ class Session:
         faults: Optional[FaultInjector] = None,
         token_rng=None,
         quarantine: bool = False,
-        checkpoint_interval: int = 4,
         storage=_KEEP,
         transport: Optional[str] = None,
     ) -> "Session":
@@ -441,11 +440,7 @@ class Session:
         for host in self.hosts.values():
             # Hosts whose durable store still points at `storage`
             # recycle their persisted rows in place here.
-            host.reset(
-                opt_level=opt_level,
-                token_rng=token_rng,
-                checkpoint_interval=checkpoint_interval,
-            )
+            host.reset(opt_level=opt_level, token_rng=token_rng)
         self._main_frame = None
         self._started = False
         self._halted = False

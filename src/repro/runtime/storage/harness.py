@@ -1,19 +1,22 @@
 """Kill-and-rehydrate harness: real process death, not simulated.
 
-The crash sweeps of PR3 prove the *protocol* recovers from volatile
-crashes, but the crashing host never actually leaves the process — its
-Python heap survives.  This harness closes that gap:
+The crash sweeps prove the *protocol* recovers from volatile crashes,
+but the crashing host never actually leaves the process — its Python
+heap survives.  This harness closes that gap:
 
-1. run the workload to completion in-process (the **fault-free
-   oracle**) and fingerprint it — observables, every field value, the
-   audit log, the label-flow log;
+1. build the fault sweeps' **oracle**
+   (:func:`repro.runtime.faultsweep.oracle`), the fingerprint of the
+   fault-free, storage-free run — field values, observables, ICS
+   depths, the audit log, the label-flow log;
 2. ``os.fork()`` a worker that runs the same workload against a
    SQLite-backed :class:`SessionStorage` and SIGKILLs *itself* at a
    chosen trigger (after N committed boundaries, or mid-transaction
    after N WAL appends) — no cleanup handlers run, the heap is gone;
 3. in the parent, :func:`~.sqlite_backend.rehydrate_session` from the
    dead worker's directory, run the resumed session to completion, and
-   compare its fingerprint against the oracle.
+   judge it with the sweeps' one
+   :func:`~repro.runtime.faultsweep.verdict`, which for a rehydrated
+   run requires the oracle's whole fingerprint.
 
 Bit-identical fingerprints are the whole claim of the durable tier:
 process death at any boundary loses no observable behavior.
@@ -24,38 +27,14 @@ from __future__ import annotations
 import os
 import signal
 import tempfile
-from typing import Any, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from .sqlite_backend import SessionStorage, rehydrate_session
+from ..faultsweep import FaultOutcome, oracle, rehydrated_run
+from .sqlite_backend import SessionStorage
 
 #: worker exit codes (anything else means the child died unexpectedly).
 WORKER_COMPLETED = 7
 WORKER_FAILED = 13
-
-
-def fingerprint(session) -> Dict[str, Any]:
-    """Everything observable about a finished run, hashable-stable."""
-    outcome = session.result()
-    fields = {}
-    for key in sorted(session.split.fields):
-        fields[key] = outcome.field_value(key[0], key[1], default=None)
-    return {
-        "observables": session.observables(),
-        "fields": fields,
-        "audits": list(outcome.network.audit_log),
-        "flows": [tuple(flow) for flow in outcome.network.flow_log],
-    }
-
-
-def run_oracle(split, cost_model=None, opt_level: int = 1) -> Dict[str, Any]:
-    """The fault-free, storage-free reference run."""
-    from ...trust import KeyRegistry
-    from ..session import RuntimeImage, Session
-
-    image = RuntimeImage(split, KeyRegistry())
-    session = Session(image, cost_model=cost_model, opt_level=opt_level)
-    session.run()
-    return fingerprint(session)
 
 
 def _run_worker(
@@ -117,18 +96,23 @@ def kill_and_rehydrate(
     cost_model=None,
     opt_level: int = 1,
     directory: Optional[str] = None,
-) -> Tuple[Dict[str, Any], Dict[str, Any], int]:
-    """SIGKILL a forked worker mid-run, rehydrate, finish, compare.
+) -> Tuple[FaultOutcome, int]:
+    """SIGKILL a forked worker mid-run, rehydrate, finish, judge.
 
-    Returns ``(oracle_fingerprint, rehydrated_fingerprint, child_exit)``
-    where ``child_exit`` is the negative signal number (``-SIGKILL``)
-    when the kill landed, or a :data:`WORKER_COMPLETED` status when the
-    workload outran the trigger (the caller decides whether that is
-    acceptable for its kill point).
+    Returns ``(outcome, child_exit)``: the rehydrated run's
+    :class:`~repro.runtime.faultsweep.FaultOutcome` ("ok" when it
+    matches the oracle's whole fingerprint), and the worker's exit —
+    the negative signal number (``-SIGKILL``) when the kill landed, or
+    :data:`WORKER_COMPLETED` when the workload outran the trigger (the
+    caller decides whether that is acceptable for its kill point).
     """
     if kill_after_boundaries is None and kill_after_appends is None:
         raise ValueError("pick a kill trigger")
-    oracle = run_oracle(split, cost_model=cost_model, opt_level=opt_level)
+    if kill_after_boundaries is not None:
+        key = ("boundary", kill_after_boundaries)
+    else:
+        key = ("append", kill_after_appends)
+    expected, _ = oracle(split, opt_level, cost_model)
     own_dir = directory is None
     if own_dir:
         directory = tempfile.mkdtemp(prefix="repro-kill-")
@@ -145,9 +129,11 @@ def kill_and_rehydrate(
             child_exit = -os.WTERMSIG(status)
         else:
             child_exit = os.WEXITSTATUS(status)
-        session = rehydrate_session(split, directory)
-        session.run()
-        return oracle, fingerprint(session), child_exit
+        problems = rehydrated_run(
+            split, directory, expected, opt_level, cost_model
+        )
+        name = f"SIGKILL after {key[0]} {key[1]}"
+        return FaultOutcome.from_problems(key, name, problems), child_exit
     finally:
         if own_dir:
             import shutil

@@ -316,7 +316,6 @@ class SessionStorage:
                     "recoveries": store.recoveries,
                     "processed": store.processed,
                     "checkpoints_taken": store.checkpoints_taken,
-                    "interval": store.interval,
                     "wal_len": len(store.wal),
                 }
         return {

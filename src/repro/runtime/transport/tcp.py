@@ -68,6 +68,7 @@ from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..faults import RetryPolicy
+from ..network import SimNetwork
 from ..session import RuntimeImage, Session
 from ..storage.codec import StorageCodecError, dumps, loads
 from .base import (
@@ -620,7 +621,6 @@ def _child_main(
     host = TrustedHost(
         name, image.split, endpoint, image.registry,
         opt_level=template.opt_level,
-        checkpoint_interval=template.checkpoint_interval,
         image=image.host_images[name],
     )
     try:
@@ -652,6 +652,22 @@ def _refuse(simulated: Dict[str, Any]) -> None:
             raise ValueError(f"the tcp transport does not support {name}")
 
 
+class _ReportTally(SimNetwork):
+    """A :class:`TcpSession`'s ``network``: the sum of its host
+    reports.  Nothing is delivered through it, and the host processes
+    do not forward their own event streams to the coordinator, so
+    subscribing to its event hook raises instead of observing an empty
+    run."""
+
+    def on_event(self, callback) -> None:
+        raise NotImplementedError(
+            "a TCP session's hosts do not forward their message and "
+            "fault events to the coordinator, so its network has no "
+            "event hook: record_messages, Tracer and Adversary need a "
+            "simulated session"
+        )
+
+
 class TcpSession(Session):
     """A :class:`~repro.runtime.session.Session` whose hosts run as
     forked processes over real 127.0.0.1 sockets:
@@ -664,7 +680,7 @@ class TcpSession(Session):
     :meth:`~repro.runtime.host.TrustedHost.run_main`.  :meth:`step`
     blocks until a host reports ``halt`` or ``failed``, then adds the
     host reports into ``network`` (the summed accounting; nothing is
-    delivered through it, so its event hook stays silent) and
+    delivered through it, so subscribing to its event hook raises) and
     ``hosts`` (their final state), so
     :meth:`result` and :meth:`observables` read as a simulated
     session's.  A host's failure kills the cluster and re-raises with
@@ -673,6 +689,7 @@ class TcpSession(Session):
     """
 
     transport = "tcp"
+    network_type = _ReportTally
     #: wall-clock budget of one run, in seconds.
     timeout = 120.0
 
@@ -681,7 +698,6 @@ class TcpSession(Session):
         image,
         cost_model: Optional[CostModel] = None,
         opt_level: int = 1,
-        checkpoint_interval: int = 4,
         transport: str = "tcp",
         **simulated,
     ) -> None:
@@ -689,24 +705,19 @@ class TcpSession(Session):
         #: the live cluster: host process pid -> host name.
         self._pids: Dict[int, str] = {}
         self._coord: Optional[socket.socket] = None
-        super().__init__(
-            image, cost_model, opt_level,
-            checkpoint_interval=checkpoint_interval, storage=None,
-        )
+        super().__init__(image, cost_model, opt_level, storage=None)
 
     def reset(
         self,
         cost_model: Optional[CostModel] = None,
         opt_level: int = 1,
-        checkpoint_interval: int = 4,
         transport: Optional[str] = None,
         **simulated,
     ) -> "TcpSession":
         _refuse(simulated)
         self._reap(0.0)
         return super().reset(
-            cost_model, opt_level, checkpoint_interval=checkpoint_interval,
-            storage=None, transport=transport,
+            cost_model, opt_level, storage=None, transport=transport
         )
 
     def start(self) -> bool:

@@ -8,7 +8,10 @@ For a statement ``S`` with ``L_in = ⊔ used``, ``L_out = ⊓ defined``::
 
     C(L_in) ⊑ C_h             and      I_h ⊑ I(L_out)
 
-and, when ``S`` performs a declassification/endorsement with authority
+and, when ``S`` allocates an array whose elements carry ``L``
+(``x = new T[n]``; the elements live on the allocating host, like a
+field's value on its host), additionally ``C(L) ⊑ C_h``.  When ``S``
+performs a declassification/endorsement with authority
 ``P`` (Section 4.3), additionally ``I_h ⊑ I_P`` — a downgrade must run
 on a host every authorizing principal trusts.
 
@@ -41,6 +44,10 @@ def field_candidates(
     return config.eligible_hosts(required_conf, required_integ)
 
 
+def _allocates_array(stmt: ir.IRStmt) -> bool:
+    return isinstance(stmt, ir.AssignVar) and isinstance(stmt.expr, ir.NewArr)
+
+
 def statement_candidates(
     stmt: ir.IRStmt, config: TrustConfiguration
 ) -> Tuple[HostDescriptor, ...]:
@@ -50,6 +57,11 @@ def statement_candidates(
     required_integ = (
         I(info.l_out) if info.l_out is not None else IntegLabel.untrusted()
     )
+    # An allocated array's elements live on the allocating host
+    # (``ir.NewArr``), so that host must be able to store them, as a
+    # field's host must (Section 4.1): C(L) ⊑ C_h, not just I_h ⊑ I(L).
+    if _allocates_array(stmt):
+        required_conf = required_conf.join(C(stmt.expr.label))
     # The call protocol makes the caller sync its own continuation entry
     # (Section 5.5 requires I_i ⊑ I_e' for sync, and the continuation
     # carries the call site's pc integrity), so a call may only be placed
@@ -114,6 +126,13 @@ def _describe_statement_failure(
             problems.append(
                 f"writes need {{{required_integ}}}, host gives "
                 f"{{{host.integ}}}"
+            )
+        if _allocates_array(stmt) and not C(stmt.expr.label).flows_to(
+            host.conf
+        ):
+            problems.append(
+                f"allocates array elements {{{C(stmt.expr.label)}}} ⋢ "
+                f"{{{host.conf}}} (Section 4.1)"
             )
         if isinstance(stmt, ir.CallStmt) and not host.integ.flows_to(
             I(info.pc)

@@ -56,7 +56,7 @@ from .fragments import (
 
 #: Bumped whenever the encoding (or the splitter's observable output
 #: contract) changes shape; artifacts with any other version are stale.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Scalar types a ``Const`` / field initializer may carry.
 _SCALARS = (bool, int, str)

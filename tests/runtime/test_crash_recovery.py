@@ -48,9 +48,9 @@ TABLE1 = [
 # ----------------------------------------------------------------------
 
 
-def make_store(host="A", interval=4):
+def make_store(host="A"):
     factory = TokenFactory(host, KeyRegistry())
-    return DurableStore(host, factory, interval=interval), factory
+    return DurableStore(host, factory), factory
 
 
 def sample_state():
@@ -213,9 +213,9 @@ class TestCrashPointSweeps:
         report = crash_point_sweep(
             result.split, per_point=2, crash_mode="volatile", name=name
         )
-        assert report.points, "sweep enumerated no crash points"
+        assert report.outcomes, "sweep enumerated no crash points"
         assert report.failures == []
-        assert report.completed == len(report.points)
+        assert report.completed == len(report.outcomes)
 
     def test_ot_exhaustive_every_receipt(self):
         """Every single receipt boundary of the Figure 4 OT run."""
@@ -223,7 +223,7 @@ class TestCrashPointSweeps:
         report = crash_point_sweep(
             result.split, per_point=None, crash_mode="volatile"
         )
-        assert len(report.points) >= 10
+        assert len(report.outcomes) >= 10
         assert report.failures == []
 
     def test_durable_mode_still_recovers(self):
@@ -232,7 +232,7 @@ class TestCrashPointSweeps:
         report = crash_point_sweep(
             result.split, per_point=2, crash_mode="durable"
         )
-        assert report.points
+        assert report.outcomes
         assert report.failures == []
 
 

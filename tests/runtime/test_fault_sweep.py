@@ -1,15 +1,17 @@
-"""Seeded fault-injection sweeps (the ISSUE 1 acceptance run).
+"""Seeded fault-injection sweeps.
 
-Fifty schedules over the Figure 4 oblivious-transfer example plus
-seventeen schedules over each of three random programs: every schedule
-must either complete with the fault-free result — message-label
-assurance checked on everything delivered — or fail closed with an
-explicit timeout.  Never a wrong answer.
+Fifty schedules over the Figure 4 oblivious-transfer example, five
+over each request-sized Table 1 workload plus Medical, and seventeen
+over each of three random programs: every schedule must either
+complete with the fault-free result — message-label assurance checked
+on everything delivered, with no exemption for the fault-free run — or
+fail closed with an explicit timeout.  Never a wrong answer.
 """
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.reporting.throughput import request_workloads
 from repro.runtime import storage
 from repro.runtime.faultsweep import crash_point_sweep, sweep
 from repro.splitter import split_source
@@ -27,9 +29,18 @@ def test_fig4_sweep_fifty_schedules():
     assert report.completed + report.timeouts == 50
     assert report.completed > 0
     injected = sum(
-        sum(s.fault_counts.values()) for s in report.schedules
+        sum(s.fault_counts.values()) for s in report.outcomes
     )
     assert injected > 0, "the sweep never injected a fault"
+
+
+@pytest.mark.parametrize("name", sorted(request_workloads()))
+def test_request_workload_sweep(name):
+    source, trust = request_workloads()[name]
+    split = split_source(source, trust).split
+    report = sweep(split, schedules=5, name=name)
+    assert report.failures == [], report.summary()
+    assert report.completed + report.timeouts == 5
 
 
 @pytest.mark.parametrize("prog_seed", RANDOM_PROGRAM_SEEDS)
@@ -50,7 +61,7 @@ def test_sweep_is_reproducible():
     def statuses():
         report = sweep(result.split, schedules=8, base_seed=3)
         return [
-            (s.seed, s.status, s.fault_counts) for s in report.schedules
+            (s.key, s.status, s.fault_counts) for s in report.outcomes
         ]
 
     assert statuses() == statuses()

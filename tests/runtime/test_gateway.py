@@ -102,6 +102,15 @@ class TestErrorContract:
             assert code in ERROR_CODES
             assert detail
 
+    def test_unknown_code_is_refused(self):
+        # A ValueError, not an assert: it must hold under python -O.
+        with pytest.raises(ValueError, match="no-such-code"):
+            GatewayError("no-such-code", "detail")
+
+    def test_serve_forever_before_start_raises(self):
+        with pytest.raises(RuntimeError, match="start"):
+            _run(Gateway().serve_forever())
+
     def test_error_frame_shape(self):
         frame = GatewayError(
             "rate-limit", "over quota", retry_after=1.5

@@ -35,7 +35,7 @@ import pytest
 from repro.labels import parse_label
 from repro.runtime import RetryPolicy, RuntimeImage, Session, SessionPool
 from repro.runtime.checkpoint import CheckpointTamperError, DurableStore
-from repro.runtime.faultsweep import storage_fault_sweep
+from repro.runtime.faultsweep import fingerprint, oracle, storage_fault_sweep
 from repro.runtime.storage import (
     STATS,
     DecodeContext,
@@ -55,11 +55,7 @@ from repro.runtime.storage.faultsim import (
     StorageFaultPolicy,
     tamper,
 )
-from repro.runtime.storage.harness import (
-    fingerprint,
-    kill_and_rehydrate,
-    run_oracle,
-)
+from repro.runtime.storage.harness import kill_and_rehydrate
 from repro.runtime.tokens import Token, TokenFactory
 from repro.runtime.values import REJECTED, ArrayRef, FrameID, ObjectRef, ReturnInfo
 from repro.runtime import values as _values
@@ -282,11 +278,11 @@ class TestDurableRunsBitIdentical:
     )
     def test_sqlite_run_matches_oracle(self, name, source, config, tmp_path):
         split = split_source(source, config).split
-        oracle = run_oracle(split)
+        expected, _ = oracle(split)
         session, storage = storage_session(split, str(tmp_path / name))
         session.run()
         try:
-            assert fingerprint(session) == oracle
+            assert fingerprint(split, session.result()) == expected
             # Persistence must not leak into the trace: a fault-free
             # run's fault_events stay empty, sqlite tier or not.
             assert session.network.fault_events == []
@@ -296,24 +292,24 @@ class TestDurableRunsBitIdentical:
 
     def test_completed_run_rehydrates_to_the_same_result(self, tmp_path):
         split = ot_split()
-        oracle = run_oracle(split)
+        expected, _ = oracle(split)
         directory = str(tmp_path / "done")
         session, storage = storage_session(split, directory)
         session.run()
         storage.close()
         resumed = rehydrate_session(split, directory)
         resumed.run()
-        assert fingerprint(resumed) == oracle
+        assert fingerprint(split, resumed.result()) == expected
         resumed.storage.close()
 
     def test_mid_run_rehydration_finishes_the_program(self, tmp_path):
         split = ot_split()
-        oracle = run_oracle(split)
+        expected, _ = oracle(split)
         directory = str(tmp_path / "mid")
         partial_run(split, directory, steps=5)
         resumed = rehydrate_session(split, directory)
         resumed.run()
-        assert fingerprint(resumed) == oracle
+        assert fingerprint(split, resumed.result()) == expected
         assert STATS.rehydrations > 0
         resumed.storage.close()
 
@@ -329,32 +325,39 @@ class TestKillAndRehydrate:
     )
     def test_sigkill_at_a_boundary_loses_nothing(self, name, source, config):
         split = split_source(source, config).split
-        oracle, resumed, child_exit = kill_and_rehydrate(
+        outcome, child_exit = kill_and_rehydrate(
             split, kill_after_boundaries=3
         )
         assert child_exit == -signal.SIGKILL
-        assert resumed == oracle
+        assert outcome.status == "ok", outcome.detail
 
     def test_sigkill_mid_transaction_loses_nothing(self):
         """Die on a WAL append *inside* an open boundary transaction:
         the uncommitted boundary rolls back and replay resumes from the
         last committed one."""
         split = ot_split()
-        oracle, resumed, child_exit = kill_and_rehydrate(
+        outcome, child_exit = kill_and_rehydrate(
             split, kill_after_appends=7
         )
         assert child_exit == -signal.SIGKILL
-        assert resumed == oracle
+        assert outcome.status == "ok", outcome.detail
+
+    def test_rehydration_resumes_at_the_runs_opt_level(self):
+        outcome, child_exit = kill_and_rehydrate(
+            ot_split(), kill_after_boundaries=3, opt_level=0
+        )
+        assert child_exit == -signal.SIGKILL
+        assert outcome.status == "ok", outcome.detail
 
     def test_late_kill_points_still_match(self):
         split = ot_split()
         for kill_after in (8, 11):
-            oracle, resumed, child_exit = kill_and_rehydrate(
+            outcome, child_exit = kill_and_rehydrate(
                 split, kill_after_boundaries=kill_after
             )
             # The workload may outrun a late trigger; either way the
             # directory must rehydrate to the oracle's result.
-            assert resumed == oracle
+            assert outcome.status == "ok", outcome.detail
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +411,6 @@ class TestTamperFailsClosed:
         store.take_checkpoint({"x": 2})
         store.log("var", None, "x", 2)
         counters = {
-            "interval": store.interval,
             "high_water": store.high_water,
             "recoveries": 0,
             "processed": 0,
@@ -450,7 +452,6 @@ class TestTamperFailsClosed:
         store.take_checkpoint({"x": 0})
         store.log("var", None, "x", "second lifetime")
         counters = {
-            "interval": store.interval,
             "high_water": store.high_water,
             "recoveries": store.recoveries,
             "processed": store.processed,
@@ -532,7 +533,7 @@ def degraded_events(session):
 class TestGracefulDegradation:
     def test_disk_full_degrades_and_the_run_still_completes(self, tmp_path):
         split = ot_split()
-        oracle = run_oracle(split)
+        expected, _ = oracle(split)
         session, storage = storage_session(split, str(tmp_path / "full"))
         injector = StorageFaultInjector(
             StorageFaultPolicy(diskfull_after=6), seed=1
@@ -544,12 +545,12 @@ class TestGracefulDegradation:
         assert not storage.available
         assert "space" in storage.degraded_reason
         assert degraded_events(session), "degradation left no trace event"
-        assert fingerprint(session) == oracle
+        assert fingerprint(split, session.result()) == expected
         assert STATS.degradations > before
 
     def test_connection_death_mid_run_degrades(self, tmp_path):
         split = ot_split()
-        oracle = run_oracle(split)
+        expected, _ = oracle(split)
         session, storage = storage_session(split, str(tmp_path / "dead"))
         session.start()
         session.step()
@@ -557,11 +558,11 @@ class TestGracefulDegradation:
         session.run()
         assert not storage.available
         assert degraded_events(session)
-        assert fingerprint(session) == oracle
+        assert fingerprint(split, session.result()) == expected
 
     def test_unopenable_directory_degrades_at_attach(self, tmp_path):
         split = ot_split()
-        oracle = run_oracle(split)
+        expected, _ = oracle(split)
         blocker = tmp_path / "blocker"
         blocker.write_text("a file where the directory should go")
         session, storage = storage_session(
@@ -570,11 +571,11 @@ class TestGracefulDegradation:
         assert not storage.available
         session.run()
         assert degraded_events(session)
-        assert fingerprint(session) == oracle
+        assert fingerprint(split, session.result()) == expected
 
     def test_busy_database_is_retried_not_degraded(self, tmp_path):
         split = ot_split()
-        oracle = run_oracle(split)
+        expected, _ = oracle(split)
         session, storage = storage_session(
             split,
             str(tmp_path / "busy"),
@@ -591,7 +592,7 @@ class TestGracefulDegradation:
             assert storage.available, "transient faults must not degrade"
             assert STATS.retries - before >= injector.busy_faults
             assert session.network.fault_events == []
-            assert fingerprint(session) == oracle
+            assert fingerprint(split, session.result()) == expected
         finally:
             storage.close()
 
@@ -615,6 +616,13 @@ class TestStorageFaultSweep:
         assert report.failures == []
         assert report.completed == 6
         assert "0 FAILED" in report.summary()
+
+    def test_oracle_runs_at_the_sweeps_opt_level(self):
+        # An untampered directory rehydrates to the live run, so the
+        # oracle it is held to must run at the same opt level.
+        split = split_source(ot.source(rounds=1), ot.config()).split
+        report = storage_fault_sweep(split, schedules=2, opt_level=0)
+        assert report.failures == [], report.summary()
 
 
 # ----------------------------------------------------------------------

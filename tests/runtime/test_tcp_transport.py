@@ -16,11 +16,12 @@ import time
 
 import pytest
 
-from repro.runtime import TrustedHost
+from repro.runtime import Adversary, TrustedHost
 from repro.runtime.faults import FaultInjector, FaultPolicy
 from repro.runtime.gateway import classify_error
 from repro.runtime.network import DeliveryTimeoutError, Message, SecurityAbort
 from repro.runtime.session import RuntimeImage, Session
+from repro.runtime.trace import Tracer, record_messages
 from repro.runtime.transport.base import (
     FRAME_HEADER,
     MAX_FRAME,
@@ -202,6 +203,18 @@ class TestTcpSession:
         with pytest.raises(KeyError):
             outcome.main_var("no_such_var")
         assert outcome.field_value("NoSuch", "f", default=7) == 7
+
+    def test_subscribing_to_the_event_hook_raises(self):
+        # The host processes keep their event streams; a subscriber of
+        # the coordinator's network would silently see an empty run.
+        session = Session(RuntimeImage.for_split(_split(tax)), transport="tcp")
+        for subscribe in (
+            lambda: record_messages(session.network),
+            lambda: Tracer(session),
+            lambda: Adversary(session, "Broker"),
+        ):
+            with pytest.raises(NotImplementedError, match="forward"):
+                subscribe()
 
     def test_a_raising_host_fails_the_run_fast_naming_it(self, monkeypatch):
         handle = TrustedHost.handle

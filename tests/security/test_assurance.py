@@ -11,9 +11,11 @@ end to end.)
 import pytest
 
 from repro.labels import C
+from repro.reporting.throughput import request_workloads
 from repro.runtime import run_split_program
-from repro.splitter import split_source
+from repro.splitter import ir, split_source
 from repro.trust import HostDescriptor, TrustConfiguration
+from repro.workloads import medical
 
 from tests.programs import (
     OT_SOURCE,
@@ -28,6 +30,7 @@ PROGRAMS = [
     (OT_SOURCE, config_abt(prefer_alice_a=False)),
     (OT_S_SOURCE, config_abs()),
     (PINGPONG_SOURCE, config_abt()),
+    *request_workloads().values(),
 ]
 
 
@@ -56,8 +59,6 @@ def test_field_placements_respect_trust(source, config):
 
 @pytest.mark.parametrize("source,config", PROGRAMS)
 def test_statement_placements_respect_trust(source, config):
-    from repro.splitter import ir
-
     result = split_source(source, config)
     for method in result.program.methods.values():
         for stmt in ir.walk_stmts(method.body):
@@ -71,6 +72,38 @@ def test_statement_placements_respect_trust(source, config):
                 stmt.info.defined_vars or stmt.info.defined_fields
             ):
                 assert descriptor.integ.flows_to(stmt.info.l_out.integ)
+            if isinstance(stmt, ir.AssignVar) and isinstance(
+                stmt.expr, ir.NewArr
+            ):
+                # The elements live on the allocating host (Section 4.1).
+                assert C(stmt.expr.label).flows_to(descriptor.conf), (
+                    f"array allocated at {stmt.info.pos} on {host} holds "
+                    f"{stmt.expr.label}"
+                )
+
+
+def test_written_back_array_never_lands_on_an_uncleared_host():
+    """Medical with the clinic-only scores written back into
+    ``readings``: the array must live where {Patient: Clinic} may be
+    read, never on LabHost, and hold the right values."""
+    config = medical.config()
+    source = medical.source(patients=3).replace(
+        "total = total + s;", "readings[i] = s;\n      total = total + s;"
+    )
+    assert "readings[i] = s;" in source
+    outcome = run_split_program(split_source(source, config).split)
+    scores = [abs((17 + i) * 3 % 101 - 50) for i in range(3)]
+    arrays = []
+    for name, host in outcome.hosts.items():
+        for oid, label in host.array_meta.items():
+            assert C(label).flows_to(config.host(name).conf), (
+                f"array {host.array_store[oid]} labeled {label} is "
+                f"stored on {name}"
+            )
+            arrays.append((name, host.array_store[oid]))
+    assert [values for _, values in arrays] == [scores]
+    assert arrays[0][0] != "LabHost"
+    assert outcome.field_value("MedicalSystem", "totalScore") == sum(scores)
 
 
 @pytest.mark.parametrize("source,config", PROGRAMS)

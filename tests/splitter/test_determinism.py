@@ -97,14 +97,14 @@ def test_fault_sweep_identical_across_jobs():
     }
     serial, forked = reports[1], reports[3]
     assert [
-        (o.seed, o.status, o.detail, o.fault_counts)
-        for o in serial.schedules
+        (o.key, o.status, o.detail, o.fault_counts)
+        for o in serial.outcomes
     ] == [
-        (o.seed, o.status, o.detail, o.fault_counts)
-        for o in forked.schedules
+        (o.key, o.status, o.detail, o.fault_counts)
+        for o in forked.outcomes
     ]
     assert serial.failures == forked.failures
-    assert serial.reference == forked.reference
+    assert serial.oracle == forked.oracle
 
 
 @fork_only
@@ -116,10 +116,8 @@ def test_crash_point_sweep_identical_across_jobs():
     }
     serial, forked = reports[1], reports[3]
     assert [
-        (p.host, p.kind, p.occurrence, p.status, p.detail)
-        for p in serial.points
+        (p.key, p.status, p.detail) for p in serial.outcomes
     ] == [
-        (p.host, p.kind, p.occurrence, p.status, p.detail)
-        for p in forked.points
+        (p.key, p.status, p.detail) for p in forked.outcomes
     ]
     assert serial.failures == forked.failures

@@ -76,14 +76,20 @@ class TestForkMap:
             parallel._ACTIVE = False
 
     def test_serial_fallback_ignores_the_guard(self):
-        # jobs<=1 (and single-item) calls return None before touching
-        # the shared state, so they stay legal even mid-fork_map.
+        # jobs<=1 (and single-item) calls run in this process with
+        # their own shared state bound, and restore the outer state
+        # after, so they stay legal even mid-fork_map.
         parallel._ACTIVE = True
+        parallel._STATE["key"] = "outer"
         try:
-            assert parallel.fork_map(_echo_shared, [1, 2], 1) is None
-            assert parallel.fork_map(_echo_shared, [1], 8) is None
+            assert parallel.fork_map(
+                _echo_shared, [1, 2], 1, shared={"key": "serial"}
+            ) == [(1, "serial"), (2, "serial")]
+            assert parallel.fork_map(_echo_shared, [1], 8) == [(1, None)]
+            assert parallel.state() == {"key": "outer"}
         finally:
             parallel._ACTIVE = False
+            parallel._STATE.clear()
 
 
 class TestChunkPlan:

@@ -15,7 +15,11 @@ interleaved ``MultiSessionDriver`` pass over every program at once:
 The values are copied byte-for-byte from the ``current.invariants`` and
 ``current.throughput.invariants`` sections of the newest bench baseline
 checked in at commit f48e1d7: the highest-numbered ``BENCH_*.json`` in
-``git ls-tree --name-only f48e1d7``.
+``git ls-tree --name-only f48e1d7``.  One value has moved since, on
+purpose: request-sized Medical went from 24 to 12 messages (0.007947 to
+0.004076 simulated seconds) when array allocations became subject to
+the field rule C(L) ⊑ C_h, which keeps its clinic-only ``readings``
+array off LabHost.
 
 The module also holds the work-count guard for pooled runs (nothing is
 rebuilt per request after the first run) and the cross-process warm
@@ -68,10 +72,10 @@ REQUEST = {
             "PartnerHost": 0,
         },
         "messages": {
-            "eliminated": 10, "forward": 0, "getField": 3, "lgoto": 1,
-            "rgoto": 7, "setField": 5, "sync": 0, "total_messages": 24,
+            "eliminated": 9, "forward": 0, "getField": 0, "lgoto": 1,
+            "rgoto": 7, "setField": 2, "sync": 0, "total_messages": 12,
         },
-        "simulated_seconds": 0.007947,
+        "simulated_seconds": 0.004076,
     },
     "OT": {
         "ics_depths": {"A": 0, "B": 0, "T": 0},
