@@ -9,10 +9,10 @@ one Python function ``body(host, state)``.  The function dispatches on
 ``state.entry`` once and then loops: every member fragment is one block
 of the loop, a fused jump is ``e = <block>; continue``, and the
 function returns the next :class:`~repro.runtime.host.ExecutionState`
-or ``None`` only when control leaves the component.  A fragment with no
-fused jump to or from it is a one-block component.  Every IR node
-becomes the Python expression that evaluates it, so nothing is
-dispatched per step.
+(a call or return that stays on the host) or ``None`` only when control
+leaves the component.  A fragment with no fused jump to or from it is a
+one-block component.  Every IR node becomes the Python expression that
+evaluates it, so nothing is dispatched per step.
 
 :meth:`~repro.runtime.host.TrustedHost.run_chain` compiles a component
 the first time any of its members is entered and registers the function
@@ -29,39 +29,55 @@ The generated code does exactly what the tree-walking oracle in
 
 * Each block first charges ``len(fragment.ops) + 1`` simulated ops,
   with the float operation ``Transport.charge_ops`` performs, so
-  simulated times match bit for bit.
-* Frame variables are read from and written to the frame dict ``S``
-  directly.  A read of a variable not yet in the frame falls back to
-  ``host.var`` for its declared default, and every write keeps its
-  ``host.durable`` WAL record.
+  simulated times match bit for bit.  ``N.cost.op_cost`` and
+  ``host.durable`` are read once per invocation.
+* Frame variables live in the frame dict ``S``.  A read of a variable
+  not yet in the frame falls back to ``host.var`` for its declared
+  default, and every write stores to ``S`` and keeps its
+  ``host.durable`` WAL record.  A variable read or written while ``S``
+  is fresh is also held in a Python local, and later reads use the
+  local until ``S`` goes stale.
 * The frame is fetched lazily, at the first variable access, so a
   fragment that fails before touching its frame does not create it.
-* ``S`` is fetched again after anything that can reach the network:
-  any field or array access (which of them are remote is the host's
-  business), a forward and a fused ``sync``.  A volatile crash and its
-  recovery replace ``host.frames``, and the next access must see the
-  replacement.
-* Freshness carries across a fused jump (the frame never changes inside
-  a component): a block whose every incoming jump has a fresh ``S``
-  only checks that ``S`` was fetched at all (``S`` is ``None`` on entry
-  to the function), and a block with a stale incoming jump fetches
-  again at its first access.
-* A fused ``sync`` goes through ``host._do_sync`` inline; every other
-  plan goes through ``host._run_plan``, and calls and returns through
-  ``host._finish_call``/``host._finish_return``.
+* ``S`` is fetched again, and every held local dropped, after anything
+  that can reach the network: a field access whose field is placed on
+  another host, any array element access (which arrays are remote is
+  only known at run time), a forward, a sync, a call or a return.  A
+  volatile crash and its recovery replace ``host.frames``, and a
+  re-forward may write the frame, so the next access must see either.
+* Freshness and held locals carry across a fused jump: a block entered
+  only by jumps starts as fresh, and holding as many locals, as its
+  worst incoming jump.  A block that a message, call or return can
+  enter (:attr:`Linkage.entered`, computed once per image) starts at
+  best with ``S`` possibly unfetched (``S`` is ``None`` on entry to the
+  function) and no locals.  Should a message enter any other member
+  anyway, a stub fetches ``S`` and loads the block's locals first.
+* Every plan is generated in place.  A fused ``sync`` goes through
+  ``host._do_sync``, and a rejected one ends the chain.  An ``rgoto``
+  to its static target host or an ``lgoto`` to the token's host builds
+  its :class:`~repro.runtime.network.Message` and sends it through
+  ``N.post``, so faults, quarantine and the TCP backend still apply;
+  deferred forwards are flushed first (and piggybacked) only while
+  ``host.forwards_pending`` says one may be waiting.  A ``halt``
+  raises :class:`~repro.runtime.host.HaltSignal`.
+* A call syncs its continuation, then routes each argument statically:
+  into the callee frame here, onto the callee's ``rgoto``, or into a
+  deferred forward.  A return routes its value (``null`` included) by
+  the static route of the call site its token names
+  (:attr:`Linkage.returns`), then pops the local ICS or ``lgoto``\\ s.
 * Java ``/`` and ``%`` truncate toward zero.
 * An operand nested deeper than :data:`_MAX_INLINE_DEPTH` is computed
   by preceding statements that store its operands in temporaries, level
   by level, so a long operator chain stays within CPython's limit on
   nested brackets.
 
-Anything that is not a literal (edge plans, labels, the call
-terminator, the entry index, the helpers below) reaches the code
-through the function's globals.  The function is built with
-:class:`types.FunctionType`, so it is not reachable from its own
-globals and a dropped image frees its compiled components by refcount.
-Each code object's filename is ``<fragments ENTRY ...>``, naming the
-component's members, so tracebacks and profiles name the fragments.
+Anything that is not a literal (labels, route tables, the entry index,
+the runtime classes) reaches the code through the function's globals.
+The function is built with :class:`types.FunctionType`, so it is not
+reachable from its own globals and a dropped image frees its compiled
+components by refcount.  Each code object's filename is
+``<fragments ENTRY ...>``, naming the component's members, so
+tracebacks and profiles name the fragments.
 
 ``tests/runtime/test_compiled_differential.py`` holds the generated
 code bit-identical to :mod:`.reference`.
@@ -71,7 +87,17 @@ from __future__ import annotations
 
 import builtins
 import types
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..labels import Label
 from ..splitter import ir
@@ -89,7 +115,8 @@ from ..splitter.fragments import (
     TermJump,
     TermReturn,
 )
-from .values import ObjectRef
+from .transport.base import Message
+from .values import FrameID, ObjectRef
 
 #: ``body(host, state) -> Optional[ExecutionState]``
 BodyFn = Callable[[Any, Any], Any]
@@ -170,6 +197,47 @@ def component(split: SplitProgram, host: str, entry: str) -> List[Fragment]:
     return [fragment for fragment in on_host if fragment.entry in members]
 
 
+class Linkage:
+    """What the code of every component of one split needs to know
+    about the split as a whole; a runtime image computes it once.
+
+    ``entered`` holds the entries a message, call or return can enter:
+    the main entry, every ``rgoto`` and ``sync`` target (an ``lgoto``
+    resumes at a synced entry), and every callee and continuation.
+    ``returns`` maps each continuation of a call with a result to that
+    call site's route: (result variable, its label in the caller, the
+    hosts that consume it)."""
+
+    __slots__ = ("entered", "returns")
+
+    def __init__(self, split: SplitProgram) -> None:
+        entered: Set[str] = set()
+        if split.main_entry is not None:
+            entered.add(split.main_entry)
+        self.returns: Dict[str, Tuple[str, Label, Tuple[str, ...]]] = {}
+        for fragment in split.fragments.values():
+            for plan in _plans(fragment):
+                entered.update(
+                    action.entry
+                    for action in plan
+                    if action.kind in ("sync", "rgoto")
+                )
+            terminator = fragment.terminator
+            if not isinstance(terminator, TermCall):
+                continue
+            entered.add(terminator.callee_entry)
+            entered.add(terminator.cont_entry)
+            var = terminator.result_var
+            if var is not None:
+                labels = split.methods[fragment.method_key].var_labels
+                self.returns[terminator.cont_entry] = (
+                    var,
+                    labels.get(var, Label.constant()),
+                    tuple(terminator.result_hosts),
+                )
+        self.entered: FrozenSet[str] = frozenset(entered)
+
+
 # ----------------------------------------------------------------------
 # Helpers the generated code calls
 # ----------------------------------------------------------------------
@@ -179,25 +247,59 @@ def _null(what: str):
     raise RuntimeError(f"null dereference in {what}")
 
 
-def _forward(host, fid, var: str, targets: Tuple[str, ...]) -> None:
-    value = host.var(fid, var)
-    plan = host.split.methods[fid.method_key]
-    label = plan.var_labels.get(var, Label.constant())
-    slot = (fid.fid, var)
-    for target in targets:
+def _route(host, token, value, route) -> bool:
+    """Send a returned ``value`` (``null`` included) along the ``route``
+    of the call site ``token`` names (:attr:`Linkage.returns`); True
+    when it rides on the ``lgoto`` instead."""
+    var, label, hosts = route
+    network = host.network
+    rides = False
+    for target in hosts:
         if target == host.name:
-            continue
-        host.defer_forward(target, slot, value, label, fid)
-    if host.opt_level == 0:
-        host.flush_forwards(piggyback_for=None)
+            host.set_var(token.frame, var, value)
+        elif host.opt_level >= 2 and target == token.host:
+            # The paper's proposed optimization: piggyback the value.
+            rides = True
+            network.flow(label, target)
+            network.note_eliminated(1)
+        else:
+            network.flow(label, target)
+            network.request(
+                Message(
+                    "forward",
+                    host.name,
+                    target,
+                    {
+                        "vars": {token.frame: {var: value}},
+                        "digest": host.split.digest,
+                    },
+                    data_labels=[label],
+                )
+            )
+    return rides
 
 
-_HELPERS = {
-    "__builtins__": builtins,
-    "ObjectRef": ObjectRef,
-    "_null": _null,
-    "_forward": _forward,
-}
+_HELPERS: Dict[str, Any] = {}
+
+
+def _helpers() -> Dict[str, Any]:
+    """The names every generated function sees (bound on first use:
+    the host module imports this one)."""
+    if not _HELPERS:
+        from .host import ExecutionState, HaltSignal
+
+        _HELPERS.update(
+            __builtins__=builtins,
+            ObjectRef=ObjectRef,
+            FrameID=FrameID,
+            Message=Message,
+            ExecutionState=ExecutionState,
+            HaltSignal=HaltSignal,
+            _null=_null,
+            _route=_route,
+        )
+    return _HELPERS
+
 
 #: Operators whose Python and Java semantics agree on ints.
 _OPERATORS = frozenset(("+", "-", "*", "==", "!=", "<", "<=", ">", ">="))
@@ -210,6 +312,16 @@ _FETCH = "host.frames.get(fid) or host.frame(fid)"
 #: anything, it is ``None`` or the current frame dict, or it is the
 #: current frame dict.
 _STALE, _MAYBE, _FRESH = 0, 1, 2
+
+#: (what is known about ``S``, the variables held in locals).
+_State = Tuple[int, FrozenSet[str]]
+_UNFETCHED: _State = (_MAYBE, frozenset())
+
+
+def _meet(a: _State, b: _State) -> _State:
+    fresh = min(a[0], b[0])
+    return (fresh, a[1] & b[1] if fresh == _FRESH else frozenset())
+
 
 #: IR nesting beyond which an operand is computed by statements.  Each
 #: IR level adds at most three brackets to its inline source, and
@@ -229,18 +341,33 @@ def _depth(expr: ir.IRExpr) -> int:
 class _Generator:
     """Emits one component's ``body`` source, tracking in evaluation
     order what is known about ``S`` (:data:`_FRESH`, :data:`_MAYBE`,
-    :data:`_STALE`)."""
+    :data:`_STALE`) and which variables its locals hold."""
 
-    def __init__(self, fragments: Sequence[Fragment]) -> None:
+    def __init__(
+        self,
+        split: SplitProgram,
+        fragments: Sequence[Fragment],
+        linkage: Linkage,
+    ) -> None:
+        self.split = split
         self.fragments = list(fragments)
+        self.host = self.fragments[0].host
+        self.linkage = linkage
         self.index = {f.entry: i for i, f in enumerate(self.fragments)}
-        self.namespace: Dict[str, Any] = dict(_HELPERS)
+        self.namespace: Dict[str, Any] = dict(_helpers())
+        self.namespace["_digest"] = split.digest
         self.bound: Dict[int, str] = {}
-        #: the current block's lines, without the dispatch indentation.
+        #: variable name -> the Python local that holds it.
+        self.locals: Dict[str, str] = {}
+        #: the current block's fragment and lines, without the dispatch
+        #: indentation.
+        self.fragment: Optional[Fragment] = None
         self.lines: List[str] = []
         self.fresh = _STALE
-        #: (target block, state of ``S``) of the current block's jumps.
-        self.jumps: List[Tuple[int, int]] = []
+        #: variables whose local equals their slot in ``S``.
+        self.held: Set[str] = set()
+        #: (target block, state) of the current block's jumps.
+        self.jumps: List[Tuple[int, _State]] = []
         self.temps = 0
         self.indent = 0
 
@@ -258,6 +385,30 @@ class _Generator:
         self.temps += 1
         return f"t{self.temps}"
 
+    def local(self, var: str) -> str:
+        name = self.locals.get(var)
+        if name is None:
+            name = self.locals[var] = f"L{len(self.locals)}"
+        return name
+
+    # -- what is known about S -------------------------------------------
+
+    def state(self) -> _State:
+        return (self.fresh, frozenset(self.held))
+
+    def restore(self, state: _State) -> None:
+        self.fresh, held = state
+        self.held = set(held)
+
+    def meet(self, state: _State) -> None:
+        self.restore(_meet(self.state(), state))
+
+    def stale(self) -> None:
+        """Past this point the network may have run: ``S`` and every
+        held local may be out of date."""
+        self.fresh = _STALE
+        self.held.clear()
+
     def frame_expr(self) -> str:
         fresh, self.fresh = self.fresh, _FRESH
         if fresh == _FRESH:
@@ -272,6 +423,14 @@ class _Generator:
         elif self.fresh == _STALE:
             self.emit(f"S = {_FETCH}")
         self.fresh = _FRESH
+
+    def is_local_field(self, cls: str, field: str) -> bool:
+        placement = self.split.fields.get((cls, field))
+        return placement is not None and placement.host == self.host
+
+    def var_label(self, method_key, var: str) -> str:
+        plan = self.split.methods[method_key]
+        return self.bind(plan.var_labels.get(var, Label.constant()))
 
     # -- expressions -----------------------------------------------------
 
@@ -292,14 +451,26 @@ class _Generator:
         elif isinstance(expr, ir.BinOp) and expr.op in ("&&", "||"):
             self.emit(f"{t} = bool({self.spill(expr.left)})")
             self.emit(f"if {'' if expr.op == '&&' else 'not '}{t}:")
-            fresh_after_left = self.fresh
+            after_left = self.state()
             self.indent += 1
             self.emit(f"{t} = bool({self.spill(expr.right)})")
             self.indent -= 1
-            self.fresh = min(fresh_after_left, self.fresh)
+            self.meet(after_left)
         else:
             self.emit(f"{t} = {self.expr(expr, self.spill)}")
         return t
+
+    def read_var(self, var: str) -> str:
+        local = self.local(var)
+        if var in self.held:
+            return local
+        name = repr(var)
+        frame = self.frame_expr()
+        self.held.add(var)
+        return (
+            f"({local} := (S[{name}] if {name} in {frame} "
+            f"else host.var(fid, {name})))"
+        )
 
     def expr(
         self,
@@ -315,17 +486,13 @@ class _Generator:
                 return repr(value)
             return self.bind(value)
         if isinstance(expr, ir.VarUse):
-            name = repr(expr.name)
-            frame = self.frame_expr()
-            return (
-                f"(S[{name}] if {name} in {frame} "
-                f"else host.var(fid, {name}))"
-            )
+            return self.read_var(expr.name)
         if isinstance(expr, ir.FieldUse):
             oid = "None"
             if expr.obj is not None:
                 oid = self.deref(sub(expr.obj), "oid", "field read")
-            self.fresh = _STALE
+            if not self.is_local_field(expr.cls, expr.field):
+                self.stale()
             return f"host.read_field({expr.cls!r}, {expr.field!r}, {oid})"
         if isinstance(expr, ir.BinOp):
             return self.binop(expr, sub)
@@ -342,7 +509,7 @@ class _Generator:
         if isinstance(expr, ir.ArrayUse):
             array = sub(expr.array)
             index = sub(expr.index)
-            self.fresh = _STALE
+            self.stale()
             return f"host.read_element({array}, {index})"
         if isinstance(expr, ir.ArrayLen):
             return self.deref(sub(expr.array), "length", "array length")
@@ -364,11 +531,11 @@ class _Generator:
         op = expr.op
         left = sub(expr.left)
         if op in ("&&", "||"):
-            # The right operand may not run: afterwards S is known only
-            # as well as on the worse of the two paths.
-            fresh_after_left = self.fresh
+            # The right operand may not run: afterwards S and the locals
+            # are known only as well as on the worse of the two paths.
+            after_left = self.state()
             right = sub(expr.right)
-            self.fresh = min(fresh_after_left, self.fresh)
+            self.meet(after_left)
             word = "and" if op == "&&" else "or"
             return f"(bool({left}) {word} bool({right}))"
         right = sub(expr.right)
@@ -391,14 +558,13 @@ class _Generator:
     def op(self, op) -> None:
         if isinstance(op, OpAssignVar):
             (value,) = self.operands(op.expr)
-            self.emit(f"v = {value}")
+            local = self.local(op.var)
+            self.emit(f"{local} = {value}")
             self.frame_stmt()
             name = repr(op.var)
-            self.emit(f"S[{name}] = v")
-            self.emit(
-                "if host.durable is not None: "
-                f"host.durable.log('var', fid, {name}, v)"
-            )
+            self.emit(f"S[{name}] = {local}")
+            self.emit(f"if D is not None: D.log('var', fid, {name}, {local})")
+            self.held.add(op.var)
         elif isinstance(op, OpSetField):
             (value,) = self.operands(op.expr)
             target = f"{op.cls!r}, {op.field!r}"
@@ -410,43 +576,114 @@ class _Generator:
                 self.emit(f"r = {ref}")
                 self.emit("if r is None: _null('field write')")
                 self.emit(f"host.write_field({target}, r.oid, v)")
-            self.fresh = _STALE
+            if not self.is_local_field(op.cls, op.field):
+                self.stale()
         elif isinstance(op, OpSetElem):
             args = ", ".join(self.operands(op.array, op.index, op.expr))
             self.emit(f"host.write_element({args})")
-            self.fresh = _STALE
+            self.stale()
         elif isinstance(op, OpForward):
-            targets = repr(tuple(op.hosts))
-            self.emit(f"_forward(host, fid, {op.var!r}, {targets})")
-            self.fresh = _STALE
+            self.emit(f"v = {self.read_var(op.var)}")
+            label = self.var_label(self.fragment.method_key, op.var)
+            slot = f"(fid.fid, {op.var!r})"
+            for target in op.hosts:
+                if target != self.host:
+                    self.emit(
+                        f"host.defer_forward({target!r}, {slot}, v, {label}, fid)"
+                    )
+            self.emit("if host.opt_level == 0: host.flush_forwards(None)")
+            self.stale()
         else:
             raise AssertionError(f"unknown op {op!r}")
 
-    # -- terminators -----------------------------------------------------
+    # -- plans -----------------------------------------------------------
 
     def plan(self, plan: EdgePlan, depth: int = 0) -> None:
-        target = _fused_target(plan)
-        if target is None:
-            plan_name = self.bind(plan)
-            self.emit(f"return host._run_plan({plan_name}, state)", depth)
-            return
-        # Exactly host._run_plan's steps up to the local jump: each sync
-        # chains the token, a rejected one ends the chain.
+        """A plan in place: its syncs chain the token and a rejected one
+        ends the chain; then a fused jump, a transfer or a halt."""
         token = "state.token"
         for action in plan:
-            if action.kind == "local":
-                break
-            sync = f"host._do_sync({action.entry!r}, fid, {token})"
-            self.emit(f"tok = {sync}", depth)
-            self.emit("if tok is None: return None", depth)
-            token = "tok"
-            self.fresh = _STALE
-        if token != "state.token":
-            self.emit(f"state.token = {token}", depth)
-        block = self.index[target]
-        self.jumps.append((block, self.fresh))
-        self.emit(f"e = {block}", depth)
-        self.emit("continue", depth)
+            kind = action.kind
+            if kind == "sync":
+                sync = f"host._do_sync({action.entry!r}, fid, {token})"
+                self.emit(f"tok = {sync}", depth)
+                self.emit("if tok is None: return None", depth)
+                token = "tok"
+                self.stale()
+            elif kind == "local":
+                if token != "state.token":
+                    self.emit(f"state.token = {token}", depth)
+                block = self.index[action.entry]
+                self.jumps.append((block, self.state()))
+                self.emit(f"e = {block}", depth)
+                self.emit("continue", depth)
+                return
+            elif kind == "rgoto":
+                self.rgoto(action.entry, "fid", token, depth)
+                return
+            elif kind == "lgoto":
+                if token == "state.token":
+                    self.emit("tok = state.token", depth)
+                    self.emit("if tok is None: raise HaltSignal()", depth)
+                self.lgoto(depth)
+                return
+            elif kind == "halt":
+                self.emit("raise HaltSignal()", depth)
+                return
+            else:
+                raise AssertionError(f"unknown plan action {action!r}")
+        self.emit("return None", depth)
+
+    def rgoto(
+        self, entry: str, frame: str, token: str, depth: int = 0,
+        carried: str = "",
+    ) -> None:
+        """Flush deferred forwards (those for the target ride along),
+        then post the ``rgoto``; ``carried`` adds the callee frame's
+        arguments to the data."""
+        target = self.split.entry_host(entry)
+        self.emit(
+            f"pb = host.flush_forwards({target!r}) "
+            "if host.forwards_pending else None",
+            depth,
+        )
+        data = "pb or {}"
+        if carried:
+            self.emit("pb = pb or {}", depth)
+            self.emit(f"pb[{frame}] = {{{carried}}}", depth)
+            data = "pb"
+        payload = (
+            f"{{'entry': {entry!r}, 'frame': {frame}, 'token': {token}, "
+            f"'vars': {data}, 'digest': _digest}}"
+        )
+        self.emit(
+            f"N.post(Message('rgoto', {self.host!r}, {target!r}, {payload}))",
+            depth,
+        )
+        self.emit("return None", depth)
+
+    def lgoto(self, depth: int = 0, result: bool = False) -> None:
+        """Consume ``tok`` (not ``None``): flush deferred forwards (those
+        for its host ride along) and post the ``lgoto``; ``result`` adds
+        a piggybacked return value."""
+        self.emit(
+            "pb = host.flush_forwards(tok.host) "
+            "if host.forwards_pending else None",
+            depth,
+        )
+        data = "pb or {}"
+        if result:
+            self.emit("pb = pb or {}", depth)
+            self.emit("if rp: pb.setdefault(tok.frame, {})[route[0]] = r", depth)
+            data = "pb"
+        payload = f"{{'token': tok, 'vars': {data}, 'digest': _digest}}"
+        self.emit(
+            f"N.post(Message('lgoto', {self.host!r}, tok.host, {payload}))",
+            depth,
+        )
+        self.emit("return None", depth)
+
+    # -- terminators -----------------------------------------------------
 
     def terminator(self, terminator) -> None:
         if isinstance(terminator, TermJump):
@@ -454,72 +691,161 @@ class _Generator:
         elif isinstance(terminator, TermBranch):
             (cond,) = self.operands(terminator.cond)
             self.emit(f"if {cond}:")
-            fresh = self.fresh
+            state = self.state()
             self.plan(terminator.plan_true, 1)
-            self.fresh = fresh
+            self.restore(state)
             self.plan(terminator.plan_false)
         elif isinstance(terminator, TermCall):
-            params = [param for param, _ in terminator.args]
-            values = self.operands(*(expr for _, expr in terminator.args))
-            args = ", ".join(
-                f"{param!r}: {value}" for param, value in zip(params, values)
-            )
-            call = self.bind(terminator)
-            self.emit(f"return host._finish_call({call}, state, {{{args}}})")
+            self.call(terminator)
         elif isinstance(terminator, TermReturn):
-            value = "None"
-            if terminator.expr is not None:
-                (value,) = self.operands(terminator.expr)
-            self.emit(f"return host._finish_return(state, {value})")
+            self.ret(terminator)
         elif isinstance(terminator, TermHalt):
-            from .host import HaltSignal
-
-            self.namespace["HaltSignal"] = HaltSignal
             self.emit("raise HaltSignal()")
         else:
             raise AssertionError(f"unknown terminator {terminator!r}")
 
+    def call(self, terminator: TermCall) -> None:
+        """Evaluate the arguments, sync the continuation, make the
+        callee frame and route each argument to the hosts that read the
+        parameter — never to hosts that merely run other callee code."""
+        values = self.operands(*(expr for _, expr in terminator.args))
+        for i, value in enumerate(values):
+            self.emit(f"a{i} = {value}")
+        cont = f"host._do_sync({terminator.cont_entry!r}, fid, state.token)"
+        self.emit(f"tok = {cont}")
+        self.emit("if tok is None: return None")
+        self.stale()
+        self.emit(f"cf = FrameID({terminator.callee_key!r})")
+        callee_host = self.split.entry_host(terminator.callee_entry)
+        carried = []
+        for i, (param, _) in enumerate(terminator.args):
+            targets = terminator.arg_hosts.get(param, ())
+            if not targets:
+                continue
+            label = self.var_label(terminator.callee_key, param)
+            for target in targets:
+                if target == self.host:
+                    self.emit(f"host.set_var(cf, {param!r}, a{i})")
+                elif target == callee_host:
+                    carried.append(f"{param!r}: a{i}")
+                    self.emit(f"N.flow({label}, {target!r})")
+                else:
+                    self.emit(
+                        f"host.defer_forward({target!r}, (cf.fid, {param!r}),"
+                        f" a{i}, {label}, cf)"
+                    )
+        if callee_host == self.host:
+            entry = terminator.callee_entry
+            self.emit(f"return ExecutionState({entry!r}, cf, tok)")
+            return
+        self.rgoto(
+            terminator.callee_entry, "cf", "tok", carried=", ".join(carried)
+        )
+
+    def ret(self, terminator: TermReturn) -> None:
+        """Route the value by the call site the token names, then pop
+        the local ICS or ``lgoto`` the caller's host."""
+        value = "None"
+        if terminator.expr is not None:
+            (value,) = self.operands(terminator.expr)
+        self.emit(f"r = {value}")
+        self.emit("tok = state.token")
+        self.emit("if tok is None: raise HaltSignal()")
+        self.namespace["_returns"] = self.linkage.returns
+        self.emit("route = _returns.get(tok.entry)")
+        self.emit("rp = route is not None and _route(host, tok, r, route)")
+        here = repr(self.host)
+        for line in (
+            f"if tok.host == {here}:",
+            "    p = host.stack.pop_if_top(tok)",
+            "    if p is None:",
+            f"        N.audit({here}, 'local lgoto with stale token')",
+            "        return None",
+            "    if D is not None: D.log('pop')",
+            "    if p[0] is None: raise HaltSignal()",
+            "    return ExecutionState(tok.entry, tok.frame, p[0])",
+        ):
+            self.emit(line)
+        self.stale()
+        self.lgoto(result=True)
+
     # -- blocks and dispatch ---------------------------------------------
 
-    def block(self, fragment: Fragment, fresh: int) -> List[str]:
-        """One member's block, entered with ``S`` known as ``fresh``;
-        its jumps are left in :attr:`jumps`."""
+    def block(self, fragment: Fragment, state: _State) -> List[str]:
+        """One member's block, entered in ``state``; its jumps are left
+        in :attr:`jumps`."""
+        self.fragment = fragment
         self.lines, self.jumps = [], []
-        self.fresh, self.temps = fresh, 0
-        self.emit(f"N.clock += {len(fragment.ops) + 1} * N.cost.op_cost")
+        self.restore(state)
+        self.temps = 0
+        self.emit(f"N.clock += {len(fragment.ops) + 1} * C")
         for op in fragment.ops:
             self.op(op)
         self.terminator(fragment.terminator)
         return self.lines
 
-    def blocks(self) -> List[List[str]]:
-        """Every member's block.  A block is entered with ``S`` at best
-        :data:`_MAYBE` (``None`` on entry to the function), and at worst
-        as stale as at any jump into it; a block whose entry state drops
-        is generated again, at most once."""
-        entry_state = [_MAYBE] * len(self.fragments)
-        code: List[List[str]] = [[] for _ in self.fragments]
-        todo = list(range(len(self.fragments)))
-        while todo:
-            i = todo.pop(0)
-            code[i] = self.block(self.fragments[i], entry_state[i])
-            for target, fresh in self.jumps:
-                if fresh < entry_state[target]:
-                    entry_state[target] = fresh
-                    if target not in todo:
-                        todo.append(target)
-        return code
+    def blocks(self) -> Tuple[List[List[str]], List[_State]]:
+        """Every member's block and the state it is entered in.  A
+        member that something outside can enter starts at
+        :data:`_UNFETCHED`, any other at the meet of its incoming
+        jumps; a block whose entry state drops is generated again.  A
+        member nothing reaches is generated as if entered from
+        outside."""
+        entered = self.linkage.entered
+        count = len(self.fragments)
+        states: List[Optional[_State]] = [
+            _UNFETCHED if fragment.entry in entered else None
+            for fragment in self.fragments
+        ]
+        code: List[Optional[List[str]]] = [None] * count
+        todo = [i for i in range(count) if states[i] is not None]
+        while True:
+            while todo:
+                i = todo.pop(0)
+                code[i] = self.block(self.fragments[i], states[i])
+                for target, state in self.jumps:
+                    old = states[target]
+                    new = state if old is None else _meet(old, state)
+                    if new != old:
+                        states[target] = new
+                        if target not in todo:
+                            todo.append(target)
+            missing = [i for i in range(count) if code[i] is None]
+            if not missing:
+                return code, states
+            states[missing[0]] = _UNFETCHED
+            todo.append(missing[0])
+
+    def stub(self, block: int, state: _State) -> List[str]:
+        """Entry into ``block`` from outside although :class:`Linkage`
+        says nothing enters it: fetch ``S`` and load the locals the
+        block expects held."""
+        lines = [f"S = {_FETCH}"]
+        for var in sorted(state[1]):
+            name = repr(var)
+            lines.append(
+                f"{self.local(var)} = S[{name}] if {name} in S "
+                f"else host.var(fid, {name})"
+            )
+        return lines + [f"e = {block}", "continue"]
 
     def source(self) -> str:
-        code = self.blocks()
+        code, states = self.blocks()
+        index = dict(self.index)
+        for i, state in enumerate(states):
+            if state[0] == _FRESH:
+                index[self.fragments[i].entry] = len(code)
+                code.append(self.stub(i, state))
         lines = [
             "def body(host, state):",
             "    fid = state.frame",
             "    N = host.network",
+            "    C = N.cost.op_cost",
+            "    D = host.durable",
             "    S = None",
         ]
         if len(code) > 1:
-            self.namespace["_index"] = self.index
+            self.namespace["_index"] = index
             lines.append("    e = _index[state.entry]")
         lines.append("    while True:")
 
@@ -539,17 +865,26 @@ class _Generator:
         return "\n".join(lines) + "\n"
 
 
-def generate(fragments: Sequence[Fragment]) -> Tuple[str, Dict[str, Any]]:
-    """The source of the ``body`` of the component ``fragments`` (see
-    :func:`component`) and the globals it runs in."""
-    generator = _Generator(fragments)
+def generate(
+    split: SplitProgram,
+    fragments: Sequence[Fragment],
+    linkage: Optional[Linkage] = None,
+) -> Tuple[str, Dict[str, Any]]:
+    """The source of the ``body`` of the component ``fragments`` of
+    ``split`` (see :func:`component`) and the globals it runs in;
+    ``linkage`` defaults to the split's own."""
+    generator = _Generator(split, fragments, linkage or Linkage(split))
     return generator.source(), generator.namespace
 
 
-def compile_component(fragments: Sequence[Fragment]) -> BodyFn:
-    """Compile the component ``fragments`` to its ``body(host, state)``
-    function."""
-    source, namespace = generate(fragments)
+def compile_component(
+    split: SplitProgram,
+    fragments: Sequence[Fragment],
+    linkage: Optional[Linkage] = None,
+) -> BodyFn:
+    """Compile the component ``fragments`` of ``split`` to its
+    ``body(host, state)`` function."""
+    source, namespace = generate(split, fragments, linkage)
     entries = " ".join(fragment.entry for fragment in fragments)
     module = compile(source, f"<fragments {entries}>", "exec")
     (code,) = [c for c in module.co_consts if isinstance(c, types.CodeType)]

@@ -33,10 +33,10 @@ ignored, blacklisting the offender.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from ..labels import Label
-from ..splitter.fragments import EdgeAction, Fragment, SplitProgram, TermCall
+from ..splitter.fragments import Fragment, SplitProgram
 from ..trust import KeyRegistry
 from .checkpoint import (
     CHECKPOINT_INTERVAL,
@@ -54,6 +54,9 @@ from .values import REJECTED, ArrayRef, FrameID
 #: historical name (tests and the attack harness import it from here).
 _REJECTED = REJECTED
 _UNSEEN = object()
+#: :attr:`TrustedHost._dispatch_table`'s entry for the control
+#: transfers, which :meth:`TrustedHost.handle` admits itself.
+_TRANSFER = object()
 
 
 class ExecutionState:
@@ -109,6 +112,9 @@ class TrustedHost:
         self.frames: Dict[FrameID, Dict[str, Any]] = {}
         #: deferred data forwards: dst host -> {(fid, var): (value, label)}.
         self.pending: Dict[str, Dict[Tuple[int, str], Tuple[Any, Label, FrameID]]] = {}
+        #: False only when no deferred forward is waiting, so a control
+        #: transfer skips the flush.
+        self.forwards_pending = False
         #: entries this host serves, with precomputed invoker ACLs
         #: (shared, never mutated — every session reads one copy).
         self.entries: Dict[str, Fragment] = image.entries
@@ -124,14 +130,15 @@ class TrustedHost:
         )
         #: cached program digest (checked on every remote request).
         self._digest = split.digest
-        #: kind -> bound handler, replacing the if-chain in _dispatch.
+        #: kind -> bound request handler; the control transfers map to
+        #: :data:`_TRANSFER` and are admitted by :meth:`handle` itself.
         self._dispatch_table: Dict[str, Any] = {
             "getField": self._handle_get_field,
             "setField": self._handle_set_field,
             "forward": self._handle_forward,
             "sync": self._handle_sync,
-            "rgoto": self._handle_rgoto,
-            "lgoto": self._handle_lgoto,
+            "rgoto": _TRANSFER,
+            "lgoto": _TRANSFER,
             "recover": self._handle_recover,
         }
         #: latest recovery announcement (epoch, seq) seen per peer —
@@ -172,6 +179,7 @@ class TrustedHost:
         self.array_meta.clear()
         self.frames.clear()
         self.pending.clear()
+        self.forwards_pending = False
         self.peer_epochs.clear()
         keep_durable = self.durable is not None and (
             self.network.faults is not None
@@ -222,12 +230,29 @@ class TrustedHost:
     # ------------------------------------------------------------------
 
     def handle(self, message: Message) -> Any:
-        remote = message.src != self.name
+        """Receive one message: Figure 6's checks, then its effect.
+
+        A remote message is charged one check and must carry the
+        program's digest; a retransmission is answered from the
+        idempotency table.  A request then goes to its handler in
+        :attr:`_dispatch_table`.  A control transfer is admitted here:
+        an ``rgoto`` by its entry's invoker ACL, an ``lgoto`` by a token
+        this host minted, its MAC (remote presentations only) and the
+        ICS pop.  Then each variable it carries passes its integrity
+        check, and the entered component runs (:meth:`run_chain`).
+        """
+        network = self.network
+        kind = message.kind
+        src = message.src
+        payload = message.payload
+        remote = src != self.name
         if remote:
-            self.network.charge_check()
-            if message.payload.get("digest") != self._digest:
-                self.network.audit(
-                    self.name, f"{message.kind} with mismatched program hash"
+            cost = network.cost.check_cost
+            network.clock += cost
+            network.check_time += cost
+            if payload.get("digest") != self._digest:
+                network.audit(
+                    self.name, f"{kind} with mismatched program hash"
                 )
                 return self._reject(message)
             if message.msg_id is not None:
@@ -237,11 +262,69 @@ class TrustedHost:
                 cached = self._seen_requests.get(message.msg_id, _UNSEEN)
                 if cached is not _UNSEEN:
                     return cached
-        handler = self._dispatch_table.get(message.kind)
+        handler = self._dispatch_table.get(kind)
         if handler is None:
-            result = self._dispatch(message)  # audits the unknown kind
-        else:
+            network.audit(self.name, f"unknown request kind {kind!r}")
+            result = _REJECTED
+        elif handler is not _TRANSFER:
             result = handler(message)
+        else:
+            state = None
+            if kind == "rgoto":
+                entry = payload["entry"]
+                info = self._entry_table.get(entry)
+                if info is None:
+                    network.audit(self.name, f"rgoto to unknown entry {entry}")
+                elif remote and src not in info[1]:
+                    network.audit(
+                        self.name,
+                        f"rgoto {entry} denied to {src}: I_i ⋢ I_e "
+                        f"(I_e = {{{info[0].integ}}})",
+                    )
+                else:
+                    state = ExecutionState(
+                        entry, payload["frame"], payload.get("token")
+                    )
+            else:
+                token: Token = payload["token"]
+                if token.host != self.name:
+                    network.audit(
+                        self.name, f"lgoto with foreign token for {token.entry}"
+                    )
+                elif remote and not self.factory.verify(token):
+                    # Tokens used locally are never hashed (Section 7.4),
+                    # so only remote presentations pay for verification.
+                    network.audit(
+                        self.name, f"lgoto with forged token for {token.entry}"
+                    )
+                else:
+                    if remote:
+                        cost = network.cost.hash_cost
+                        network.clock += cost
+                        network.hash_time += cost
+                    popped = self.stack.pop_if_top(token)
+                    if popped is None:
+                        network.audit(
+                            self.name,
+                            f"lgoto with stale/replayed token for {token.entry}",
+                        )
+                    else:
+                        if self.durable is not None:
+                            self.durable.log("pop")
+                        state = ExecutionState(
+                            token.entry, token.frame, popped[0]
+                        )
+            if state is None:
+                result = _REJECTED
+            else:
+                vars_payload = payload.get("vars")
+                if vars_payload:
+                    self._apply_vars(src, vars_payload)
+                if kind == "lgoto" and state.token is None:
+                    # The root capability: the program is complete.
+                    raise HaltSignal()
+                self.run_chain(state)
+                result = True
         if remote:
             if message.msg_id is not None:
                 # Write-ahead: the dedup entry must be durable before
@@ -269,15 +352,6 @@ class TrustedHost:
                 message=message,
             )
         return _REJECTED
-
-    def _dispatch(self, message: Message) -> Any:
-        handler = self._dispatch_table.get(message.kind)
-        if handler is None:
-            self.network.audit(
-                self.name, f"unknown request kind {message.kind!r}"
-            )
-            return _REJECTED
-        return handler(message)
 
     def _handle_get_field(self, message: Message) -> Any:
         payload = message.payload
@@ -312,7 +386,12 @@ class TrustedHost:
             self.network.audit(self.name, f"getField for absent array {ref}")
             return _REJECTED
         label = self.array_meta[ref.oid]
-        requester = self.split.config.host(message.src)
+        requester = self._image.descriptors.get(message.src)
+        if requester is None:
+            self.network.audit(
+                self.name, f"array read from unknown host {message.src}"
+            )
+            return _REJECTED
         if message.src != self.name and not label.conf.flows_to(
             requester.conf, self.split.config.hierarchy
         ):
@@ -339,7 +418,12 @@ class TrustedHost:
             self.network.audit(self.name, f"setField for absent array {ref}")
             return _REJECTED
         label = self.array_meta[ref.oid]
-        sender = self.split.config.host(message.src)
+        sender = self._image.descriptors.get(message.src)
+        if sender is None:
+            self.network.audit(
+                self.name, f"array write from unknown host {message.src}"
+            )
+            return _REJECTED
         if message.src != self.name and not sender.integ.flows_to(
             label.integ, self.split.config.hierarchy
         ):
@@ -391,59 +475,55 @@ class TrustedHost:
 
         A denied variable rejects the request (the accepted ones are
         still applied — they passed their own checks); honest senders
-        never mix the two."""
-        accepted = True
-        remote = src != self.name
-        # The per-variable integrity check is a precomputed set lookup:
-        # I_src ⊑ I(L_var) is static per split.  A sender the image has
-        # no entry for falls back to the lattice check below.
+        never mix the two.  A sender the configuration does not name is
+        rejected outright."""
+        frames = self.frames
+        durable = self.durable
         image = self._image
-        denied_pairs = image.forward_denied.get(src) if remote else None
-        if not remote or (
-            denied_pairs is not None
-            and not denied_pairs
-            and src not in image.constant_denied
-        ):
-            # Fast path: nothing this sender forwards can be denied
-            # (locally, or statically per the precomputed sets), so the
-            # per-variable checks reduce to straight slot stores.
-            frames = self.frames
-            durable = self.durable
-            for fid, var_values in vars_payload.items():
-                frame = frames.get(fid)
+        denied_pairs = None
+        if src != self.name:
+            # The per-variable check I_src ⊑ I(L_var) is static per
+            # split: a set lookup into the image's precomputed denials.
+            denied_pairs = image.forward_denied.get(src)
+            if denied_pairs is None:
+                self.network.audit(
+                    self.name, f"forward from unknown host {src}"
+                )
+                return _REJECTED
+            if not denied_pairs and src not in image.constant_denied:
+                denied_pairs = None
+        accepted = True
+        for fid, var_values in vars_payload.items():
+            frame = frames.get(fid)
+            if denied_pairs is None:
+                # Nothing this sender forwards can be denied: straight
+                # slot stores.
                 if frame is None:
                     frame = frames[fid] = {}
                 if durable is None:
                     frame.update(var_values)
-                else:
-                    for var, value in var_values.items():
-                        frame[var] = value
-                        durable.log("var", fid, var, value)
-            return True
-        for fid, var_values in vars_payload.items():
-            plan = self.split.methods[fid.method_key]
+                    continue
+                for var, value in var_values.items():
+                    frame[var] = value
+                    durable.log("var", fid, var, value)
+                continue
+            var_labels = self.split.methods[fid.method_key].var_labels
             for var, value in var_values.items():
-                if remote:
-                    if denied_pairs is not None:
-                        denied = (fid.method_key, var) in denied_pairs or (
-                            var not in plan.var_labels
-                            and src in image.constant_denied
-                        )
-                    else:
-                        label = plan.var_labels.get(var, Label.constant())
-                        sender = self.split.config.host(src)
-                        denied = not sender.integ.flows_to(
-                            label.integ, self.split.config.hierarchy
-                        )
-                    if denied:
-                        self.network.audit(
-                            self.name,
-                            f"forward of {var} denied from {src}: "
-                            f"I_{src} ⋢ I(L_var)",
-                        )
-                        accepted = False
-                        continue
-                self.set_var(fid, var, value)
+                if (fid.method_key, var) in denied_pairs or (
+                    var not in var_labels and src in image.constant_denied
+                ):
+                    self.network.audit(
+                        self.name,
+                        f"forward of {var} denied from {src}: "
+                        f"I_{src} ⋢ I(L_var)",
+                    )
+                    accepted = False
+                    continue
+                if frame is None:
+                    frame = frames[fid] = {}
+                frame[var] = value
+                if durable is not None:
+                    durable.log("var", fid, var, value)
         return True if accepted else _REJECTED
 
     def _handle_sync(self, message: Message) -> Any:
@@ -466,64 +546,6 @@ class TrustedHost:
         if self.durable is not None:
             self.durable.log("push", token, payload.get("token"))
         return token
-
-    def _handle_rgoto(self, message: Message) -> Any:
-        payload = message.payload
-        entry = payload["entry"]
-        info = self._entry_table.get(entry)
-        if info is None:
-            self.network.audit(self.name, f"rgoto to unknown entry {entry}")
-            return _REJECTED
-        if message.src != self.name and message.src not in info[1]:
-            self.network.audit(
-                self.name,
-                f"rgoto {entry} denied to {message.src}: I_i ⋢ I_e "
-                f"(I_e = {{{info[0].integ}}})",
-            )
-            return _REJECTED
-        self._apply_payload_data(message)
-        state = ExecutionState(entry, payload["frame"], payload.get("token"))
-        self.run_chain(state)
-        return True
-
-    def _handle_lgoto(self, message: Message) -> Any:
-        token: Token = message.payload["token"]
-        if token.host != self.name:
-            self.network.audit(
-                self.name, f"lgoto with foreign token for {token.entry}"
-            )
-            return _REJECTED
-        if message.src != self.name:
-            # Tokens used locally are never hashed (Section 7.4), so only
-            # remote presentations pay for MAC verification.
-            if not self.factory.verify(token):
-                self.network.audit(
-                    self.name, f"lgoto with forged token for {token.entry}"
-                )
-                return _REJECTED
-            self.network.charge_hash()
-        popped = self.stack.pop_if_top(token)
-        if popped is None:
-            self.network.audit(
-                self.name,
-                f"lgoto with stale/replayed token for {token.entry}",
-            )
-            return _REJECTED
-        if self.durable is not None:
-            self.durable.log("pop")
-        self._apply_payload_data(message)
-        (previous,) = popped
-        if previous is None:
-            # The root capability: the program is complete.
-            raise HaltSignal()
-        state = ExecutionState(token.entry, token.frame, previous)
-        self.run_chain(state)
-        return True
-
-    def _apply_payload_data(self, message: Message) -> None:
-        vars_payload = message.payload.get("vars")
-        if vars_payload:
-            self._apply_vars(message.src, vars_payload)
 
     def _handle_recover(self, message: Message) -> Any:
         """A peer announces it has recovered from a volatile crash.
@@ -587,6 +609,7 @@ class TrustedHost:
             labels.append(label)
             self.network.flow(label, target)
         slots.clear()
+        self.forwards_pending = any(self.pending.values())
         if self.durable is not None:
             self.durable.log("pending_clear", target)
         self.network.request(
@@ -678,6 +701,7 @@ class TrustedHost:
         self.array_meta = {}
         self.frames = {}
         self.pending = {}
+        self.forwards_pending = False
         self.peer_epochs = {}
 
     def recover(self) -> None:
@@ -733,6 +757,7 @@ class TrustedHost:
         self.stack = stack
         self._seen_requests = state["seen"]
         self.pending = state["pending"]
+        self.forwards_pending = any(self.pending.values())
         self.peer_epochs = state["peer_epochs"]
 
     def _replay(self, entry: Tuple) -> None:
@@ -760,6 +785,7 @@ class TrustedHost:
         elif op == "pending":
             _, target, slot, value, label, fid = entry
             self.pending.setdefault(target, {})[slot] = (value, label, fid)
+            self.forwards_pending = True
         elif op == "pending_clear":
             self.pending.get(entry[1], {}).clear()
         elif op == "peer_epoch":
@@ -836,10 +862,13 @@ class TrustedHost:
         """
         compiled = self._compiled
         while True:
-            body = compiled.get(state.entry)
-            if body is None:
+            try:
+                body = compiled[state.entry]
+            except KeyError:
                 members = component(self.split, self.name, state.entry)
-                body = compile_component(members)
+                body = compile_component(
+                    self.split, members, self._image.linkage
+                )
                 for fragment in members:
                     compiled[fragment.entry] = body
             state = body(self, state)
@@ -854,6 +883,7 @@ class TrustedHost:
     ) -> None:
         """Defer a data forward to ``target`` (WAL-logged)."""
         self.pending.setdefault(target, {})[slot] = (value, label, frame)
+        self.forwards_pending = True
         if self.durable is not None:
             self.durable.log("pending", target, slot, value, label, frame)
 
@@ -863,11 +893,6 @@ class TrustedHost:
         """Send all deferred forwards; values destined to
         ``piggyback_for`` are returned for inclusion in the transfer
         message instead of being sent separately."""
-        # Fast exit for the common chain with nothing deferred: the
-        # per-target slot dicts stay allocated after a flush (replay
-        # bookkeeping keys on them), so test emptiness, not key count.
-        if not any(self.pending.values()):
-            return None
         piggyback: Optional[Dict[FrameID, Dict[str, Any]]] = None
         for target in sorted(self.pending):
             slots = self.pending[target]
@@ -907,37 +932,16 @@ class TrustedHost:
                 self.network.one_way(message)
             else:
                 self.network.request(message)
+        # A crash and recovery inside a send may have restored slots.
+        self.forwards_pending = any(self.pending.values())
         return piggyback
 
-    # -- terminators ---------------------------------------------------------------
-
-    def _run_plan(
-        self, plan: List[EdgeAction], state: ExecutionState
-    ) -> Optional[ExecutionState]:
-        token = state.token
-        for action in plan:
-            if action.kind == "local":
-                state.entry = action.entry
-                state.token = token
-                return state
-            if action.kind == "sync":
-                token = self._do_sync(action.entry, state.frame, token)
-                if token is None:
-                    return None
-            elif action.kind == "rgoto":
-                self._do_rgoto(action.entry, state.frame, token)
-                return None
-            elif action.kind == "lgoto":
-                self._do_lgoto(token)
-                return None
-            elif action.kind == "halt":
-                raise HaltSignal()
-        return None
+    # -- control transfers ------------------------------------------------------
 
     def _do_sync(
         self, entry: str, frame: FrameID, token: Optional[Token]
     ) -> Optional[Token]:
-        target_host = self.split.entry_host(entry)
+        target_host = self.split.fragments[entry].host
         if target_host == self.name and entry in self._entry_table:
             # Local sync fast path: a request to ourselves never touches
             # the network (no counts, no charges — the general path's
@@ -965,156 +969,6 @@ class TrustedHost:
             self.network.audit(self.name, f"sync to {entry} was rejected")
             return None
         return result
-
-    def _do_rgoto(
-        self, entry: str, frame: FrameID, token: Optional[Token],
-        extra_vars: Optional[Dict[FrameID, Dict[str, Any]]] = None,
-    ) -> None:
-        target_host = self.split.entry_host(entry)
-        piggyback = self.flush_forwards(piggyback_for=target_host)
-        vars_payload = piggyback or {}
-        if extra_vars:
-            for fid, values in extra_vars.items():
-                vars_payload.setdefault(fid, {}).update(values)
-        message = Message(
-            "rgoto",
-            self.name,
-            target_host,
-            {
-                "entry": entry,
-                "frame": frame,
-                "token": token,
-                "vars": vars_payload,
-                "digest": self.split.digest,
-            },
-        )
-        self.network.post(message)
-
-    def _do_lgoto(
-        self, token: Optional[Token],
-        extra_vars: Optional[Dict[FrameID, Dict[str, Any]]] = None,
-    ) -> None:
-        if token is None:
-            raise HaltSignal()
-        piggyback = self.flush_forwards(piggyback_for=token.host)
-        vars_payload = piggyback or {}
-        if extra_vars:
-            for fid, values in extra_vars.items():
-                vars_payload.setdefault(fid, {}).update(values)
-        message = Message(
-            "lgoto",
-            self.name,
-            token.host,
-            {
-                "token": token,
-                "vars": vars_payload,
-                "digest": self.split.digest,
-            },
-        )
-        self.network.post(message)
-
-    def _finish_call(
-        self,
-        terminator: TermCall,
-        state: ExecutionState,
-        arg_values: Dict[str, Any],
-    ) -> Optional[ExecutionState]:
-        """Everything after argument evaluation (shared by the generated
-        fragment functions and the reference interpreter)."""
-        # Sync the continuation on this host (a local ICS push).
-        cont_token = self._do_sync(
-            terminator.cont_entry, state.frame, state.token
-        )
-        if cont_token is None:
-            return None
-        callee_frame = FrameID(terminator.callee_key)
-        callee_host = self.split.entry_host(terminator.callee_entry)
-        plan = self.split.methods[terminator.callee_key]
-        # Route each argument directly to the hosts that read the
-        # parameter — not to hosts that merely run other callee code.
-        rgoto_payload: Dict[str, Any] = {}
-        for param, value in arg_values.items():
-            label = plan.var_labels.get(param, Label.constant())
-            for target in terminator.arg_hosts.get(param, ()):
-                if target == self.name:
-                    self.set_var(callee_frame, param, value)
-                elif target == callee_host:
-                    rgoto_payload[param] = value
-                    self.network.flow(label, target)
-                else:
-                    self.defer_forward(
-                        target, (callee_frame.fid, param), value, label,
-                        callee_frame,
-                    )
-        if callee_host == self.name:
-            for param, value in rgoto_payload.items():
-                self.set_var(callee_frame, param, value)
-            return ExecutionState(
-                terminator.callee_entry, callee_frame, cont_token
-            )
-        self._do_rgoto(
-            terminator.callee_entry,
-            callee_frame,
-            cont_token,
-            extra_vars={callee_frame: rgoto_payload} if rgoto_payload else None,
-        )
-        return None
-
-    def _finish_return(
-        self, state: ExecutionState, value: Any
-    ) -> Optional[ExecutionState]:
-        """Everything after evaluating the return expression (shared by
-        the generated fragment functions and the reference
-        interpreter)."""
-        token = state.token
-        if token is None:
-            raise HaltSignal()
-        # The whole return route is static per continuation entry: the
-        # capability names the caller's host and frame, the split program
-        # names the result variable and the hosts that consume it.
-        result_var, result_hosts = self.split.cont_result(token.entry)
-        retval_payload: Optional[Dict[FrameID, Dict[str, Any]]] = None
-        if result_var is not None and value is not None:
-            plan = self.split.methods[token.frame.method_key]
-            label = plan.var_labels.get(result_var, Label.constant())
-            for target in result_hosts:
-                if target == self.name:
-                    self.set_var(token.frame, result_var, value)
-                elif self.opt_level >= 2 and target == token.host:
-                    # Piggyback the return value on the lgoto (the
-                    # paper's proposed optimization).
-                    retval_payload = {token.frame: {result_var: value}}
-                    self.network.flow(label, target)
-                    self.network.note_eliminated(1)
-                else:
-                    self.network.flow(label, target)
-                    self.network.request(
-                        Message(
-                            "forward",
-                            self.name,
-                            target,
-                            {
-                                "vars": {token.frame: {result_var: value}},
-                                "digest": self.split.digest,
-                            },
-                            data_labels=[label],
-                        )
-                    )
-        if token.host == self.name:
-            # A local return: pop our own stack directly; deferred
-            # forwards keep riding until control actually leaves.
-            popped = self.stack.pop_if_top(token)
-            if popped is None:
-                self.network.audit(self.name, "local lgoto with stale token")
-                return None
-            if self.durable is not None:
-                self.durable.log("pop")
-            (previous,) = popped
-            if previous is None:
-                raise HaltSignal()
-            return ExecutionState(token.entry, token.frame, previous)
-        self._do_lgoto(token, extra_vars=retval_payload)
-        return None
 
     # ------------------------------------------------------------------
     # Array element access (counted as getField/setField, like the

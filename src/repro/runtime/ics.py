@@ -36,7 +36,7 @@ class LocalStack:
         if not self._stack:
             return None
         issued, previous = self._stack[-1]
-        if issued != token:
+        if issued is not token and issued != token:
             return None
         self._stack.pop()
         return (previous,)

@@ -119,7 +119,8 @@ class SimNetwork(Transport):
             raise KeyError(f"unknown host {message.dst!r}")
         if message.src == message.dst:
             return handler(message)
-        self._check_quarantine(message)
+        if self.quarantine_enabled:
+            self._check_quarantine(message)
         if self.faults is None:
             self._account(message, messages=2)
             return handler(message)
@@ -131,7 +132,8 @@ class SimNetwork(Transport):
             raise KeyError(f"unknown host {message.dst!r}")
         if message.src == message.dst:
             return handler(message)
-        self._check_quarantine(message)
+        if self.quarantine_enabled:
+            self._check_quarantine(message)
         if self.faults is None:
             self._account(message, messages=messages)
             return handler(message)
@@ -237,7 +239,8 @@ class SimNetwork(Transport):
         if message.src == message.dst:
             self._queue.append(message)
             return
-        self._check_quarantine(message)
+        if self.quarantine_enabled:
+            self._check_quarantine(message)
         if self.faults is None:
             self._account(message, messages=1)
             self._queue.append(message)

@@ -50,7 +50,7 @@ from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 from ..labels import Label
 from ..splitter.fragments import Fragment, SplitProgram
 from ..trust import KeyRegistry
-from .compiler import BodyFn
+from .compiler import BodyFn, Linkage
 from .faults import FaultInjector
 from .host import HaltSignal, TrustedHost
 from .network import CostModel, SimNetwork
@@ -157,6 +157,8 @@ class HostImage:
         "forward_denied",
         "constant_denied",
         "compiled",
+        "linkage",
+        "descriptors",
     )
 
     def __init__(
@@ -166,10 +168,16 @@ class HostImage:
         forward_denied: Dict[str, FrozenSet[Tuple[Tuple[str, str], str]]],
         constant_denied: FrozenSet[str],
         compiled: Dict[str, BodyFn],
+        linkage: Linkage,
     ) -> None:
         self.name = name
         #: the image-wide compiled fragment cache (shared across hosts).
         self.compiled = compiled
+        #: the image-wide facts the generated code is built from.
+        self.linkage = linkage
+        #: every configured host by name (a request from any other
+        #: sender is rejected).
+        self.descriptors = {d.name: d for d in split.config.hosts}
         #: entries this host serves.
         self.entries: Dict[str, Fragment] = {
             f.entry: f for f in split.fragments_on(name)
@@ -224,6 +232,7 @@ class RuntimeImage:
         #: fragment altered between image build and execution is
         #: compiled as altered.
         self.compiled: Dict[str, BodyFn] = {}
+        linkage = Linkage(split)
         # Derive every host key now, so no session pays for it.
         for descriptor in split.config.hosts:
             self.registry.register(f"host:{descriptor.name}")
@@ -235,6 +244,7 @@ class RuntimeImage:
                 forward_denied,
                 constant_denied,
                 self.compiled,
+                linkage,
             )
             for descriptor in split.config.hosts
         }
@@ -496,36 +506,45 @@ class Session:
     def step(self) -> bool:
         """Deliver one pending control message; returns True when the
         program has halted."""
-        if self._halted:
-            return True
-        storage = self.storage
-        if storage is not None and storage.available:
-            storage.begin()
-        message = self.network.pop_control()
-        if message is None:
-            raise RuntimeError(
-                "distributed execution stalled: no control message "
-                "pending and the program has not halted"
-            )
-        handler = self.hosts[message.dst]
-        try:
-            handler.handle(message)
-        except HaltSignal:
-            self._halted = True
-        self._steps += 1
-        if self._steps > _MAX_STEPS:
-            raise RuntimeError("execution exceeded the step budget")
-        if storage is not None and storage.available:
-            storage.save_boundary(self)
-        return self._halted
+        return self._deliver(1)
 
     def run(self) -> ExecutionResult:
         """Execute the program to completion."""
         if not self._started:
             self.start()
-        while not self._halted:
-            self.step()
+        self._deliver(None)
         return self.result()
+
+    def _deliver(self, count: Optional[int]) -> bool:
+        """The delivery loop: hand pending control messages to their
+        hosts, ``count`` of them or (``None``) until the program halts;
+        returns True when it has halted.  Each delivery is one storage
+        boundary."""
+        storage = self.storage
+        # The control queue itself: what ``pop_control`` would pop.
+        queue = self.network._queue
+        hosts = self.hosts
+        delivered = 0
+        while not self._halted and delivered != count:
+            if storage is not None and storage.available:
+                storage.begin()
+            if not queue:
+                raise RuntimeError(
+                    "distributed execution stalled: no control message "
+                    "pending and the program has not halted"
+                )
+            message = queue.popleft()
+            try:
+                hosts[message.dst].handle(message)
+            except HaltSignal:
+                self._halted = True
+            delivered += 1
+            self._steps += 1
+            if self._steps > _MAX_STEPS:
+                raise RuntimeError("execution exceeded the step budget")
+            if storage is not None and storage.available:
+                storage.save_boundary(self)
+        return self._halted
 
     def result(self) -> ExecutionResult:
         if self._main_frame is None:

@@ -494,7 +494,9 @@ class Transport:
         raise SecurityAbort(offender, victim, why, message=message)
 
     def _check_quarantine(self, message: Message) -> None:
-        if self.quarantine_enabled and message.src in self.quarantined:
+        """Refuse a send from a quarantined host (called only while the
+        quarantine layer is on)."""
+        if message.src in self.quarantined:
             raise SecurityAbort(
                 message.src,
                 message.dst,

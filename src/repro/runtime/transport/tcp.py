@@ -434,7 +434,8 @@ class HostEndpoint(Transport):
         """Stamp, account and reliably deliver ``message``: the shared
         channel's retry schedule, each wait spent pumping the sockets
         (serving incoming frames, so nested chains re-enter here)."""
-        self._check_quarantine(message)
+        if self.quarantine_enabled:
+            self._check_quarantine(message)
         self.channel.stamp(message)
         self._account(message, messages=messages)
         if control:
@@ -762,7 +763,9 @@ class TcpSession(Session):
                 sock.close()
         return False
 
-    def step(self) -> bool:
+    def _deliver(self, count: Optional[int]) -> bool:
+        """The whole run happens in the host processes: wait for the
+        halt (any ``count``), then merge the hosts' reports."""
         if self._halted:
             return True
         if self._coord is None:

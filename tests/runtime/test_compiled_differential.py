@@ -25,10 +25,17 @@ from repro.runtime import (
     TrustedHost,
 )
 from repro.runtime import reference
-from repro.runtime.compiler import ForeignFragmentError, component, generate
+from repro.runtime.compiler import (
+    ForeignFragmentError,
+    Linkage,
+    component,
+    generate,
+)
 from repro.runtime.faults import CrashPointInjector, FaultInjector, FaultPolicy
 from repro.runtime.faultsweep import random_policy
-from repro.runtime.network import DeliveryTimeoutError
+from repro.runtime.network import DeliveryTimeoutError, Message
+from repro.runtime.values import FrameID
+from repro.reporting.throughput import request_workloads
 from repro.runtime.trace import recorded_run
 from repro.splitter import EdgeAction, TermBranch, TermJump, split_source
 from repro.workloads import listcompare, ot, tax, work
@@ -153,6 +160,23 @@ class TestWorkloads:
     def test_workload_identical(self, source, config, monkeypatch):
         compiled, interpreted = run_both(source, config, monkeypatch)
         assert compiled == interpreted
+
+
+class TestRequestWorkloads:
+    """The request-sized Table 1 workloads, Medical included: calls,
+    returns and piggybacked forwards across three and four hosts."""
+
+    @pytest.mark.parametrize("name", sorted(request_workloads()))
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_request_workload_identical(self, name, level, monkeypatch):
+        source, config = request_workloads()[name]
+        split = split_source(source, config).split
+
+        def run():
+            executor = Session(RuntimeImage.for_split(split), opt_level=level)
+            return exact(executor, executor.run())
+
+        assert run() == interpreted(run, monkeypatch)
 
 
 class TestGeneratedPrograms:
@@ -748,6 +772,28 @@ class Sc {
 """
 
 
+#: A call that returns ``null`` assigns it (the second round's ``n``).
+RETURNS_NULL = NODE + """
+class Picker {
+  int{Alice:; ?:Alice} out;
+  Node{Alice:; ?:Alice} pick{Alice:; ?:Alice}(int{Alice:; ?:Alice} k) {
+    if (k == 0) return new Node();
+    else return null;
+  }
+  void main{?:Alice}() {
+    int{Alice:; ?:Alice} i = 0;
+    out = 0;
+    while (i < 2) {
+      Node{Alice:; ?:Alice} n = pick(i);
+      if (n == null) out = out + 10;
+      else out = out + 1;
+      i = i + 1;
+    }
+  }
+}
+"""
+
+
 def exact(executor, outcome=None):
     """Observables of a finished or failed run, the clock to the bit."""
     network = executor.network
@@ -820,7 +866,7 @@ class TestComponents:
     def test_fused_sync_rejected(self, monkeypatch):
         """A ``[sync, local]`` plan runs its sync inline; when the sync
         is rejected (``_do_sync`` returns ``None``) the chain ends there
-        and the run stalls, exactly as through ``_run_plan``."""
+        and the run stalls, exactly as in the reference ``run_plan``."""
         split = split_source(work.source(rounds=4), work.config()).split
         ((plan_owner, sync_entry),) = [
             (fragment.entry, plan[0].entry)
@@ -831,7 +877,7 @@ class TestComponents:
             if [a.kind for a in plan] == ["sync", "local"]
         ]
         host = split.entry_host(plan_owner)
-        source, _ = generate(component(split, host, plan_owner))
+        source, _ = generate(split, component(split, host, plan_owner))
         assert f"host._do_sync({sync_entry!r}, fid, state.token)" in source
         do_sync = TrustedHost._do_sync
 
@@ -889,6 +935,41 @@ class TestComponents:
         compiled = run()
         assert compiled == interpreted(run, monkeypatch)
         assert compiled["fields"]["H"][("Sc", "out", None)] == 3
+
+
+    def test_message_into_a_member_only_jumps_enter(self, monkeypatch):
+        """Work's inner-loop body is entered only by fused jumps, so its
+        block expects ``S`` fresh and the loop counter in a local.  A
+        message that enters it anyway runs a stub that fetches the frame
+        and loads the local first, and the run matches the oracle."""
+        split = split_source(work.source(rounds=2, inner=3), work.config()).split
+        entry = "Work.main.4@A"
+        assert entry not in Linkage(split).entered
+        members = component(split, "A", entry)
+        _, namespace = generate(split, members)
+        assert namespace["_index"][entry] >= len(members)
+
+        def run():
+            executor = Session(RuntimeImage.for_split(split), storage=None)
+            frame = FrameID(split.fragments[entry].method_key)
+            executor.hosts["A"].frames[frame] = {"i": 1, "j": 1, "acc": 5}
+            executor.network.post(
+                Message("rgoto", "A", "A", {"entry": entry, "frame": frame,
+                                            "token": None, "vars": {}})
+            )
+            while not executor.step():
+                pass
+            return exact(executor)
+
+        compiled = run()
+        assert compiled == interpreted(run, monkeypatch)
+        (frame,) = compiled["frames"]["A"]
+        assert frame[1]["j"] == 3
+
+    def test_returned_null_identical(self, monkeypatch):
+        compiled, oracle = run_both(RETURNS_NULL, config_abt(), monkeypatch)
+        assert compiled == oracle
+        assert compiled["fields"]["A"][("Picker", "out", None)] == 11
 
 
 class TestPlacementCheck:
@@ -960,15 +1041,18 @@ class TestGeneratedCode:
 
     def test_local_jump_is_inlined(self):
         """A local jump inside a component continues the component's
-        loop: it neither sets ``state.entry`` nor calls
-        ``host._run_plan``; only the inner loop's exit (an rgoto to B)
-        leaves through ``_run_plan``."""
+        loop without setting ``state.entry``, and the inner loop's exit,
+        an rgoto to B, is generated in place: it builds its message for
+        the static target host and posts it, with no host plan method in
+        between."""
         split = split_source(work.source(rounds=2), work.config()).split
         members = component(split, "A", "Work.main.4@A")
         entries = [f.entry for f in members]
         assert {"Work.main.3@A", "Work.main.4@A"} <= set(entries)
-        source, namespace = generate(members)
+        source, namespace = generate(split, members)
         assert "state.entry =" not in source
-        assert source.count("_run_plan") == 1
+        assert "_run_plan" not in source
+        rgoto = "N.post(Message('rgoto', 'A', 'B', {'entry': 'Work.main.5@B'"
+        assert source.count(rgoto) == 1
         assert f"e = {entries.index('Work.main.3@A')}\n" in source
         assert "body" not in namespace

@@ -32,7 +32,7 @@ def evaluate(host, expr, frame):
     fragment = Fragment("eval", host.name, frame.method_key)
     fragment.ops = [OpAssignVar("_value", expr)]
     fragment.terminator = TermJump([])
-    body = compile_component([fragment])
+    body = compile_component(host.split, [fragment])
     assert body(host, ExecutionState("eval", frame, None)) is None
     return host.frames[frame].pop("_value")
 

@@ -148,6 +148,39 @@ class TestSemanticEquivalence:
         oracle = run_single_host(source)
         assert oracle.fields[("Fact", "out", None)] == 720
 
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "config", [config_abt, single_host_config], ids=["abt", "single"]
+    )
+    def test_returned_null_is_assigned(self, config, level):
+        """A call whose method returns ``null`` assigns it: the second
+        round's ``n`` is null, not the first round's node."""
+        source = """
+        class Node { int{Alice:; ?:Alice} val; }
+        class Picker {
+          int{Alice:; ?:Alice} out;
+          Node{Alice:; ?:Alice} pick{Alice:; ?:Alice}(int{Alice:; ?:Alice} k) {
+            if (k == 0) return new Node();
+            else return null;
+          }
+          void main{?:Alice}() {
+            int{Alice:; ?:Alice} i = 0;
+            out = 0;
+            while (i < 2) {
+              Node{Alice:; ?:Alice} n = pick(i);
+              if (n == null) out = out + 10;
+              else out = out + 1;
+              i = i + 1;
+            }
+          }
+        }
+        """
+        oracle = run_single_host(source)
+        assert oracle.fields[("Picker", "out", None)] == 11
+        split = split_source(source, config()).split
+        distributed = run_split_program(split, opt_level=level)
+        assert distributed.field_value("Picker", "out") == 11
+
 
 class TestOptimizationLevels:
     def test_levels_agree_on_results(self):

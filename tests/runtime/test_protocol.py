@@ -5,7 +5,7 @@ import pytest
 
 from repro.runtime import RuntimeImage, Session, FrameID
 from repro.runtime.host import _REJECTED
-from repro.runtime.network import Message
+from repro.runtime.network import Message, SecurityAbort
 from repro.splitter import split_source
 
 from tests.programs import OT_SOURCE, config_abt
@@ -202,3 +202,45 @@ class TestFrameIsolation:
         assert host_t.var(frame, "tmp1") == 0
         main_frame = FrameID(("OTExample", "main"))
         assert host_t.var(main_frame, "choice") == 0
+
+
+class TestUnknownSender:
+    """A request from a host the configuration does not name is audited
+    and rejected like any refused request (and quarantines its sender
+    when quarantine is on); it never reaches a lattice check that would
+    crash on the unknown name."""
+
+    def requests(self, split, host):
+        label = split.methods[("OTExample", "main")].var_labels["choice"]
+        ref = host.alloc_array(3, label)
+        frame = FrameID(("OTExample", "main"))
+        return {
+            "forward": ("forward", payload(split, vars={frame: {"choice": 7}})),
+            "array read": ("getField", payload(split, array=ref, idx=0)),
+            "array write": (
+                "setField", payload(split, array=ref, idx=0, value=9)
+            ),
+        }
+
+    @pytest.mark.parametrize("request_name", ["forward", "array read", "array write"])
+    def test_rejected_and_audited(self, setup, request_name):
+        split, executor = setup
+        host_t = executor.hosts["T"]
+        kind, data = self.requests(split, host_t)[request_name]
+        result = host_t.handle(Message(kind, "Z", "T", data))
+        assert result is _REJECTED
+        (audit,) = executor.network.audit_log
+        assert "unknown host Z" in audit
+        assert all("choice" not in frame for frame in host_t.frames.values())
+        assert all(store == [0, 0, 0] for store in host_t.array_store.values())
+
+    @pytest.mark.parametrize("request_name", ["forward", "array read", "array write"])
+    def test_quarantines_the_sender(self, setup, request_name):
+        split, executor = setup
+        executor.network.quarantine_enabled = True
+        host_t = executor.hosts["T"]
+        kind, data = self.requests(split, host_t)[request_name]
+        with pytest.raises(SecurityAbort) as info:
+            host_t.handle(Message(kind, "Z", "T", data))
+        assert info.value.offender == "Z"
+        assert executor.network.quarantined == {"Z"}
