@@ -5,14 +5,23 @@ between two fragments on one host is ordinary control flow, so the
 fragments of a host that are linked by *fused* jumps — edge plans of
 the form ``[sync…, local X]`` — form one **component**
 (:func:`component`), and a component is turned into the source text of
-one Python function ``body(host, state)``.  The function dispatches on
-``state.entry`` once and then loops: every member fragment is one block
-of the loop, a fused jump is ``e = <block>; continue``, and the
-function returns the next :class:`~repro.runtime.host.ExecutionState`
-(a call or return that stays on the host) or ``None`` only when control
-leaves the component.  A fragment with no fused jump to or from it is a
-one-block component.  Every IR node becomes the Python expression that
-evaluates it, so nothing is dispatched per step.
+one Python function ``body(host, entry, fid, token)``.  The function
+dispatches on ``entry`` once and then loops over its blocks, and it
+returns the next ``(entry, frame, token)`` (a call or return that stays
+on the host) or ``None`` only when control leaves the component.  A
+fragment with no fused jump to or from it is a one-block component.
+Every IR node becomes the Python expression that evaluates it, so
+nothing is dispatched per step.
+
+* A member with exactly one incoming fused jump, from another member,
+  that nothing outside the component enters is generated in place at
+  that jump; every other member is a block of the dispatch loop, and a
+  fused jump to it is ``e = <block>`` followed by ``continue``.
+* A block that one of its in-place members jumps back to is an inner
+  ``while True:`` loop: the jump back is ``continue``, and every other
+  fused jump out of it is ``e = <block>; break`` to the dispatcher.  So
+  a local loop whose body is a chain of such members runs as a Python
+  loop.
 
 :meth:`~repro.runtime.host.TrustedHost.run_chain` compiles a component
 the first time any of its members is entered and registers the function
@@ -27,10 +36,11 @@ the check holds under ``python -O`` and costs nothing per jump.
 The generated code does exactly what the tree-walking oracle in
 :mod:`.reference` does, in the same order:
 
-* Each block first charges ``len(fragment.ops) + 1`` simulated ops,
+* Each member first charges ``len(fragment.ops) + 1`` simulated ops,
   with the float operation ``Transport.charge_ops`` performs, so
-  simulated times match bit for bit.  ``N.cost.op_cost`` and
-  ``host.durable`` are read once per invocation.
+  simulated times match bit for bit (``1 * C`` is written ``C``, which
+  is the same float).  ``N.cost.op_cost`` and ``host.durable`` are read
+  once per invocation.
 * Frame variables live in the frame dict ``S``.  A read of a variable
   not yet in the frame falls back to ``host.var`` for its declared
   default, and every write stores to ``S`` and keeps its
@@ -42,16 +52,21 @@ The generated code does exactly what the tree-walking oracle in
 * ``S`` is fetched again, and every held local dropped, after anything
   that can reach the network: a field access whose field is placed on
   another host, any array element access (which arrays are remote is
-  only known at run time), a forward, a sync, a call or a return.  A
-  volatile crash and its recovery replace ``host.frames``, and a
-  re-forward may write the frame, so the next access must see either.
-* Freshness and held locals carry across a fused jump: a block entered
-  only by jumps starts as fresh, and holding as many locals, as its
-  worst incoming jump.  A block that a message, call or return can
+  only known at run time), a sync, a call or a return.  A volatile crash
+  and its recovery replace ``host.frames``, and a re-forward may write
+  the frame, so the next access must see either.  A forward only defers
+  at opt levels 1-2 and keeps both; at opt level 0 it flushes, and that
+  branch fetches ``S`` again and reloads every held local.
+* Freshness and held locals carry across a fused jump: a member
+  generated in place starts in the state of its one jump, and a block
+  entered only by jumps starts as fresh, and holding as many locals, as
+  its worst incoming jump.  A block that a message, call or return can
   enter (:attr:`Linkage.entered`, computed once per image) starts at
   best with ``S`` possibly unfetched (``S`` is ``None`` on entry to the
   function) and no locals.  Should a message enter any other member
-  anyway, a stub fetches ``S`` and loads the block's locals first.
+  anyway (the entry table admits every fragment of the host), it
+  dispatches to one shared leaf that runs the component compiled, on
+  first use, with that member entered (:class:`_Reentry`).
 * Every plan is generated in place.  A fused ``sync`` goes through
   ``host._do_sync``, and a rejected one ends the chain.  An ``rgoto``
   to its static target host or an ``lgoto`` to the token's host builds
@@ -118,8 +133,8 @@ from ..splitter.fragments import (
 from .transport.base import Message
 from .values import FrameID, ObjectRef
 
-#: ``body(host, state) -> Optional[ExecutionState]``
-BodyFn = Callable[[Any, Any], Any]
+#: ``body(host, entry, fid, token) -> Optional[(entry, fid, token)]``
+BodyFn = Callable[[Any, str, FrameID, Any], Any]
 
 
 class ForeignFragmentError(RuntimeError):
@@ -237,6 +252,13 @@ class Linkage:
                 )
         self.entered: FrozenSet[str] = frozenset(entered)
 
+    def entering(self, entry: str) -> "Linkage":
+        """This linkage, with ``entry`` entered as well."""
+        linkage = Linkage.__new__(Linkage)
+        linkage.entered = self.entered | {entry}
+        linkage.returns = self.returns
+        return linkage
+
 
 # ----------------------------------------------------------------------
 # Helpers the generated code calls
@@ -286,14 +308,13 @@ def _helpers() -> Dict[str, Any]:
     """The names every generated function sees (bound on first use:
     the host module imports this one)."""
     if not _HELPERS:
-        from .host import ExecutionState, HaltSignal
+        from .host import HaltSignal
 
         _HELPERS.update(
             __builtins__=builtins,
             ObjectRef=ObjectRef,
             FrameID=FrameID,
             Message=Message,
-            ExecutionState=ExecutionState,
             HaltSignal=HaltSignal,
             _null=_null,
             _route=_route,
@@ -351,28 +372,73 @@ class _Generator:
     ) -> None:
         self.split = split
         self.fragments = list(fragments)
+        self.members = {f.entry: f for f in self.fragments}
         self.host = self.fragments[0].host
         self.linkage = linkage
-        self.index = {f.entry: i for i, f in enumerate(self.fragments)}
         self.namespace: Dict[str, Any] = dict(_helpers())
         self.namespace["_digest"] = split.digest
         self.bound: Dict[int, str] = {}
         #: variable name -> the Python local that holds it.
         self.locals: Dict[str, str] = {}
         #: the current block's fragment and lines, without the dispatch
-        #: indentation.
-        self.fragment: Optional[Fragment] = None
+        #: indentation, and the member being generated in it.
+        self.root: Optional[Fragment] = None
         self.lines: List[str] = []
+        self.fragment: Optional[Fragment] = None
         self.fresh = _STALE
         #: variables whose local equals their slot in ``S``.
         self.held: Set[str] = set()
         #: (target block, state) of the current block's jumps.
         self.jumps: List[Tuple[int, _State]] = []
+        #: whether the current block left its inner loop by ``break``.
+        self.breaks = False
         self.temps = 0
         self.indent = 0
+        self.shape()
 
-    def emit(self, line: str, depth: int = 0) -> None:
-        self.lines.append("    " * (self.indent + depth) + line)
+    def shape(self) -> None:
+        """Which members are blocks and which are generated in place.
+
+        A member with exactly one incoming fused jump, from another
+        member, that nothing outside enters is generated at that jump
+        (:attr:`inlined`); every other member is a block of the
+        dispatch loop (:attr:`block_of`).  A block that jumps back to
+        itself, directly or from an in-place member, is a loop
+        (:attr:`loops`)."""
+        sites: Dict[str, List[str]] = {}
+        for fragment in self.fragments:
+            for plan in _plans(fragment):
+                target = _fused_target(plan)
+                if target is not None:
+                    sites.setdefault(target, []).append(fragment.entry)
+        entered = self.linkage.entered
+        #: in-place member -> the member whose jump it is generated at.
+        self.inlined: Dict[str, str] = {}
+        for fragment in self.fragments:
+            entry = fragment.entry
+            sources = sites.get(entry, ())
+            if entry in entered or len(sources) != 1 or sources[0] == entry:
+                continue
+            # A ring of such members that nothing else reaches keeps
+            # one member as a block.
+            if self.root_of(sources[0]) != entry:
+                self.inlined[entry] = sources[0]
+        self.roots = [f for f in self.fragments if f.entry not in self.inlined]
+        self.block_of = {f.entry: i for i, f in enumerate(self.roots)}
+        self.loops: Set[str] = {
+            target
+            for target, sources in sites.items()
+            if target in self.block_of
+            and any(self.root_of(source) == target for source in sources)
+        }
+
+    def root_of(self, entry: str) -> str:
+        while entry in self.inlined:
+            entry = self.inlined[entry]
+        return entry
+
+    def emit(self, line: str) -> None:
+        self.lines.append("    " * self.indent + line)
 
     def bind(self, value: Any) -> str:
         name = self.bound.get(id(value))
@@ -583,6 +649,9 @@ class _Generator:
             self.emit(f"host.write_element({args})")
             self.stale()
         elif isinstance(op, OpForward):
+            # Reading the variable leaves ``S`` fresh.  Only opt level 0
+            # flushes, and so reaches the network, here: that branch
+            # fetches ``S`` again and reloads the held locals.
             self.emit(f"v = {self.read_var(op.var)}")
             label = self.var_label(self.fragment.method_key, op.var)
             slot = f"(fid.fid, {op.var!r})"
@@ -591,52 +660,76 @@ class _Generator:
                     self.emit(
                         f"host.defer_forward({target!r}, {slot}, v, {label}, fid)"
                     )
-            self.emit("if host.opt_level == 0: host.flush_forwards(None)")
-            self.stale()
+            self.emit("if host.opt_level == 0:")
+            self.indent += 1
+            self.emit("host.flush_forwards(None)")
+            self.emit(f"S = {_FETCH}")
+            for var in sorted(self.held):
+                name = repr(var)
+                self.emit(
+                    f"{self.local(var)} = S[{name}] if {name} in S "
+                    f"else host.var(fid, {name})"
+                )
+            self.indent -= 1
         else:
             raise AssertionError(f"unknown op {op!r}")
 
     # -- plans -----------------------------------------------------------
 
-    def plan(self, plan: EdgePlan, depth: int = 0) -> None:
+    def plan(self, plan: EdgePlan) -> None:
         """A plan in place: its syncs chain the token and a rejected one
         ends the chain; then a fused jump, a transfer or a halt."""
-        token = "state.token"
+        token = "token"
         for action in plan:
             kind = action.kind
             if kind == "sync":
                 sync = f"host._do_sync({action.entry!r}, fid, {token})"
-                self.emit(f"tok = {sync}", depth)
-                self.emit("if tok is None: return None", depth)
+                self.emit(f"tok = {sync}")
+                self.emit("if tok is None: return None")
                 token = "tok"
                 self.stale()
             elif kind == "local":
-                if token != "state.token":
-                    self.emit(f"state.token = {token}", depth)
-                block = self.index[action.entry]
-                self.jumps.append((block, self.state()))
-                self.emit(f"e = {block}", depth)
-                self.emit("continue", depth)
+                if token != "token":
+                    self.emit(f"token = {token}")
+                self.jump(action.entry)
                 return
             elif kind == "rgoto":
-                self.rgoto(action.entry, "fid", token, depth)
+                self.rgoto(action.entry, "fid", token)
                 return
             elif kind == "lgoto":
-                if token == "state.token":
-                    self.emit("tok = state.token", depth)
-                    self.emit("if tok is None: raise HaltSignal()", depth)
-                self.lgoto(depth)
+                if token == "token":
+                    self.emit("tok = token")
+                    self.emit("if tok is None: raise HaltSignal()")
+                self.lgoto()
                 return
             elif kind == "halt":
-                self.emit("raise HaltSignal()", depth)
+                self.emit("raise HaltSignal()")
                 return
             else:
                 raise AssertionError(f"unknown plan action {action!r}")
-        self.emit("return None", depth)
+        self.emit("return None")
+
+    def jump(self, entry: str) -> None:
+        """A fused jump: the target in place if it is generated here,
+        ``continue`` back to the start of the current loop block, or
+        on to the target's block through the dispatcher."""
+        if entry in self.inlined:
+            self.fragment_code(self.members[entry])
+            return
+        block = self.block_of[entry]
+        self.jumps.append((block, self.state()))
+        if entry == self.root.entry:
+            self.emit("continue")
+            return
+        self.emit(f"e = {block}")
+        if self.root.entry in self.loops:
+            self.breaks = True
+            self.emit("break")
+        else:
+            self.emit("continue")
 
     def rgoto(
-        self, entry: str, frame: str, token: str, depth: int = 0,
-        carried: str = "",
+        self, entry: str, frame: str, token: str, carried: str = ""
     ) -> None:
         """Flush deferred forwards (those for the target ride along),
         then post the ``rgoto``; ``carried`` adds the callee frame's
@@ -644,44 +737,40 @@ class _Generator:
         target = self.split.entry_host(entry)
         self.emit(
             f"pb = host.flush_forwards({target!r}) "
-            "if host.forwards_pending else None",
-            depth,
+            "if host.forwards_pending else None"
         )
         data = "pb or {}"
         if carried:
-            self.emit("pb = pb or {}", depth)
-            self.emit(f"pb[{frame}] = {{{carried}}}", depth)
+            self.emit("pb = pb or {}")
+            self.emit(f"pb[{frame}] = {{{carried}}}")
             data = "pb"
         payload = (
             f"{{'entry': {entry!r}, 'frame': {frame}, 'token': {token}, "
             f"'vars': {data}, 'digest': _digest}}"
         )
         self.emit(
-            f"N.post(Message('rgoto', {self.host!r}, {target!r}, {payload}))",
-            depth,
+            f"N.post(Message('rgoto', {self.host!r}, {target!r}, {payload}))"
         )
-        self.emit("return None", depth)
+        self.emit("return None")
 
-    def lgoto(self, depth: int = 0, result: bool = False) -> None:
+    def lgoto(self, result: bool = False) -> None:
         """Consume ``tok`` (not ``None``): flush deferred forwards (those
         for its host ride along) and post the ``lgoto``; ``result`` adds
         a piggybacked return value."""
         self.emit(
             "pb = host.flush_forwards(tok.host) "
-            "if host.forwards_pending else None",
-            depth,
+            "if host.forwards_pending else None"
         )
         data = "pb or {}"
         if result:
-            self.emit("pb = pb or {}", depth)
-            self.emit("if rp: pb.setdefault(tok.frame, {})[route[0]] = r", depth)
+            self.emit("pb = pb or {}")
+            self.emit("if rp: pb.setdefault(tok.frame, {})[route[0]] = r")
             data = "pb"
         payload = f"{{'token': tok, 'vars': {data}, 'digest': _digest}}"
         self.emit(
-            f"N.post(Message('lgoto', {self.host!r}, tok.host, {payload}))",
-            depth,
+            f"N.post(Message('lgoto', {self.host!r}, tok.host, {payload}))"
         )
-        self.emit("return None", depth)
+        self.emit("return None")
 
     # -- terminators -----------------------------------------------------
 
@@ -692,7 +781,9 @@ class _Generator:
             (cond,) = self.operands(terminator.cond)
             self.emit(f"if {cond}:")
             state = self.state()
-            self.plan(terminator.plan_true, 1)
+            self.indent += 1
+            self.plan(terminator.plan_true)
+            self.indent -= 1
             self.restore(state)
             self.plan(terminator.plan_false)
         elif isinstance(terminator, TermCall):
@@ -711,7 +802,7 @@ class _Generator:
         values = self.operands(*(expr for _, expr in terminator.args))
         for i, value in enumerate(values):
             self.emit(f"a{i} = {value}")
-        cont = f"host._do_sync({terminator.cont_entry!r}, fid, state.token)"
+        cont = f"host._do_sync({terminator.cont_entry!r}, fid, token)"
         self.emit(f"tok = {cont}")
         self.emit("if tok is None: return None")
         self.stale()
@@ -735,8 +826,7 @@ class _Generator:
                         f" a{i}, {label}, cf)"
                     )
         if callee_host == self.host:
-            entry = terminator.callee_entry
-            self.emit(f"return ExecutionState({entry!r}, cf, tok)")
+            self.emit(f"return ({terminator.callee_entry!r}, cf, tok)")
             return
         self.rgoto(
             terminator.callee_entry, "cf", "tok", carried=", ".join(carried)
@@ -749,7 +839,7 @@ class _Generator:
         if terminator.expr is not None:
             (value,) = self.operands(terminator.expr)
         self.emit(f"r = {value}")
-        self.emit("tok = state.token")
+        self.emit("tok = token")
         self.emit("if tok is None: raise HaltSignal()")
         self.namespace["_returns"] = self.linkage.returns
         self.emit("route = _returns.get(tok.entry)")
@@ -763,7 +853,7 @@ class _Generator:
             "        return None",
             "    if D is not None: D.log('pop')",
             "    if p[0] is None: raise HaltSignal()",
-            "    return ExecutionState(tok.entry, tok.frame, p[0])",
+            "    return (tok.entry, tok.frame, p[0])",
         ):
             self.emit(line)
         self.stale()
@@ -771,38 +861,56 @@ class _Generator:
 
     # -- blocks and dispatch ---------------------------------------------
 
-    def block(self, fragment: Fragment, state: _State) -> List[str]:
-        """One member's block, entered in ``state``; its jumps are left
-        in :attr:`jumps`."""
+    def fragment_code(self, fragment: Fragment) -> None:
+        """One member's charge, ops and terminator, at the current
+        point; the members it jumps to in place follow inside it."""
         self.fragment = fragment
-        self.lines, self.jumps = [], []
-        self.restore(state)
-        self.temps = 0
-        self.emit(f"N.clock += {len(fragment.ops) + 1} * C")
+        ops = len(fragment.ops) + 1
+        # ``1 * C`` is exactly ``C``.
+        self.emit(f"N.clock += {ops} * C" if ops > 1 else "N.clock += C")
         for op in fragment.ops:
             self.op(op)
         self.terminator(fragment.terminator)
+
+    def block(self, fragment: Fragment, state: _State) -> List[str]:
+        """One block, entered in ``state``, with its in-place members; a
+        loop block is an inner ``while True:`` whose jumps back to it
+        continue it and whose other fused jumps break out to the
+        dispatcher.  Its jumps are left in :attr:`jumps`."""
+        self.root = fragment
+        self.lines, self.jumps = [], []
+        self.breaks = False
+        self.restore(state)
+        self.temps = 0
+        loop = fragment.entry in self.loops
+        if loop:
+            self.emit("while True:")
+            self.indent += 1
+        self.fragment_code(fragment)
+        if loop:
+            self.indent -= 1
+            if self.breaks:
+                self.emit("continue")
         return self.lines
 
     def blocks(self) -> Tuple[List[List[str]], List[_State]]:
-        """Every member's block and the state it is entered in.  A
-        member that something outside can enter starts at
-        :data:`_UNFETCHED`, any other at the meet of its incoming
-        jumps; a block whose entry state drops is generated again.  A
-        member nothing reaches is generated as if entered from
-        outside."""
+        """Every block and the state it is entered in.  A block that
+        something outside can enter starts at :data:`_UNFETCHED`, any
+        other at the meet of its incoming jumps; a block whose entry
+        state drops is generated again.  A block nothing reaches is
+        generated as if entered from outside."""
         entered = self.linkage.entered
-        count = len(self.fragments)
+        count = len(self.roots)
         states: List[Optional[_State]] = [
             _UNFETCHED if fragment.entry in entered else None
-            for fragment in self.fragments
+            for fragment in self.roots
         ]
         code: List[Optional[List[str]]] = [None] * count
         todo = [i for i in range(count) if states[i] is not None]
         while True:
             while todo:
                 i = todo.pop(0)
-                code[i] = self.block(self.fragments[i], states[i])
+                code[i] = self.block(self.roots[i], states[i])
                 for target, state in self.jumps:
                     old = states[target]
                     new = state if old is None else _meet(old, state)
@@ -816,29 +924,29 @@ class _Generator:
             states[missing[0]] = _UNFETCHED
             todo.append(missing[0])
 
-    def stub(self, block: int, state: _State) -> List[str]:
-        """Entry into ``block`` from outside although :class:`Linkage`
-        says nothing enters it: fetch ``S`` and load the locals the
-        block expects held."""
-        lines = [f"S = {_FETCH}"]
-        for var in sorted(state[1]):
-            name = repr(var)
-            lines.append(
-                f"{self.local(var)} = S[{name}] if {name} in S "
-                f"else host.var(fid, {name})"
-            )
-        return lines + [f"e = {block}", "continue"]
-
     def source(self) -> str:
+        """The function's source.  A member that a message can enter
+        although :class:`Linkage` says nothing does (one generated in
+        place, or a block that expects ``S`` fresh) dispatches to one
+        shared leaf, which runs the body compiled for entering it
+        (:class:`_Reentry`)."""
         code, states = self.blocks()
-        index = dict(self.index)
-        for i, state in enumerate(states):
-            if state[0] == _FRESH:
-                index[self.fragments[i].entry] = len(code)
-                code.append(self.stub(i, state))
+        index = {}
+        reentry = len(code)
+        for fragment in self.fragments:
+            entry = fragment.entry
+            block = self.block_of.get(entry)
+            if block is not None and states[block][0] != _FRESH:
+                index[entry] = block
+            else:
+                index[entry] = reentry
+        if reentry in index.values():
+            self.namespace["_reenter"] = _Reentry(
+                self.split, self.fragments, self.linkage
+            )
+            code.append(["return _reenter(host, entry, fid, token)"])
         lines = [
-            "def body(host, state):",
-            "    fid = state.frame",
+            "def body(host, entry, fid, token):",
             "    N = host.network",
             "    C = N.cost.op_cost",
             "    D = host.durable",
@@ -846,12 +954,12 @@ class _Generator:
         ]
         if len(code) > 1:
             self.namespace["_index"] = index
-            lines.append("    e = _index[state.entry]")
+            lines.append("    e = _index[entry]")
         lines.append("    while True:")
 
         def dispatch(lo: int, hi: int, depth: int) -> None:
-            # Every block ends in continue, return or raise, so the
-            # right half needs no else.
+            # Every block ends in continue, return or raise, or is a
+            # loop only those leave, so the right half needs no else.
             if hi - lo == 1:
                 pad = "    " * depth
                 lines.extend(pad + line for line in code[lo])
@@ -863,6 +971,37 @@ class _Generator:
 
         dispatch(0, len(code), 2)
         return "\n".join(lines) + "\n"
+
+
+class _Reentry:
+    """Enters a component at a member its body has no entry block for.
+
+    Only a message the protocol never sends does that, because the
+    entry table admits every fragment of a host.  The body for entering
+    at ``entry`` is the component compiled as if :class:`Linkage`
+    listed ``entry`` as entered; it is compiled on first use and kept
+    here, so the main body carries no second copy of any block."""
+
+    __slots__ = ("split", "fragments", "linkage", "bodies")
+
+    def __init__(
+        self,
+        split: SplitProgram,
+        fragments: Sequence[Fragment],
+        linkage: Linkage,
+    ) -> None:
+        self.split = split
+        self.fragments = fragments
+        self.linkage = linkage
+        self.bodies: Dict[str, BodyFn] = {}
+
+    def __call__(self, host, entry: str, fid: FrameID, token):
+        body = self.bodies.get(entry)
+        if body is None:
+            body = self.bodies[entry] = compile_component(
+                self.split, self.fragments, self.linkage.entering(entry)
+            )
+        return body(host, entry, fid, token)
 
 
 def generate(
@@ -883,7 +1022,7 @@ def compile_component(
     linkage: Optional[Linkage] = None,
 ) -> BodyFn:
     """Compile the component ``fragments`` of ``split`` to its
-    ``body(host, state)`` function."""
+    ``body(host, entry, fid, token)`` function."""
     source, namespace = generate(split, fragments, linkage)
     entries = " ".join(fragment.entry for fragment in fragments)
     module = compile(source, f"<fragments {entries}>", "exec")

@@ -59,17 +59,6 @@ _UNSEEN = object()
 _TRANSFER = object()
 
 
-class ExecutionState:
-    """The moving point of control: (entry, frame, token)."""
-
-    __slots__ = ("entry", "frame", "token")
-
-    def __init__(self, entry: str, frame: FrameID, token: Optional[Token]) -> None:
-        self.entry = entry
-        self.frame = frame
-        self.token = token
-
-
 class HaltSignal(Exception):
     """Raised internally when the root capability is consumed."""
 
@@ -269,25 +258,48 @@ class TrustedHost:
         elif handler is not _TRANSFER:
             result = handler(message)
         else:
-            state = None
-            if kind == "rgoto":
-                entry = payload["entry"]
-                info = self._entry_table.get(entry)
-                if info is None:
-                    network.audit(self.name, f"rgoto to unknown entry {entry}")
-                elif remote and src not in info[1]:
-                    network.audit(
-                        self.name,
-                        f"rgoto {entry} denied to {src}: I_i ⋢ I_e "
-                        f"(I_e = {{{info[0].integ}}})",
-                    )
+            # The admitted (entry, frame, token) of a transfer, or
+            # ``entry`` None when it is refused.
+            entry = None
+            vars_payload = payload.get("vars")
+            if vars_payload is not None and type(vars_payload) is not dict:
+                self._malformed(message, "vars")
+            elif kind == "rgoto":
+                try:
+                    target = payload["entry"]
+                    frame = payload["frame"]
+                except KeyError as error:
+                    self._malformed(message, error.args[0])
                 else:
-                    state = ExecutionState(
-                        entry, payload["frame"], payload.get("token")
+                    token = payload.get("token")
+                    info = (
+                        self._entry_table.get(target)
+                        if type(target) is str else None
                     )
+                    if info is None:
+                        network.audit(
+                            self.name, f"rgoto to unknown entry {target}"
+                        )
+                    elif remote and src not in info[1]:
+                        network.audit(
+                            self.name,
+                            f"rgoto {target} denied to {src}: I_i ⋢ I_e "
+                            f"(I_e = {{{info[0].integ}}})",
+                        )
+                    elif type(frame) is not FrameID:
+                        self._malformed(message, "frame")
+                    elif token is not None and type(token) is not Token:
+                        self._malformed(message, "token")
+                    else:
+                        entry = target
             else:
-                token: Token = payload["token"]
-                if token.host != self.name:
+                try:
+                    token = payload["token"]
+                except KeyError:
+                    token = None
+                if type(token) is not Token:
+                    self._malformed(message, "token")
+                elif token.host != self.name:
                     network.audit(
                         self.name, f"lgoto with foreign token for {token.entry}"
                     )
@@ -311,19 +323,18 @@ class TrustedHost:
                     else:
                         if self.durable is not None:
                             self.durable.log("pop")
-                        state = ExecutionState(
-                            token.entry, token.frame, popped[0]
-                        )
-            if state is None:
+                        entry = token.entry
+                        frame = token.frame
+                        token = popped[0]
+            if entry is None:
                 result = _REJECTED
             else:
-                vars_payload = payload.get("vars")
                 if vars_payload:
                     self._apply_vars(src, vars_payload)
-                if kind == "lgoto" and state.token is None:
+                if kind == "lgoto" and token is None:
                     # The root capability: the program is complete.
                     raise HaltSignal()
-                self.run_chain(state)
+                self.run_chain(entry, frame, token)
                 result = True
         if remote:
             if message.msg_id is not None:
@@ -339,6 +350,14 @@ class TrustedHost:
             if self.durable is not None:
                 self._maybe_checkpoint()
         return result
+
+    def _malformed(self, message: Message, what: str) -> Any:
+        """Audit a request whose payload lacks ``what`` or holds the
+        wrong type there; the caller refuses it."""
+        self.network.audit(
+            self.name, f"malformed {message.kind} from {message.src}: {what}"
+        )
+        return _REJECTED
 
     def _reject(self, message: Message) -> Any:
         """A validated-and-refused remote request: silently ignore it
@@ -357,7 +376,15 @@ class TrustedHost:
         payload = message.payload
         if "array" in payload:
             return self._handle_get_element(message)
-        key = (payload["cls"], payload["field"])
+        try:
+            key = (payload["cls"], payload["field"])
+        except KeyError as error:
+            return self._malformed(message, error.args[0])
+        oid = payload.get("oid")
+        if type(key[0]) is not str or type(key[1]) is not str:
+            return self._malformed(message, "cls/field")
+        if oid is not None and type(oid) is not int:
+            return self._malformed(message, "oid")
         placement = self.split.fields.get(key)
         if placement is None or placement.host != self.name:
             self.network.audit(self.name, f"getField for absent field {key}")
@@ -369,7 +396,7 @@ class TrustedHost:
                 f"C(L_f) ⋢ C_{message.src}",
             )
             return _REJECTED
-        store_key = (key[0], key[1], payload.get("oid"))
+        store_key = (key[0], key[1], oid)
         if store_key not in self.field_store:
             self.field_store[store_key] = placement.default_value()
             if self.durable is not None:
@@ -382,6 +409,8 @@ class TrustedHost:
     def _handle_get_element(self, message: Message) -> Any:
         payload = message.payload
         ref = payload["array"]
+        if type(ref) is not ArrayRef:
+            return self._malformed(message, "array")
         if ref.oid not in self.array_store:
             self.network.audit(self.name, f"getField for absent array {ref}")
             return _REJECTED
@@ -401,7 +430,12 @@ class TrustedHost:
             )
             return _REJECTED
         store = self.array_store[ref.oid]
-        index = payload["idx"]
+        try:
+            index = payload["idx"]
+        except KeyError:
+            index = None
+        if type(index) is not int:
+            return self._malformed(message, "idx")
         if not 0 <= index < len(store):
             self.network.audit(
                 self.name, f"array read out of bounds ({index})"
@@ -414,6 +448,8 @@ class TrustedHost:
     def _handle_set_element(self, message: Message) -> Any:
         payload = message.payload
         ref = payload["array"]
+        if type(ref) is not ArrayRef:
+            return self._malformed(message, "array")
         if ref.oid not in self.array_store:
             self.network.audit(self.name, f"setField for absent array {ref}")
             return _REJECTED
@@ -433,22 +469,39 @@ class TrustedHost:
             )
             return _REJECTED
         store = self.array_store[ref.oid]
-        index = payload["idx"]
+        try:
+            index = payload["idx"]
+        except KeyError:
+            index = None
+        if type(index) is not int:
+            return self._malformed(message, "idx")
         if not 0 <= index < len(store):
             self.network.audit(
                 self.name, f"array write out of bounds ({index})"
             )
             return _REJECTED
-        store[index] = payload["value"]
+        try:
+            value = payload["value"]
+        except KeyError:
+            return self._malformed(message, "value")
+        store[index] = value
         if self.durable is not None:
-            self.durable.log("array_set", ref.oid, index, payload["value"])
+            self.durable.log("array_set", ref.oid, index, value)
         return True
 
     def _handle_set_field(self, message: Message) -> Any:
         payload = message.payload
         if "array" in payload:
             return self._handle_set_element(message)
-        key = (payload["cls"], payload["field"])
+        try:
+            key = (payload["cls"], payload["field"])
+        except KeyError as error:
+            return self._malformed(message, error.args[0])
+        oid = payload.get("oid")
+        if type(key[0]) is not str or type(key[1]) is not str:
+            return self._malformed(message, "cls/field")
+        if oid is not None and type(oid) is not int:
+            return self._malformed(message, "oid")
         placement = self.split.fields.get(key)
         if placement is None or placement.host != self.name:
             self.network.audit(self.name, f"setField for absent field {key}")
@@ -460,14 +513,24 @@ class TrustedHost:
                 f"I_{message.src} ⋢ I(L_f)",
             )
             return _REJECTED
-        store_key = (key[0], key[1], payload.get("oid"))
-        self.field_store[store_key] = payload["value"]
+        try:
+            value = payload["value"]
+        except KeyError:
+            return self._malformed(message, "value")
+        store_key = (key[0], key[1], oid)
+        self.field_store[store_key] = value
         if self.durable is not None:
-            self.durable.log("field", store_key, payload["value"])
+            self.durable.log("field", store_key, value)
         return True
 
     def _handle_forward(self, message: Message) -> Any:
-        return self._apply_vars(message.src, message.payload["vars"])
+        try:
+            vars_payload = message.payload["vars"]
+        except KeyError:
+            vars_payload = None
+        if type(vars_payload) is not dict:
+            return self._malformed(message, "vars")
+        return self._apply_vars(message.src, vars_payload)
 
     def _apply_vars(self, src: str, vars_payload: Dict) -> Any:
         """Apply frame variables ``src`` forwarded (a forward request,
@@ -494,6 +557,12 @@ class TrustedHost:
                 denied_pairs = None
         accepted = True
         for fid, var_values in vars_payload.items():
+            if type(fid) is not FrameID or type(var_values) is not dict:
+                self.network.audit(
+                    self.name, f"malformed vars from {src}: {fid!r}"
+                )
+                accepted = False
+                continue
             frame = frames.get(fid)
             if denied_pairs is None:
                 # Nothing this sender forwards can be denied: straight
@@ -528,8 +597,12 @@ class TrustedHost:
 
     def _handle_sync(self, message: Message) -> Any:
         payload = message.payload
-        entry = payload["entry"]
-        info = self._entry_table.get(entry)
+        try:
+            entry = payload["entry"]
+            frame = payload["frame"]
+        except KeyError as error:
+            return self._malformed(message, error.args[0])
+        info = self._entry_table.get(entry) if type(entry) is str else None
         if info is None:
             self.network.audit(self.name, f"sync for unknown entry {entry}")
             return _REJECTED
@@ -539,12 +612,17 @@ class TrustedHost:
                 f"sync {entry} denied to {message.src}: I_i ⋢ I_e",
             )
             return _REJECTED
-        token = self.factory.mint(payload["frame"], entry)
+        if type(frame) is not FrameID:
+            return self._malformed(message, "frame")
+        previous = payload.get("token")
+        if previous is not None and type(previous) is not Token:
+            return self._malformed(message, "token")
+        token = self.factory.mint(frame, entry)
         if message.src != self.name:
             self.network.charge_hash()
-        self.stack.push(token, payload.get("token"))
+        self.stack.push(token, previous)
         if self.durable is not None:
-            self.durable.log("push", token, payload.get("token"))
+            self.durable.log("push", token, previous)
         return token
 
     def _handle_recover(self, message: Message) -> Any:
@@ -842,38 +920,42 @@ class TrustedHost:
         root = self.factory.mint(frame, entry)
         self.adopt_root(root)
         try:
-            self.run_chain(ExecutionState(entry, frame, root))
+            self.run_chain(entry, frame, root)
         except HaltSignal:
             return True
         return False
 
-    def run_chain(self, state: ExecutionState) -> None:
+    def run_chain(
+        self, entry: str, frame: FrameID, token: Optional[Token]
+    ) -> None:
         """Execute fragments locally until control leaves this host.
 
         The fragments linked by local jumps form components, and each
         component runs as one generated function (:mod:`.compiler`)
         that loops over its members: one call per component entered,
-        not per fragment.  It is compiled the first time any session of
-        the image enters one of its members, so a fragment altered
-        before then runs as altered.  Compiling checks that every
-        member is placed on this host; entries reach this loop only
-        from this host's entry table, tokens it minted and its own
-        calls and returns.
+        not per fragment.  A call or return that stays on this host
+        hands back the next ``(entry, frame, token)``.  A component is
+        compiled the first time any session of the image enters one of
+        its members, so a fragment altered before then runs as altered.
+        Compiling checks that every member is placed on this host;
+        entries reach this loop only from this host's entry table,
+        tokens it minted and its own calls and returns.
         """
         compiled = self._compiled
         while True:
             try:
-                body = compiled[state.entry]
+                body = compiled[entry]
             except KeyError:
-                members = component(self.split, self.name, state.entry)
+                members = component(self.split, self.name, entry)
                 body = compile_component(
                     self.split, members, self._image.linkage
                 )
                 for fragment in members:
                     compiled[fragment.entry] = body
-            state = body(self, state)
-            if state is None:
+            step = body(self, entry, frame, token)
+            if step is None:
                 return
+            entry, frame, token = step
 
     # -- data forwarding ----------------------------------------------------------
 

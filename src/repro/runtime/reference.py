@@ -37,15 +37,29 @@ from ..splitter.fragments import (
     TermReturn,
 )
 from .compiler import ForeignFragmentError
-from .host import ExecutionState, HaltSignal, TrustedHost
+from .host import HaltSignal, TrustedHost
 from .network import Message
 from .tokens import Token
 from .values import FrameID, ObjectRef
 
 
-def run_chain(host: TrustedHost, state: ExecutionState) -> None:
+class ExecutionState:
+    """The moving point of control: (entry, frame, token)."""
+
+    __slots__ = ("entry", "frame", "token")
+
+    def __init__(self, entry: str, frame: FrameID, token: Optional[Token]) -> None:
+        self.entry = entry
+        self.frame = frame
+        self.token = token
+
+
+def run_chain(
+    host: TrustedHost, entry: str, frame: FrameID, token: Optional[Token]
+) -> None:
     """Interpret fragments on ``host`` until control leaves it; a
     drop-in replacement for :meth:`TrustedHost.run_chain`."""
+    state = ExecutionState(entry, frame, token)
     while True:
         fragment = host.split.fragments[state.entry]
         if fragment.host != host.name:

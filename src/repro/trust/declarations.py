@@ -39,6 +39,26 @@ class TrustError(Exception):
 #: depends on a hit, only speed does).
 _MAC_MEMO_LIMIT = 8192
 
+#: RFC 2104's inner and outer pad bytes, as translation tables (a key
+#: byte ``b`` becomes ``b ^ 0x36`` and ``b ^ 0x5c``).
+_IPAD = bytes(b ^ 0x36 for b in range(256))
+_OPAD = bytes(b ^ 0x5C for b in range(256))
+#: SHA-256's block size: longer keys are hashed first, shorter padded.
+_BLOCK = 64
+
+
+def _keyed_pads(key: bytes) -> Tuple["hashlib._Hash", "hashlib._Hash"]:
+    """The SHA-256 states after absorbing RFC 2104's inner and outer
+    key pads: HMAC-SHA256 of ``msg`` is the outer state fed the digest
+    of the inner state fed ``msg``."""
+    if len(key) > _BLOCK:
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(_BLOCK, b"\0")
+    return (
+        hashlib.sha256(key.translate(_IPAD)),
+        hashlib.sha256(key.translate(_OPAD)),
+    )
+
 
 class KeyRegistry:
     """A simulated public-key infrastructure.
@@ -50,14 +70,17 @@ class KeyRegistry:
 
     def __init__(self) -> None:
         self._keys: Dict[str, bytes] = {}
-        #: memoized keyed-HMAC base objects: deriving the inner/outer
-        #: pads from a key is the expensive part of HMAC-SHA256, and a
-        #: registry signs many short messages under few keys (tokens,
-        #: seals, recovery announcements).  ``sign`` copies the base and
-        #: feeds it the message, so per-key derivation happens once per
-        #: registry lifetime — which a shared RuntimeImage stretches
-        #: across every session run over the same split program.
-        self._bases: Dict[str, "hmac.HMAC"] = {}
+        #: per key name, the SHA-256 states keyed with the inner and
+        #: outer pads (:func:`_keyed_pads`): absorbing the pads is the
+        #: expensive part of HMAC-SHA256, and a registry signs many
+        #: short messages under few keys (tokens, seals, recovery
+        #: announcements).  ``sign`` copies both states, which gives the
+        #: bytes of ``hmac.new(key, msg, sha256)`` without the ``hmac``
+        #: module's Python-level copy chain, so per-key derivation
+        #: happens once per registry lifetime — which a shared
+        #: RuntimeImage stretches across every session run over the
+        #: same split program.
+        self._bases: Dict[str, Tuple["hashlib._Hash", "hashlib._Hash"]] = {}
         #: memoized (key name, message) → MAC.  In the fault-free hot
         #: path every capability token is minted and then verified
         #: exactly once over the identical bytes, so ``verify`` can
@@ -94,14 +117,14 @@ class KeyRegistry:
         mac = self._mac_memo.get(memo_key)
         if mac is not None:
             return mac
-        base = self._bases.get(name)
-        if base is None:
-            base = self._bases[name] = hmac.new(
-                self.key_of(name), digestmod=hashlib.sha256
-            )
-        digest = base.copy()
-        digest.update(message)
-        mac = digest.digest()
+        pads = self._bases.get(name)
+        if pads is None:
+            pads = self._bases[name] = _keyed_pads(self.key_of(name))
+        inner = pads[0].copy()
+        inner.update(message)
+        outer = pads[1].copy()
+        outer.update(inner.digest())
+        mac = outer.digest()
         if len(self._mac_memo) >= _MAC_MEMO_LIMIT:
             self._mac_memo.clear()
         self._mac_memo[memo_key] = mac

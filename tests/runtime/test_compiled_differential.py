@@ -12,6 +12,7 @@ fail must fail the same way: the same exception, message and state.
 
 import gc
 import random
+import re
 import traceback
 import weakref
 from collections import Counter
@@ -878,7 +879,7 @@ class TestComponents:
         ]
         host = split.entry_host(plan_owner)
         source, _ = generate(split, component(split, host, plan_owner))
-        assert f"host._do_sync({sync_entry!r}, fid, state.token)" in source
+        assert f"host._do_sync({sync_entry!r}, fid, token)" in source
         do_sync = TrustedHost._do_sync
 
         def run():
@@ -938,21 +939,34 @@ class TestComponents:
 
 
     def test_message_into_a_member_only_jumps_enter(self, monkeypatch):
-        """Work's inner-loop body is entered only by fused jumps, so its
-        block expects ``S`` fresh and the loop counter in a local.  A
-        message that enters it anyway runs a stub that fetches the frame
-        and loads the local first, and the run matches the oracle."""
+        """Work's inner-loop body is entered only by the loop header's
+        jump, so it is generated in place inside the header's loop.  A
+        message that enters it anyway dispatches to the one re-entry
+        leaf, which runs the component compiled with that member
+        entered; the run matches the oracle."""
+        self.enter_from_outside("Work.main.4@A", 1, monkeypatch)
+
+    def test_message_into_a_loop_block(self, monkeypatch):
+        """Work's inner-loop header is a block that only jumps enter, so
+        it expects ``S`` fresh and the counter in a local; a message
+        that enters it takes the same re-entry leaf."""
+        self.enter_from_outside("Work.main.3@A", 2, monkeypatch)
+
+    @staticmethod
+    def enter_from_outside(entry, j, monkeypatch):
         split = split_source(work.source(rounds=2, inner=3), work.config()).split
-        entry = "Work.main.4@A"
         assert entry not in Linkage(split).entered
-        members = component(split, "A", entry)
-        _, namespace = generate(split, members)
-        assert namespace["_index"][entry] >= len(members)
+        source, namespace = generate(split, component(split, "A", entry))
+        index = namespace["_index"]
+        assert index[entry] == max(index.values())
+        assert index[split.main_entry] != index[entry]
+        assert source.count("while True:") == 2
+        assert "return _reenter(host, entry, fid, token)" in source
 
         def run():
             executor = Session(RuntimeImage.for_split(split), storage=None)
             frame = FrameID(split.fragments[entry].method_key)
-            executor.hosts["A"].frames[frame] = {"i": 1, "j": 1, "acc": 5}
+            executor.hosts["A"].frames[frame] = {"i": 1, "j": j, "acc": 5}
             executor.network.post(
                 Message("rgoto", "A", "A", {"entry": entry, "frame": frame,
                                             "token": None, "vars": {}})
@@ -965,11 +979,210 @@ class TestComponents:
         assert compiled == interpreted(run, monkeypatch)
         (frame,) = compiled["frames"]["A"]
         assert frame[1]["j"] == 3
+        body = RuntimeImage.for_split(split).compiled[entry]
+        assert set(body.__globals__["_reenter"].bodies) == {entry}
 
     def test_returned_null_identical(self, monkeypatch):
         compiled, oracle = run_both(RETURNS_NULL, config_abt(), monkeypatch)
         assert compiled == oracle
         assert compiled["fields"]["A"][("Picker", "out", None)] == 11
+
+
+# ----------------------------------------------------------------------
+# Local loops: a member with one incoming fused jump is generated in
+# place at that jump, and a block that jumps back to itself is a Python
+# ``while True:`` loop.
+# ----------------------------------------------------------------------
+
+#: Three nested loops with straight-line bodies on one host.  Only the
+#: innermost is an inner ``while True:``; its exit, the middle loop's
+#: increment, is generated in place and breaks out to the middle header.
+NESTED_LOOPS = """
+class Nest {
+  int{Alice:; ?:Alice} out;
+  void main{?:Alice}() {
+    int{Alice:; ?:Alice} acc = 3;
+    int{?:Alice} i = 0;
+    while (i < 3) {
+      int{?:Alice} j = 0;
+      while (j < i + 2) {
+        int{?:Alice} k = 0;
+        while (k < 3) { acc = (acc * 5 + k + j) % 997; k = k + 1; }
+        j = j + 1;
+      }
+      i = i + 1;
+    }
+    out = acc;
+  }
+}
+"""
+
+#: The same nesting with an ``&&`` guard and an if/else in the innermost
+#: body, whose join has two incoming jumps and so stays a block.
+NESTED_BRANCHY = """
+class Nest {
+  int{Alice:; ?:Alice} out;
+  void main{?:Alice}() {
+    int{Alice:; ?:Alice} acc = 3;
+    int{?:Alice} i = 0;
+    while (i < 3) {
+      int{?:Alice} j = 0;
+      while (j < i + 2) {
+        int{?:Alice} k = 0;
+        while (k < 3 && j >= 0) {
+          if (k == 1) { acc = (acc * 5 + k) % 997; } else { acc = acc + j; }
+          k = k + 1;
+        }
+        j = j + 1;
+      }
+      i = i + 1;
+    }
+    out = acc;
+  }
+}
+"""
+
+#: Every round of A's outer loop syncs its continuation and leaves for
+#: B; the inner loop writes B's field ``sink`` and forwards ``j`` to B
+#: on every iteration.
+LOOP_PROTOCOL = """
+class LoopMix authority(Alice) {
+  int{Alice:; ?:Alice} out;
+  int{Bob:} ticker;
+  int{Bob:} sink;
+  void main{?:Alice}() where authority(Alice) {
+    int{?:Alice} i = 0;
+    int{Alice:; ?:Alice} a = 1;
+    while (i < 4) {
+      int{?:Alice} j = 0;
+      while (j < 3) { a = (a * 7 + j) % 101; j = j + 1; sink = j; }
+      ticker = ticker + i + j;
+      i = i + 1;
+    }
+    out = a;
+  }
+}
+"""
+
+
+def config_bob_on_b():
+    """:func:`config_abt` with Bob's data pinned to B as well."""
+    config = config_abt()
+    config.set_preference("Bob", "B", 0.5)
+    return config
+
+
+def loop_blocks(split, host):
+    """The inner ``while True:`` loops of ``host``'s main component,
+    each as the source lines up to the end of its indentation."""
+    source, _ = generate(split, component(split, host, split.main_entry))
+    lines = source.splitlines()
+    loops = []
+    for i, line in enumerate(lines):
+        if line.strip() == "while True:" and line.startswith("        "):
+            pad = len(line) - len(line.lstrip())
+            body = []
+            for inner in lines[i + 1:]:
+                if len(inner) - len(inner.lstrip()) <= pad:
+                    break
+                body.append(inner)
+            loops.append("\n".join(body))
+    return source, loops
+
+
+class TestLoops:
+    def test_nested_loops_shape(self):
+        split = split_source(NESTED_LOOPS, single_host_config()).split
+        _, (loop,) = loop_blocks(split, "H")
+        assert "break" in loop
+        assert loop.count("\n" + " " * 20 + "continue") == 1
+
+    @pytest.mark.parametrize(
+        "source,config",
+        [
+            (NESTED_LOOPS, single_host_config),
+            (NESTED_LOOPS, config_abt),
+            (NESTED_BRANCHY, single_host_config),
+            (NESTED_BRANCHY, config_abt),
+        ],
+        ids=["straight-H", "straight-abt", "branchy-H", "branchy-abt"],
+    )
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_nested_loops_identical(self, source, config, level, monkeypatch):
+        split = split_source(source, config()).split
+
+        def run():
+            executor = Session(RuntimeImage.for_split(split), opt_level=level)
+            return exact(executor, executor.run())
+
+        compiled = run()
+        assert compiled == interpreted(run, monkeypatch)
+        (fields,) = [f for f in compiled["fields"].values() if f]
+        assert fields[("Nest", "out", None)] == nested_out(source)
+
+    def test_protocol_loop_shape(self):
+        """The inner loop writes the remote field and defers the forward
+        on each iteration; the outer round's sync is in the same
+        component."""
+        split = split_source(LOOP_PROTOCOL, config_bob_on_b()).split
+        assert split.fields[("LoopMix", "sink")].host == "B"
+        source, (loop,) = loop_blocks(split, "A")
+        assert "host.write_field('LoopMix', 'sink'" in loop
+        assert "host.defer_forward('B', (fid.fid, 'j')" in loop
+        assert "host._do_sync(" in source
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_protocol_loop_identical(self, level, monkeypatch):
+        split = split_source(LOOP_PROTOCOL, config_bob_on_b()).split
+
+        def run():
+            executor = Session(RuntimeImage.for_split(split), opt_level=level)
+            return exact(executor, executor.run())
+
+        compiled = run()
+        assert compiled == interpreted(run, monkeypatch)
+        assert compiled["counts"]["setField"] > 0
+        assert compiled["fields"]["B"][("LoopMix", "ticker", None)] == 18
+
+    @pytest.mark.parametrize(
+        "level,kind",
+        [(0, "forward"), (0, "setField"), (1, "setField"), (2, "setField")],
+    )
+    def test_protocol_loop_crashes_identical(self, level, kind, monkeypatch):
+        """B crashes on the second remote write of the inner loop, or
+        on the second forward (only opt level 0 sends one), and A on
+        B's recovery announcement, while A's loop waits on that
+        request: A's next writes must land in its new frames."""
+        split = split_source(LOOP_PROTOCOL, config_bob_on_b()).split
+        points = [("B", kind, 1), ("A", "recover")]
+
+        def run():
+            injector = CrashSequence(points)
+            executor = Session(
+                RuntimeImage.for_split(split), opt_level=level,
+                faults=injector, token_rng=random.Random(0x5EED),
+            )
+            observed = exact(executor, executor.run())
+            assert injector.points == [], "a crash never fired"
+            return observed
+
+        assert run() == interpreted(run, monkeypatch)
+
+
+def nested_out(source):
+    """``Nest.out`` of :data:`NESTED_LOOPS` or :data:`NESTED_BRANCHY`,
+    computed in Python."""
+    acc = 3
+    for i in range(3):
+        for j in range(i + 2):
+            for k in range(3):
+                if source is NESTED_LOOPS:
+                    acc = (acc * 5 + k + j) % 997
+                elif k == 1:
+                    acc = (acc * 5 + k) % 997
+                else:
+                    acc = acc + j
+    return acc
 
 
 class TestPlacementCheck:
@@ -1040,19 +1253,47 @@ class TestGeneratedCode:
             gc.enable()
 
     def test_local_jump_is_inlined(self):
-        """A local jump inside a component continues the component's
-        loop without setting ``state.entry``, and the inner loop's exit,
+        """The inner loop runs as a Python loop: its body, which only
+        the loop header jumps to, is generated in place under the
+        header's test, and its jump back to the header is a bare
+        ``continue`` of the header's ``while True:``.  The loop's exit,
         an rgoto to B, is generated in place: it builds its message for
         the static target host and posts it, with no host plan method in
-        between."""
+        between, and no ``ExecutionState`` is built."""
         split = split_source(work.source(rounds=2), work.config()).split
         members = component(split, "A", "Work.main.4@A")
         entries = [f.entry for f in members]
         assert {"Work.main.3@A", "Work.main.4@A"} <= set(entries)
         source, namespace = generate(split, members)
-        assert "state.entry =" not in source
+        assert "state" not in source
         assert "_run_plan" not in source
         rgoto = "N.post(Message('rgoto', 'A', 'B', {'entry': 'Work.main.5@B'"
         assert source.count(rgoto) == 1
-        assert f"e = {entries.index('Work.main.3@A')}\n" in source
+        header = "while True:\n" + " " * 16 + "N.clock += C\n"
+        assert source.count(header) == 1
+        back = re.search(r"D\.log\('var', fid, 'j', L\d+\)\n( +)continue\n", source)
+        assert back and len(back.group(1)) == 20
         assert "body" not in namespace
+
+    def test_forward_keeps_the_frame(self):
+        """A forward only defers at opt levels 1-2, so ``S`` and the
+        held locals survive it: List reads ``headB`` from its local
+        right after forwarding ``b``.  Only opt level 0 flushes there,
+        and its branch fetches ``S`` again and reloads every held
+        local."""
+        split = split_source(listcompare.source(), listcompare.config()).split
+        source, _ = generate(split, component(split, "A", split.main_entry))
+        start = source.index("host.defer_forward('B', (fid.fid, 'b')")
+        end = source.index("host.defer_forward('B', (fid.fid, 'headB')")
+        lines = source[start:end].splitlines()[1:-1]
+        flush, *branch, read = lines
+        assert flush.strip() == "if host.opt_level == 0:"
+        pad = len(flush) - len(flush.lstrip())
+        assert all(len(line) - len(line.lstrip()) > pad for line in branch)
+        assert [line.strip() for line in branch[:2]] == [
+            "host.flush_forwards(None)",
+            "S = host.frames.get(fid) or host.frame(fid)",
+        ]
+        reloaded = {line.split(" = ")[0].strip() for line in branch[2:]}
+        assert re.fullmatch(r"v = (L\d+)", read.strip())
+        assert read.strip()[4:] in reloaded

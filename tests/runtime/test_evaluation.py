@@ -9,7 +9,6 @@ import pytest
 
 from repro.runtime import RuntimeImage, Session, FrameID
 from repro.runtime.compiler import compile_component
-from repro.runtime.host import ExecutionState
 from repro.splitter import ir, split_source
 from repro.splitter.fragments import Fragment, OpAssignVar, TermJump
 
@@ -33,7 +32,7 @@ def evaluate(host, expr, frame):
     fragment.ops = [OpAssignVar("_value", expr)]
     fragment.terminator = TermJump([])
     body = compile_component(host.split, [fragment])
-    assert body(host, ExecutionState("eval", frame, None)) is None
+    assert body(host, "eval", frame, None) is None
     return host.frames[frame].pop("_value")
 
 

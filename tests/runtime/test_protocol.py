@@ -244,3 +244,100 @@ class TestUnknownSender:
             host_t.handle(Message(kind, "Z", "T", data))
         assert info.value.offender == "Z"
         assert executor.network.quarantined == {"Z"}
+
+
+class TestMalformedRequests:
+    """A request with a valid digest whose payload lacks a field its
+    kind needs, or holds the wrong type there, is audited and rejected
+    (and quarantines its sender when quarantine is on); it never
+    crashes the receiving host."""
+
+    FRAME = FrameID(("OTExample", "main"))
+    #: request -> (kind, payload, how the audit A records starts).
+    REQUESTS = {
+        "lgoto without token": (
+            "lgoto", {"vars": {}}, "malformed lgoto from B: token"
+        ),
+        "lgoto with token=5": (
+            "lgoto", {"token": 5, "vars": {}}, "malformed lgoto from B: token"
+        ),
+        "rgoto without entry": (
+            "rgoto", {"frame": FRAME, "token": None, "vars": {}},
+            "malformed rgoto from B: entry",
+        ),
+        "rgoto with entry=[x]": (
+            "rgoto", {"entry": ["x"], "frame": FRAME, "vars": {}},
+            "rgoto to unknown entry ['x']",
+        ),
+        "sync without entry": (
+            "sync", {"frame": FRAME, "token": None},
+            "malformed sync from B: entry",
+        ),
+        "sync with entry=[x]": (
+            "sync", {"entry": ["x"], "frame": FRAME},
+            "sync for unknown entry ['x']",
+        ),
+        "getField without cls": (
+            "getField", {"field": "x", "oid": None},
+            "malformed getField from B: cls",
+        ),
+        "getField with cls=[x]": (
+            "getField", {"cls": ["x"], "field": "x"},
+            "malformed getField from B: cls/field",
+        ),
+        "setField without field": (
+            "setField", {"cls": "OTExample", "oid": None, "value": 1},
+            "malformed setField from B: field",
+        ),
+        "forward without vars": (
+            "forward", {}, "malformed forward from B: vars"
+        ),
+        "forward with vars=5": (
+            "forward", {"vars": 5}, "malformed forward from B: vars"
+        ),
+        "forward with a frame's vars=5": (
+            "forward", {"vars": {FRAME: 5}}, "malformed vars from B: FrameID("
+        ),
+        "forward keyed by 5": (
+            "forward", {"vars": {5: {"choice": 1}}},
+            "malformed vars from B: 5",
+        ),
+    }
+
+    @pytest.mark.parametrize("request_name", list(REQUESTS))
+    def test_rejected_and_audited(self, setup, request_name):
+        split, executor = setup
+        host_a = executor.hosts["A"]
+        kind, data, expected = self.REQUESTS[request_name]
+        depth = len(host_a.stack._stack)
+        result = host_a.handle(Message(kind, "B", "A", payload(split, **data)))
+        assert result is _REJECTED
+        (audit,) = executor.network.audit_log
+        assert audit.startswith(f"A: {expected}")
+        assert len(host_a.stack._stack) == depth
+        assert host_a.frames == {}
+
+    @pytest.mark.parametrize("request_name", list(REQUESTS))
+    def test_quarantines_the_sender(self, setup, request_name):
+        split, executor = setup
+        executor.network.quarantine_enabled = True
+        kind, data, _ = self.REQUESTS[request_name]
+        with pytest.raises(SecurityAbort) as info:
+            executor.hosts["A"].handle(
+                Message(kind, "B", "A", payload(split, **data))
+            )
+        assert info.value.offender == "B"
+        assert executor.network.quarantined == {"B"}
+
+    def test_mistyped_oid_from_a_reader(self, setup):
+        """T may read A's field ``m1``; an unhashable object id from it
+        is refused before the field store is probed with it."""
+        split, executor = setup
+        message = Message(
+            "getField", "T", "A",
+            payload(split, cls="OTExample", field="m1", oid=[1]),
+        )
+        assert executor.hosts["A"].handle(message) is _REJECTED
+        assert executor.network.audit_log == [
+            "A: malformed getField from T: oid"
+        ]

@@ -1,5 +1,8 @@
 """Tests for signed trust declarations and host descriptors."""
 
+import hashlib
+import hmac
+
 import pytest
 
 from repro.labels import ConfLabel, IntegLabel, parse_conf_label, principals
@@ -44,6 +47,60 @@ class TestKeyRegistry:
         key = registry.key_of("Alice")
         registry.register("Alice")
         assert registry.key_of("Alice") == key
+
+
+class TestHmacEquivalence:
+    """``KeyRegistry.sign`` MACs from pre-keyed SHA-256 pads; its bytes
+    must be exactly HMAC-SHA256 (RFC 2104) for every key length, keys
+    longer than the 64-byte block included (those are hashed first)."""
+
+    MESSAGES = (
+        b"",
+        b"hello",
+        b"token|A|7|Work.main.6@A|00ff",
+        bytes(range(256)) * 3,
+    )
+
+    @pytest.mark.parametrize("length", [0, 1, 32, 64, 65, 200])
+    def test_sign_is_hmac_sha256(self, length):
+        registry = KeyRegistry()
+        key = bytes((7 * i + length) % 256 for i in range(length))
+        registry.install("k", key)
+        for message in self.MESSAGES:
+            expected = hmac.new(key, message, hashlib.sha256).digest()
+            assert registry.sign("k", message) == expected
+            assert registry.verify("k", message, expected)
+
+    def test_registered_key(self, registry):
+        key = registry.key_of("Alice")
+        for message in self.MESSAGES:
+            assert registry.sign("Alice", message) == hmac.new(
+                key, message, hashlib.sha256
+            ).digest()
+
+    def test_install_replaces_the_pads(self, registry):
+        registry.sign("Alice", b"hello")
+        key = b"\x01" * 40
+        registry.install("Alice", key)
+        assert registry.sign("Alice", b"hello") == hmac.new(
+            key, b"hello", hashlib.sha256
+        ).digest()
+
+    def test_seal_and_verify_seal(self):
+        from repro.runtime.tokens import TokenFactory
+
+        registry = KeyRegistry()
+        factory = TokenFactory("A", registry)
+        key = registry.key_of("host:A")
+        payload = b"epoch=3|seq=1"
+        seal = factory.seal("recover", payload)
+        assert seal == hmac.new(
+            key, b"recover|" + payload, hashlib.sha256
+        ).digest()
+        assert factory.verify_seal("A", "recover", payload, seal)
+        forged = bytes([seal[0] ^ 1]) + seal[1:]
+        assert not factory.verify_seal("A", "recover", payload, forged)
+        assert not factory.verify_seal("A", "checkpoint", payload, seal)
 
 
 class TestTrustDeclaration:
