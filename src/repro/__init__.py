@@ -14,17 +14,23 @@ Public API tour:
 * :mod:`repro.reporting` — regenerates Table 1 and Figure 4.
 """
 
+from . import _lazy
 from .labels import Label, Principal, principals
 from .lang import check_source
 from .splitter import SplitError, split_source
 from .trust import HostDescriptor, TrustConfiguration, example_hosts
 from .runtime import (
-    Adversary,
     CostModel,
     RuntimeImage,
     Session,
     run_single_host,
     run_split_program,
+)
+
+# The attack suite loads on first use: compiling and running a split
+# never needs it.
+__getattr__, __dir__ = _lazy.exports(
+    globals(), {"runtime.attacks": ("Adversary",)}
 )
 
 __version__ = "1.0.0"

@@ -1,5 +1,6 @@
 """The mini-Jif security-typed language: lexer, parser, AST, type checker."""
 
+from .. import _lazy
 from . import ast
 from .errors import (
     AuthorityError,
@@ -12,13 +13,18 @@ from .errors import (
 )
 from .lexer import Token, tokenize
 from .parser import parse_expr, parse_program, parse_stmt
-from .pretty import pretty_expr, pretty_program
 from .typecheck import (
     CheckedProgram,
     FieldInfo,
     MethodInfo,
     check_program,
     check_source,
+)
+
+# Nothing on the compile path prints source back; the pretty-printer
+# loads on first use.
+__getattr__, __dir__ = _lazy.exports(
+    globals(), {"pretty": ("pretty_expr", "pretty_program")}
 )
 
 __all__ = [

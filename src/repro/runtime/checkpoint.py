@@ -47,9 +47,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from .storage import codec as _codec
 from .storage.base import STATS as _STATS
 
-#: Messages a host processes between checkpoints.
-CHECKPOINT_INTERVAL = 4
-
 
 class CheckpointTamperError(RuntimeError):
     """Stable storage failed verification: forged seal, missing
@@ -114,6 +111,9 @@ class DurableStore:
     makes rollback detectable.
     """
 
+    #: messages a host processes between checkpoints.
+    interval = 4
+
     def __init__(self, host: str, factory, backend=None) -> None:
         self.host = host
         self._factory = factory
@@ -133,7 +133,7 @@ class DurableStore:
         #: every announcement unique, so replays are detectable).
         self.recoveries = 0
         #: messages processed since the last checkpoint (one is taken
-        #: every :data:`CHECKPOINT_INTERVAL`).
+        #: every :attr:`interval`).
         self.processed = 0
         #: lifetime statistics.
         self.checkpoints_taken = 0

@@ -33,22 +33,22 @@ ignored, blacklisting the offender.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
 
 from ..labels import Label
 from ..splitter.fragments import Fragment, SplitProgram
 from ..trust import KeyRegistry
-from .checkpoint import (
-    CHECKPOINT_INTERVAL,
-    CheckpointTamperError,
-    DurableStore,
-    recovery_blob,
-)
 from .compiler import BodyFn, compile_component, component
 from .ics import LocalStack
 from .network import Message, SecurityAbort, Transport
 from .tokens import Token, TokenFactory
 from .values import REJECTED, ArrayRef, FrameID
+
+# The durable store (and the storage codec under it) loads on a host's
+# first durable or recovery step: a fault-free run without a storage
+# tier never imports it.
+if TYPE_CHECKING:
+    from .checkpoint import DurableStore
 
 #: Re-export of :data:`repro.runtime.values.REJECTED` under its
 #: historical name (tests and the attack harness import it from here).
@@ -652,6 +652,8 @@ class TrustedHost:
                 self.name, f"malformed recovery announcement from {src}"
             )
             return _REJECTED
+        from .checkpoint import recovery_blob
+
         if not self.factory.verify_seal(
             src, "recover", recovery_blob(src, epoch, seq), payload.get("seal")
         ):
@@ -708,6 +710,8 @@ class TrustedHost:
         """The host's stable storage, materialized on first use with a
         sealed checkpoint of the current state."""
         if self.durable is None:
+            from .checkpoint import DurableStore
+
             self.durable = DurableStore(self.name, self.factory)
             self.durable.take_checkpoint(self.snapshot_state())
         return self.durable
@@ -733,6 +737,8 @@ class TrustedHost:
         publishing the current checkpoint + WAL through the backend."""
         backend = storage.backend_for(self.name)
         if self.durable is None:
+            from .checkpoint import DurableStore
+
             self.durable = DurableStore(
                 self.name, self.factory, backend=backend
             )
@@ -750,7 +756,7 @@ class TrustedHost:
     def _maybe_checkpoint(self) -> None:
         store = self.durable
         store.processed += 1
-        if store.processed >= CHECKPOINT_INTERVAL:
+        if store.processed >= store.interval:
             self.take_checkpoint()
 
     def snapshot_state(self) -> Dict[str, Any]:
@@ -794,6 +800,8 @@ class TrustedHost:
         store = self.durable
         if store is None:
             return
+        from .checkpoint import CheckpointTamperError
+
         try:
             self.restore_state()
         except CheckpointTamperError as error:
@@ -874,6 +882,8 @@ class TrustedHost:
     def _announce_recovery(self) -> None:
         """Broadcast a sealed ``recover`` message so peers re-forward
         pending data and accept the host back into the run."""
+        from .checkpoint import recovery_blob
+
         store = self.durable
         # Snapshot epoch/seq: announcing to one peer can trigger
         # re-forwards back to us, and handling those may seal a fresh

@@ -5,11 +5,14 @@ error taxonomy, :mod:`~repro.runtime.storage.sqlite_backend` for the
 SQLite-WAL implementation with process-death rehydration,
 :mod:`~repro.runtime.storage.faultsim` for storage fault injection, and
 :mod:`~repro.runtime.storage.harness` for the SIGKILL-and-rehydrate
-harness (imported lazily — it forks).
+harness (imported lazily — it forks).  Only :mod:`.base` loads with the
+package; the codec and the backends (``sqlite3`` with them) are
+exported lazily and load on first use.
 """
 
 from __future__ import annotations
 
+from ... import _lazy
 from .base import (
     STATS,
     DurabilityStats,
@@ -19,13 +22,19 @@ from .base import (
     StorageUnavailableError,
     TransientStorageError,
 )
-from .codec import DecodeContext, StorageCodecError, advance_id_floors
-from .memory import MemoryBackend
-from .sqlite_backend import (
-    SessionStorage,
-    SQLiteBackend,
-    open_for_rehydration,
-    rehydrate_session,
+
+__getattr__, __dir__ = _lazy.exports(
+    globals(),
+    {
+        "codec": ("DecodeContext", "StorageCodecError", "advance_id_floors"),
+        "memory": ("MemoryBackend",),
+        "sqlite_backend": (
+            "SessionStorage",
+            "SQLiteBackend",
+            "open_for_rehydration",
+            "rehydrate_session",
+        ),
+    },
 )
 
 __all__ = [

@@ -10,8 +10,10 @@ time — no sweeps, no seeds, no dynamic program.
 
 Two layers live here:
 
-* :class:`PlacementModel` — the placement cost model, built in one pass
-  over the same candidate sets the heuristic optimizer uses.  Its
+* :class:`PlacementModel` — the placement cost model, built from the
+  same candidate sets the heuristic optimizer uses: first the node
+  tables (:meth:`~PlacementModel.nodes`), then the edges
+  (:meth:`~PlacementModel.add_edges`).  Its
   :meth:`~PlacementModel.cost` reproduces ``Optimizer._total_cost``
   exactly (the differential tests assert this), so both engines optimise
   the same objective.
@@ -27,9 +29,11 @@ Two layers live here:
   cheaper than A's — which is what lets the benchmark sweep skip the
   heuristic entirely.
 
-When more than two hosts stay eligible, ``try_exact`` declines and
-``optimizer.assign_hosts`` falls back to the chain-DP heuristic, which
-``engine="heuristic"`` also selects outright.
+Domination pruning reads only the node tables, so ``try_exact`` prunes
+before it builds any edge.  When more than two hosts stay eligible it
+declines at that point, and ``optimizer.assign_hosts`` falls back to
+the chain-DP heuristic (which ``engine="heuristic"`` also selects
+outright); only a two-host instance pays for its edges and its cut.
 """
 
 from __future__ import annotations
@@ -70,6 +74,10 @@ class PlacementModel:
         self.edges: List[Tuple[int, int, float]] = []
         #: cost contributed by edges between two forced nodes
         self.constant: float = 0.0
+        #: per method: (key, body, statements, first node index), and
+        #: each node key's index — :meth:`add_edges` reads both.
+        self._methods: List[Tuple[Tuple[str, str], list, list, int]] = []
+        self._index_of: Dict[Tuple[str, object], int] = {}
 
     # -- construction -------------------------------------------------------
 
@@ -81,24 +89,34 @@ class PlacementModel:
         config: TrustConfiguration,
         candidates: CandidateSets,
     ) -> "PlacementModel":
-        from .optimizer import (
-            _FIELD_ACCESS_MESSAGES,
-            _PREFERENCE_BASELINE,
-            _loop_weight,
-            build_cfg_edges,
-        )
+        """The whole model: :meth:`nodes`, then :meth:`add_edges`."""
+        model = cls.nodes(checked, program, config, candidates)
+        model.add_edges()
+        return model
+
+    @classmethod
+    def nodes(
+        cls,
+        checked: CheckedProgram,
+        program: ir.IRProgram,
+        config: TrustConfiguration,
+        candidates: CandidateSets,
+    ) -> "PlacementModel":
+        """The node tables without edges: links, candidates, unary
+        costs and forced nodes — everything :func:`reduce_hosts` reads,
+        so an instance can decline before its edges are built."""
+        from .optimizer import _PREFERENCE_BASELINE
 
         model = cls(config)
         names = config.host_names
         model.link = {
             (a, b): config.link_cost(a, b) for a in names for b in names
         }
-        index_of: Dict[Tuple[str, object], int] = {}
+        index_of = model._index_of
         node_keys = model.node_keys
         node_candidates = model.candidates
         node_unary = model.unary
         forced = model.forced
-        loop_weights = [_loop_weight(depth) for depth in range(7)]
 
         # Fields first: unary preference terms, pins force placement.
         for fkey, hosts in candidates.fields.items():
@@ -130,27 +148,17 @@ class PlacementModel:
             if len(host_names) == 1:
                 forced[index] = host_names[0]
 
-        # Statements, with their field-access and call edges.
-        raw_edges: Dict[Tuple[int, int], float] = {}
-
-        def add_edge(a: int, b: int, weight: float) -> None:
-            if a == b:
-                return  # link(h, h) == 0 — a self edge never costs
-            key = (a, b) if a < b else (b, a)
-            raw_edges[key] = raw_edges.get(key, 0.0) + weight
-
-        entry_uids: Dict[Tuple[str, str], int] = {}
-        calls: List[Tuple[int, Tuple[str, str], float]] = []
+        # Statements: each method's take a contiguous run of indices.
         stmt_candidates = candidates.statements
         empty_unary: Dict[str, float] = {}
         # Candidate tuples are shared (the eligibility cache hands out
         # one per distinct label pair), so their name tuples memoize by
         # identity.
         names_memo: Dict[int, Tuple[str, ...]] = {}
+        methods = model._methods
         for mkey, method in program.methods.items():
             stmts = list(ir.walk_stmts(method.body))
-            if stmts:
-                entry_uids[mkey] = stmts[0].info.uid
+            methods.append((mkey, method.body, stmts, len(node_keys)))
             for stmt in stmts:
                 info = stmt.info
                 uid = info.uid
@@ -171,6 +179,36 @@ class PlacementModel:
                 node_unary.append(empty_unary)
                 if len(hosts) == 1:
                     forced[index] = hosts[0]
+        return model
+
+    def add_edges(self) -> None:
+        """Aggregate the field-access, control-flow and call edges of
+        the statements :meth:`nodes` indexed.  An edge between two
+        forced nodes (forced when this runs) adds to ``constant``; the
+        rest go to ``edges`` in first-seen order."""
+        from .optimizer import (
+            _FIELD_ACCESS_MESSAGES,
+            _loop_weight,
+            build_cfg_edges,
+        )
+
+        index_of = self._index_of
+        loop_weights = [_loop_weight(depth) for depth in range(7)]
+        raw_edges: Dict[Tuple[int, int], float] = {}
+
+        def add_edge(a: int, b: int, weight: float) -> None:
+            if a == b:
+                return  # link(h, h) == 0 — a self edge never costs
+            key = (a, b) if a < b else (b, a)
+            raw_edges[key] = raw_edges.get(key, 0.0) + weight
+
+        entry_index: Dict[Tuple[str, str], int] = {}
+        calls: List[Tuple[int, Tuple[str, str], float]] = []
+        for mkey, body, stmts, base in self._methods:
+            if stmts:
+                entry_index[mkey] = base
+            for index, stmt in enumerate(stmts, base):
+                info = stmt.info
                 weight = loop_weights[min(info.loop_depth, 6)]
                 used_f = info.used_fields
                 defined_f = info.defined_fields
@@ -186,7 +224,7 @@ class PlacementModel:
                     )
                 if isinstance(stmt, ir.CallStmt):
                     calls.append((index, (stmt.cls, stmt.method), weight))
-            for a, b, depth in build_cfg_edges(method.body):
+            for a, b, depth in build_cfg_edges(body):
                 add_edge(
                     index_of[("stmt", a)],
                     index_of[("stmt", b)],
@@ -194,18 +232,16 @@ class PlacementModel:
                 )
         # A call costs a transfer to the callee's entry and one back.
         for index, callee_key, weight in calls:
-            entry_uid = entry_uids.get(callee_key)
-            if entry_uid is not None:
-                add_edge(index, index_of[("stmt", entry_uid)], 2.0 * weight)
+            entry = entry_index.get(callee_key)
+            if entry is not None:
+                add_edge(index, entry, 2.0 * weight)
 
+        forced = self.forced
         for (a, b), weight in raw_edges.items():
-            if a in model.forced and b in model.forced:
-                model.constant += weight * model.link[
-                    model.forced[a], model.forced[b]
-                ]
+            if a in forced and b in forced:
+                self.constant += weight * self.link[forced[a], forced[b]]
             else:
-                model.edges.append((a, b, weight))
-        return model
+                self.edges.append((a, b, weight))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -452,10 +488,12 @@ def try_exact(
     Returns an :class:`~repro.splitter.optimizer.Assignment` when the
     instance reduces to at most two eligible hosts (after domination
     pruning), or ``None`` — in which case the caller falls back to the
-    heuristic."""
-    model = PlacementModel.build(checked, program, config, candidates)
+    heuristic.  Pruning reads only the node tables, so a declined
+    instance never builds its edges."""
+    model = PlacementModel.nodes(checked, program, config, candidates)
     union = reduce_hosts(model)
     if len(union) > 2:
         return None
+    model.add_edges()
     hosts = solve_two_host(model, union)
     return model.to_assignment(hosts)

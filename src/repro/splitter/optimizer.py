@@ -577,8 +577,10 @@ def assign_hosts(
 
     * ``auto`` — exact min-cut when the instance reduces to two eligible
       hosts (see :mod:`repro.splitter.mincut`), otherwise the chain-DP
-      heuristic.  This is the default: the exact path is both faster and
-      provably optimal where it applies.
+      heuristic.  The reduction looks only at candidates, unary costs
+      and links, so an instance that keeps three hosts declines before
+      any min-cut edge is built.  This is the default: the exact path is
+      both faster and provably optimal where it applies.
     * ``heuristic`` — the chain-DP heuristic only: the fallback, and the
       reference the engine-equivalence tests compare ``auto`` against.
     """

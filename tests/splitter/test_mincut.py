@@ -23,12 +23,15 @@ from repro.progen import config as progen_config
 from repro.progen import generate_program
 from repro.splitter import assign_hosts, ir, split_source
 from repro.splitter.cache import resolve_engine
+from repro.splitter import optimizer
 from repro.splitter.mincut import (
     PlacementModel,
     reduce_hosts,
     solve_two_host,
+    try_exact,
 )
 from repro.splitter.optimizer import Optimizer
+from repro.workloads import ot
 
 from tests.programs import (
     OT_SOURCE,
@@ -198,6 +201,48 @@ def test_progen_config_reduces_to_two_hosts():
         "A/B/T progen instances must reduce (B is dominated), or the "
         f"benchmark sweep loses the exact path; got {union}"
     )
+
+
+def test_three_host_instance_declines_before_building_edges(monkeypatch):
+    # OT keeps A, B and T eligible after pruning, so the exact engine
+    # declines; pruning reads only the node tables, so it must decline
+    # without walking a single control-flow edge.
+    config = ot.config()
+    result = split_source(ot.source(), config, engine="heuristic")
+    walked = []
+
+    def recording_cfg_edges(body, depth=0):
+        walked.append(body)
+        return []
+
+    monkeypatch.setattr(optimizer, "build_cfg_edges", recording_cfg_edges)
+    assert try_exact(
+        result.checked, result.program, config, result.candidates
+    ) is None
+    assert walked == []
+    # A two-host instance still builds its edges before the cut.
+    progen = split_source(generate_program(0), progen_config())
+    assert try_exact(
+        progen.checked, progen.program, progen_config(), progen.candidates
+    ) is not None
+    assert walked
+
+
+def test_node_tables_reduce_like_the_full_model():
+    # Declining early must not change what pruning sees: the node
+    # tables alone reduce to the same hosts, candidates and forced
+    # nodes as the model with its edges.
+    for source, config in [
+        (ot.source(), ot.config()),
+        (generate_program(0), progen_config()),
+    ]:
+        result = split_source(source, config, engine="heuristic")
+        args = (result.checked, result.program, config, result.candidates)
+        full, bare = PlacementModel.build(*args), PlacementModel.nodes(*args)
+        assert bare.edges == [] and bare.constant == 0.0
+        assert reduce_hosts(bare) == reduce_hosts(full)
+        assert bare.candidates == full.candidates
+        assert bare.forced == full.forced
 
 
 def test_repro_mincut_env_escape_hatch():
