@@ -28,11 +28,14 @@ one structured line to stderr —
 :data:`repro.runtime.gateway.ERROR_CODES` — and exits non-zero, never
 a traceback.
 
-Repeated splits of the same (program, trust configuration, engine)
-triple are served from the whole-pipeline split cache
-(``repro.splitter.cache``); set ``REPRO_SPLIT_CACHE=0`` to disable it,
-or point ``REPRO_SPLIT_CACHE_DIR`` at a directory to persist split
-artifacts across runs (digest-verified on load).  These two are the
+Host placement minimises one cost model with two solvers (an exact
+min-cut where the instance reduces to two hosts, else the chain-DP
+heuristic); there is no option choosing between them.  Repeated splits
+of the same (program, trust configuration) pair are served from the
+whole-pipeline split cache (``repro.splitter.cache``); set
+``REPRO_SPLIT_CACHE=0`` to disable it, or point
+``REPRO_SPLIT_CACHE_DIR`` at a directory to persist split artifacts
+across runs (digest-verified on load).  These two are the
 only environment variables the package reads; durable storage is
 chosen per command (``run --storage sqlite``, ``faultsweep --storage
 sqlite``, which gives each schedule or crash point its own temporary

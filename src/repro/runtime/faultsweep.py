@@ -88,7 +88,7 @@ def _storage_tier(storage: str) -> Iterator[Optional[SessionStorage]]:
         shutil.rmtree(directory, ignore_errors=True)
 
 
-def split_for_sweep(source: str, config, engine: Optional[str] = None) -> SplitProgram:
+def split_for_sweep(source: str, config) -> SplitProgram:
     """Partition ``source`` for a sweep, through the whole-pipeline
     split cache.
 
@@ -103,7 +103,7 @@ def split_for_sweep(source: str, config, engine: Optional[str] = None) -> SplitP
     """
     from ..splitter.partition import split_source
 
-    return split_source(source, config, engine).split
+    return split_source(source, config).split
 
 
 def random_policy(rng: random.Random) -> FaultPolicy:

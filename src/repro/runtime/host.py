@@ -638,6 +638,13 @@ class TrustedHost:
         """
         payload = message.payload
         src = message.src
+        if src not in self._image.descriptors:
+            # No key is registered for an unnamed host: refuse before
+            # the seal check would look one up.
+            self.network.audit(
+                self.name, f"recovery announcement from unknown host {src}"
+            )
+            return _REJECTED
         claimed = payload.get("host")
         if claimed != src:
             self.network.audit(
@@ -647,7 +654,7 @@ class TrustedHost:
             return _REJECTED
         epoch = payload.get("epoch")
         seq = payload.get("seq")
-        if not isinstance(epoch, int) or not isinstance(seq, int):
+        if type(epoch) is not int or type(seq) is not int:
             self.network.audit(
                 self.name, f"malformed recovery announcement from {src}"
             )

@@ -17,7 +17,8 @@ from .fragments import (
     TermReturn,
 )
 from .lower import lower_program
-from .optimizer import Assignment, assign_hosts
+from .mincut import Assignment
+from .optimizer import assign_hosts
 from .partition import SplitResult, split_program, split_source
 from .selection import (
     CandidateSets,

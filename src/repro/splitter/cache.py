@@ -4,13 +4,13 @@ For a fixed program, trust configuration, and acts-for hierarchy the
 splitter's output is a pure function of its inputs, so this module
 memoizes ``split_source`` results end to end, keyed by::
 
-    (sha256(source), TrustConfiguration.fingerprint(), engine)
+    (sha256(source), TrustConfiguration.fingerprint())
 
 where the fingerprint covers hosts, preferences, field pins, link
 costs, and every acts-for edge — any change to the trust assumptions
-changes the key, so a stale split can never be served.  The engine
-component is the *resolved* selection (``auto`` | ``heuristic``), since
-each engine may legitimately pick a different equal-cost placement.
+changes the key, so a stale split can never be served.  Placement has
+one cost model and no caller-chosen solver, so nothing else enters the
+key.
 
 Two tiers:
 
@@ -79,31 +79,11 @@ def digest(source: str) -> str:
     return hashlib.sha256(source.encode("utf-8")).hexdigest()
 
 
-#: The placement engines ``engine=`` may name; ``None`` means ``auto``.
-ENGINES = ("auto", "heuristic")
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """The one engine-name parser: ``None`` resolves to ``auto``, and
-    anything but ``auto`` / ``heuristic`` raises ``ValueError``.
-    :func:`repro.splitter.optimizer.assign_hosts` resolves through it
-    too, so the cache key always names the engine that ran."""
-    if engine is None:
-        return "auto"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown placement engine {engine!r}; expected one of "
-            f"{', '.join(ENGINES)}"
-        )
-    return engine
-
-
 class SplitKey(NamedTuple):
     """The full content address of one split."""
 
     source: str  #: sha256 hex digest of the program text
     config: str  #: TrustConfiguration.fingerprint()
-    engine: str  #: resolved engine ("auto" | "heuristic")
 
     def digest(self) -> str:
         """One hex digest over all components — the artifact file name."""
@@ -114,13 +94,13 @@ class SplitKey(NamedTuple):
         return hasher.hexdigest()
 
 
-def split_key(source_digest: Optional[str], config, engine: Optional[str]) -> Optional[SplitKey]:
+def split_key(source_digest: Optional[str], config) -> Optional[SplitKey]:
     """The cache key for one ``split_source`` call, or None when the
     cache is disabled or the source digest is unknown (e.g. a checked
     program whose AST was not built by ``parse_program``)."""
     if source_digest is None or not enabled():
         return None
-    return SplitKey(source_digest, config.fingerprint(), resolve_engine(engine))
+    return SplitKey(source_digest, config.fingerprint())
 
 
 class _Tier:
@@ -153,11 +133,7 @@ def artifact_path(key: SplitKey, directory: str) -> str:
 
 def _artifact_bytes(key: SplitKey, encoded: Dict) -> bytes:
     body = canonical_bytes({
-        "key": {
-            "source": key.source,
-            "config": key.config,
-            "engine": key.engine,
-        },
+        "key": key._asdict(),
         "split": encoded,
     })
     digest = hashlib.sha256(body).hexdigest().encode("ascii")
@@ -230,7 +206,7 @@ def _read_artifact(key: SplitKey, directory: str) -> Optional[Dict]:
     Verification order is cheapest-first: magic + format version, then
     the SHA-256 body digest (catches truncation and bit flips), then
     the embedded key (catches an artifact copied under the wrong file
-    name — e.g. one produced for a different engine), then the strict
+    name — e.g. one produced for another configuration), then the strict
     structural decode.
     """
     try:
@@ -253,11 +229,7 @@ def _read_artifact(key: SplitKey, directory: str) -> Optional[Dict]:
     if not isinstance(data, dict):
         return None
     embedded = data.get("key")
-    if embedded != {
-        "source": key.source,
-        "config": key.config,
-        "engine": key.engine,
-    }:
+    if embedded != key._asdict():
         return None
     split = data.get("split")
     if not isinstance(split, dict):

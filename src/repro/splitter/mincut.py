@@ -1,39 +1,30 @@
-"""Exact host assignment by max-flow/min-cut (Section 6, exact engine).
+"""The Section 6 placement cost model, and its exact min-cut solver.
 
-The Section 6 placement problem is, for two hosts, exactly Stone's
-classic program-assignment problem: every statement and field is a graph
-node, every control-flow edge / field access / call is a weighted edge
-that costs its link weight when the endpoints are split across hosts,
-and per-field preference terms are node (unary) costs.  Minimising total
-message cost is then a minimum s-t cut, solvable exactly in polynomial
-time — no sweeps, no seeds, no dynamic program.
+The splitter minimises one objective: remote control transfers and
+field accesses, weighted by loop depth and biased by per-principal host
+preferences.  :class:`PlacementModel` is that objective, built once per
+split by :func:`repro.splitter.optimizer.assign_hosts`.  Every
+statement and field is a node; every control-flow edge, field access
+and call is a weighted edge that costs its link weight when its
+endpoints sit on different hosts; field preferences are unary (node)
+costs.  Two solvers read the one model: the exact cut below, and the
+chain-DP heuristic of :mod:`repro.splitter.optimizer`, which imports
+from here (never the other way).
 
-Two layers live here:
+For two hosts the placement problem is exactly Stone's classic
+program-assignment problem, a minimum s-t cut, solvable exactly in
+polynomial time — no sweeps, no seeds, no dynamic program.
+``reduce_hosts`` first prunes *dominated* hosts: a host no node is
+forced to, that every node could swap for an everywhere-no-worse
+alternative, can be removed without changing the optimal cost (mapping
+every node off the pruned host onto the alternative never increases any
+edge or unary term).  The common A/B/T progen configuration reduces to
+an exact two-host instance this way.
 
-* :class:`PlacementModel` — the placement cost model, built from the
-  same candidate sets the heuristic optimizer uses: first the node
-  tables (:meth:`~PlacementModel.nodes`), then the edges
-  (:meth:`~PlacementModel.add_edges`).  Its
-  :meth:`~PlacementModel.cost` reproduces ``Optimizer._total_cost``
-  exactly (the differential tests assert this), so both engines optimise
-  the same objective.
-
-* ``solve_two_host`` — the exact cut for instances whose free nodes all
-  choose between the same two hosts.  ``reduce_hosts`` first prunes
-  *dominated* hosts: a host no node is forced to, that every node could
-  swap for an everywhere-no-worse alternative, can be removed without
-  changing the optimal cost (mapping every node off the pruned host onto
-  the alternative never increases any edge or unary term).  The common
-  A/B/T progen configuration reduces to an exact two-host instance this
-  way — B holds no fields, forces no statements, and its links are no
-  cheaper than A's — which is what lets the benchmark sweep skip the
-  heuristic entirely.
-
-Domination pruning reads only the node tables, so ``try_exact`` prunes
-before it builds any edge.  When more than two hosts stay eligible it
-declines at that point, and ``optimizer.assign_hosts`` falls back to
-the chain-DP heuristic (which ``engine="heuristic"`` also selects
-outright); only a two-host instance pays for its edges and its cut.
+Pruning reads only the node tables and returns the pruned candidates
+without touching the model, so ``try_exact`` declines a three-host
+instance before it aggregates any edge, and the heuristic then sees the
+unpruned Section 4 candidates.
 """
 
 from __future__ import annotations
@@ -45,22 +36,119 @@ from ..trust import TrustConfiguration
 from . import ir
 from .selection import CandidateSets, SplitError
 
+#: Baseline added to field placement scores so that multiplicative
+#: preferences can override a zero communication cost (the paper lets an
+#: explicit preference win over the optimizer's default choice).
+_PREFERENCE_BASELINE = 1000.0
+#: Cost multiplier per loop nesting level.
+_LOOP_WEIGHT = 4.0
+#: Messages per remote field access (request + reply).
+_FIELD_ACCESS_MESSAGES = 2.0
+
 #: Residual capacities at or below this count as saturated, so float
 #: noise never opens a spurious augmenting path.
 _EPSILON = 1e-9
 
 
+def _loop_weight(depth: int) -> float:
+    return _LOOP_WEIGHT ** min(depth, 6)
+
+
+class Assignment:
+    """The chosen host for every field and statement."""
+
+    def __init__(self) -> None:
+        self.fields: Dict[Tuple[str, str], str] = {}
+        self.statements: Dict[int, str] = {}
+
+    def field_host(self, cls: str, name: str) -> str:
+        return self.fields[(cls, name)]
+
+    def statement_host(self, stmt: ir.IRStmt) -> str:
+        return self.statements[stmt.info.uid]
+
+
+def _exit_stmts(stmt: ir.IRStmt):
+    """The statements that perform a structured statement's outgoing
+    fall-through transition."""
+    if isinstance(stmt, ir.IfStmt):
+        exits = []
+        for branch in (stmt.then_body, stmt.else_body):
+            if branch and not _ends_in_return(branch):
+                exits.extend(_exit_stmts(branch[-1]))
+            elif not branch:
+                exits.append(stmt)
+        return exits or [stmt]
+    return [stmt]
+
+
+def _ends_in_return(body) -> bool:
+    if not body:
+        return False
+    last = body[-1]
+    if isinstance(last, ir.ReturnStmt):
+        return True
+    if isinstance(last, ir.IfStmt):
+        return _ends_in_return(last.then_body) and _ends_in_return(
+            last.else_body
+        )
+    return False
+
+
+def build_cfg_edges(body, depth: int = 0):
+    """Item-level control-flow edges (uid pairs with loop depths) —
+    including loop-back edges the linear chain DP cannot see."""
+    edges = []
+
+    def seq_edges(stmts, depth):
+        for index, stmt in enumerate(stmts):
+            if isinstance(stmt, ir.IfStmt):
+                inner = depth
+                for branch in (stmt.then_body, stmt.else_body):
+                    if branch:
+                        edges.append(
+                            (stmt.info.uid, branch[0].info.uid, inner)
+                        )
+                        seq_edges(branch, inner)
+                following = stmts[index + 1] if index + 1 < len(stmts) else None
+                if following is not None:
+                    for exit_stmt in _exit_stmts(stmt):
+                        edges.append(
+                            (exit_stmt.info.uid, following.info.uid, depth)
+                        )
+            elif isinstance(stmt, ir.WhileStmt):
+                inner = depth + 1
+                if stmt.body:
+                    edges.append((stmt.info.uid, stmt.body[0].info.uid, inner))
+                    seq_edges(stmt.body, inner)
+                    for exit_stmt in _exit_stmts(stmt.body[-1]):
+                        edges.append(
+                            (exit_stmt.info.uid, stmt.info.uid, inner)
+                        )
+                following = stmts[index + 1] if index + 1 < len(stmts) else None
+                if following is not None:
+                    edges.append((stmt.info.uid, following.info.uid, depth))
+            else:
+                following = stmts[index + 1] if index + 1 < len(stmts) else None
+                if following is not None:
+                    edges.append((stmt.info.uid, following.info.uid, depth))
+
+    seq_edges(body, depth)
+    return edges
+
+
 class PlacementModel:
     """The placement objective as nodes, edges, and unary costs.
 
-    Node indices cover every statement and field.  ``forced`` maps the
-    nodes with exactly one candidate host (or a field pin); the rest are
-    ``free``.  Edge weights are *link multipliers*: the realised cost of
-    edge ``(a, b, w)`` is ``w * link(host_a, host_b)``.
+    Node indices cover every field (first, ``fields``), then every
+    statement, each method's statements a contiguous run in walk order.
+    ``candidates`` holds each node's Section 4 candidate host names (a
+    pinned field has only its pin); ``forced`` maps the nodes with
+    exactly one.  Edge weights are *link multipliers*: the realised cost
+    of edge ``(a, b, w)`` is ``w * link(host_a, host_b)``.
     """
 
-    def __init__(self, config: TrustConfiguration) -> None:
-        self.config = config
+    def __init__(self) -> None:
         self.link: Dict[Tuple[str, str], float] = {}
         #: node index -> ("stmt", uid) | ("field", (cls, name))
         self.node_keys: List[Tuple[str, object]] = []
@@ -68,16 +156,29 @@ class PlacementModel:
         self.candidates: List[Tuple[str, ...]] = []
         #: node index -> host, for single-candidate / pinned nodes
         self.forced: Dict[int, str] = {}
-        #: node index -> {host: unary cost} (field preference terms)
+        #: node index -> {host: preference weight} (fields; {} otherwise)
+        self.preference: List[Dict[str, float]] = []
+        #: node index -> {host: unary cost}: _PREFERENCE_BASELINE times
+        #: the preference weight for fields, {} for statements
         self.unary: List[Dict[str, float]] = []
-        #: aggregated undirected edges (a, b, weight), a < b
+        #: the field nodes' indices
+        self.fields = range(0)
+        #: statement node -> field nodes it reads or writes
+        self.fields_of: Dict[int, Tuple[int, ...]] = {}
+        #: statement node -> loop weight
+        self.weight: Dict[int, float] = {}
+        #: call statement node -> the callee's entry node (None when the
+        #: callee has no statements)
+        self.callee: Dict[int, Optional[int]] = {}
+        #: per method: its statement nodes, and its control-flow edges
+        #: as (node, node, loop weight)
+        self.methods: List[Tuple[range, List[Tuple[int, int, float]]]] = []
+        #: aggregated undirected edges (a, b, weight), a < b, built by
+        #: :meth:`add_edges`
         self.edges: List[Tuple[int, int, float]] = []
         #: cost contributed by edges between two forced nodes
         self.constant: float = 0.0
-        #: per method: (key, body, statements, first node index), and
-        #: each node key's index — :meth:`add_edges` reads both.
-        self._methods: List[Tuple[Tuple[str, str], list, list, int]] = []
-        self._index_of: Dict[Tuple[str, object], int] = {}
+        self._edges_built = False
 
     # -- construction -------------------------------------------------------
 
@@ -89,34 +190,29 @@ class PlacementModel:
         config: TrustConfiguration,
         candidates: CandidateSets,
     ) -> "PlacementModel":
-        """The whole model: :meth:`nodes`, then :meth:`add_edges`."""
-        model = cls.nodes(checked, program, config, candidates)
-        model.add_edges()
-        return model
+        """Links, node tables, statement tables and control-flow edges.
 
-    @classmethod
-    def nodes(
-        cls,
-        checked: CheckedProgram,
-        program: ir.IRProgram,
-        config: TrustConfiguration,
-        candidates: CandidateSets,
-    ) -> "PlacementModel":
-        """The node tables without edges: links, candidates, unary
-        costs and forced nodes — everything :func:`reduce_hosts` reads,
-        so an instance can decline before its edges are built."""
-        from .optimizer import _PREFERENCE_BASELINE
-
-        model = cls(config)
+        Raises :class:`SplitError` for a field pinned off its Section 4
+        candidates or a statement with none."""
+        model = cls()
         names = config.host_names
         model.link = {
             (a, b): config.link_cost(a, b) for a in names for b in names
         }
-        index_of = model._index_of
         node_keys = model.node_keys
         node_candidates = model.candidates
-        node_unary = model.unary
         forced = model.forced
+        field_index: Dict[Tuple[str, str], int] = {}
+
+        def add_node(key, hosts, preference, unary) -> int:
+            index = len(node_keys)
+            node_keys.append(key)
+            node_candidates.append(hosts)
+            model.preference.append(preference)
+            model.unary.append(unary)
+            if len(hosts) == 1:
+                forced[index] = hosts[0]
+            return index
 
         # Fields first: unary preference terms, pins force placement.
         for fkey, hosts in candidates.fields.items():
@@ -134,35 +230,38 @@ class PlacementModel:
             owners = [p.name for p in info.label.conf.owners()]
             if not owners:
                 owners = [p.name for p in info.label.integ.trust]
-            unary = {}
+            preference = {}
             for host in host_names:
                 weight = 1.0
                 for owner in owners:
                     weight *= config.preference(owner, host)
-                unary[host] = _PREFERENCE_BASELINE * weight
-            index = len(node_keys)
-            index_of[("field", fkey)] = index
-            node_keys.append(("field", fkey))
-            node_candidates.append(host_names)
-            node_unary.append(unary)
-            if len(host_names) == 1:
-                forced[index] = host_names[0]
+                preference[host] = weight
+            field_index[fkey] = add_node(
+                ("field", fkey),
+                host_names,
+                preference,
+                {
+                    host: _PREFERENCE_BASELINE * weight
+                    for host, weight in preference.items()
+                },
+            )
+        model.fields = range(len(node_keys))
 
         # Statements: each method's take a contiguous run of indices.
         stmt_candidates = candidates.statements
-        empty_unary: Dict[str, float] = {}
+        empty: Dict[str, float] = {}
         # Candidate tuples are shared (the eligibility cache hands out
         # one per distinct label pair), so their name tuples memoize by
         # identity.
         names_memo: Dict[int, Tuple[str, ...]] = {}
-        methods = model._methods
+        entry_of: Dict[Tuple[str, str], int] = {}
+        calls: List[Tuple[int, Tuple[str, str]]] = []
         for mkey, method in program.methods.items():
-            stmts = list(ir.walk_stmts(method.body))
-            methods.append((mkey, method.body, stmts, len(node_keys)))
-            for stmt in stmts:
+            first = len(node_keys)
+            stmt_index: Dict[int, int] = {}
+            for stmt in ir.walk_stmts(method.body):
                 info = stmt.info
-                uid = info.uid
-                descriptors = stmt_candidates[uid]
+                descriptors = stmt_candidates[info.uid]
                 hosts = names_memo.get(id(descriptors))
                 if hosts is None:
                     hosts = names_memo[id(descriptors)] = tuple(
@@ -172,28 +271,36 @@ class PlacementModel:
                     raise SplitError(
                         f"statement at {info.pos} has no candidate hosts"
                     )
-                index = len(node_keys)
-                index_of[("stmt", uid)] = index
-                node_keys.append(("stmt", uid))
-                node_candidates.append(hosts)
-                node_unary.append(empty_unary)
-                if len(hosts) == 1:
-                    forced[index] = hosts[0]
+                index = add_node(("stmt", info.uid), hosts, empty, empty)
+                stmt_index[info.uid] = index
+                used, defined = info.used_fields, info.defined_fields
+                model.fields_of[index] = tuple(
+                    field_index[fkey]
+                    for fkey in (used | defined if defined else used)
+                )
+                model.weight[index] = _loop_weight(info.loop_depth)
+                if isinstance(stmt, ir.CallStmt):
+                    calls.append((index, (stmt.cls, stmt.method)))
+            if len(node_keys) > first:
+                entry_of[mkey] = first
+            model.methods.append((
+                range(first, len(node_keys)),
+                [
+                    (stmt_index[a], stmt_index[b], _loop_weight(depth))
+                    for a, b, depth in build_cfg_edges(method.body)
+                ],
+            ))
+        for index, callee_key in calls:
+            model.callee[index] = entry_of.get(callee_key)
         return model
 
     def add_edges(self) -> None:
-        """Aggregate the field-access, control-flow and call edges of
-        the statements :meth:`nodes` indexed.  An edge between two
-        forced nodes (forced when this runs) adds to ``constant``; the
-        rest go to ``edges`` in first-seen order."""
-        from .optimizer import (
-            _FIELD_ACCESS_MESSAGES,
-            _loop_weight,
-            build_cfg_edges,
-        )
-
-        index_of = self._index_of
-        loop_weights = [_loop_weight(depth) for depth in range(7)]
+        """Aggregate the field-access, control-flow and call edges (once).
+        An edge between two forced nodes adds to ``constant``; the rest
+        go to ``edges`` in first-seen order."""
+        if self._edges_built:
+            return
+        self._edges_built = True
         raw_edges: Dict[Tuple[int, int], float] = {}
 
         def add_edge(a: int, b: int, weight: float) -> None:
@@ -202,39 +309,17 @@ class PlacementModel:
             key = (a, b) if a < b else (b, a)
             raw_edges[key] = raw_edges.get(key, 0.0) + weight
 
-        entry_index: Dict[Tuple[str, str], int] = {}
-        calls: List[Tuple[int, Tuple[str, str], float]] = []
-        for mkey, body, stmts, base in self._methods:
-            if stmts:
-                entry_index[mkey] = base
-            for index, stmt in enumerate(stmts, base):
-                info = stmt.info
-                weight = loop_weights[min(info.loop_depth, 6)]
-                used_f = info.used_fields
-                defined_f = info.defined_fields
-                if defined_f:
-                    fkeys = used_f | defined_f
-                else:
-                    fkeys = used_f
-                for fkey in fkeys:
-                    add_edge(
-                        index,
-                        index_of[("field", fkey)],
-                        _FIELD_ACCESS_MESSAGES * weight,
-                    )
-                if isinstance(stmt, ir.CallStmt):
-                    calls.append((index, (stmt.cls, stmt.method), weight))
-            for a, b, depth in build_cfg_edges(body):
-                add_edge(
-                    index_of[("stmt", a)],
-                    index_of[("stmt", b)],
-                    loop_weights[min(depth, 6)],
-                )
+        for stmts, cfg_edges in self.methods:
+            for index in stmts:
+                access = _FIELD_ACCESS_MESSAGES * self.weight[index]
+                for field in self.fields_of[index]:
+                    add_edge(index, field, access)
+            for a, b, weight in cfg_edges:
+                add_edge(a, b, weight)
         # A call costs a transfer to the callee's entry and one back.
-        for index, callee_key, weight in calls:
-            entry = entry_index.get(callee_key)
+        for index, entry in self.callee.items():
             if entry is not None:
-                add_edge(index, entry, 2.0 * weight)
+                add_edge(index, entry, 2.0 * self.weight[index])
 
         forced = self.forced
         for (a, b), weight in raw_edges.items():
@@ -246,12 +331,10 @@ class PlacementModel:
     # -- evaluation ---------------------------------------------------------
 
     def cost(self, hosts: Sequence[str]) -> float:
-        """Total cost of a complete placement (``hosts[i]`` per node).
-
-        Mirrors ``Optimizer._total_cost`` term for term: pairwise link
-        costs plus field preference unaries plus the forced-forced
-        constant.
-        """
+        """Total cost of a complete placement (``hosts[i]`` per node):
+        pairwise link costs plus field preference unaries plus the
+        forced-forced constant."""
+        self.add_edges()
         link = self.link
         total = self.constant
         for a, b, weight in self.edges:
@@ -261,9 +344,9 @@ class PlacementModel:
                 total += unary[hosts[index]]
         return total
 
-    def assignment_hosts(self, assignment) -> List[str]:
-        """Flatten an :class:`~repro.splitter.optimizer.Assignment` into
-        the model's node order (for :meth:`cost`)."""
+    def assignment_hosts(self, assignment: Assignment) -> List[str]:
+        """Flatten an :class:`Assignment` into the model's node order
+        (for :meth:`cost`)."""
         hosts: List[str] = []
         for kind, key in self.node_keys:
             if kind == "stmt":
@@ -272,9 +355,7 @@ class PlacementModel:
                 hosts.append(assignment.fields[key])
         return hosts
 
-    def to_assignment(self, hosts: Sequence[str]):
-        from .optimizer import Assignment
-
+    def to_assignment(self, hosts: Sequence[str]) -> Assignment:
         assignment = Assignment()
         for index, (kind, key) in enumerate(self.node_keys):
             if kind == "stmt":
@@ -287,7 +368,9 @@ class PlacementModel:
 # -- host domination pruning -----------------------------------------------
 
 
-def reduce_hosts(model: PlacementModel) -> List[str]:
+def reduce_hosts(
+    model: PlacementModel,
+) -> Tuple[List[str], List[Tuple[str, ...]]]:
     """Prune dominated hosts from the free nodes' candidate sets.
 
     A host ``h`` may be removed when (1) no node is forced to ``h``,
@@ -296,8 +379,9 @@ def reduce_hosts(model: PlacementModel) -> List[str]:
     toward any other relevant host.  Then any placement using ``h`` maps
     to one on ``h'`` at no greater cost (``link(h', h') = link(h, h) =
     0`` covers edges between two moved nodes), so pruning preserves the
-    optimal cost.  Returns the remaining candidate-host union, pruning
-    until no host is dominated or only two remain.
+    optimal cost.  Prunes until no host is dominated or only two remain,
+    and returns the free nodes' remaining candidate-host union with
+    every node's pruned candidates; the model is left as built.
     """
     forced_hosts = set(model.forced.values())
     free = [i for i in range(len(model.node_keys)) if i not in model.forced]
@@ -336,13 +420,10 @@ def reduce_hosts(model: PlacementModel) -> List[str]:
                 break
             if changed:
                 break
+    pruned = list(model.candidates)
     for i in free:
-        model.candidates[i] = tuple(
-            h for h in model.candidates[i] if h in cands[i]
-        )
-        if len(model.candidates[i]) == 1:
-            model.forced[i] = model.candidates[i][0]
-    return union
+        pruned[i] = tuple(h for h in pruned[i] if h in cands[i])
+    return union, pruned
 
 
 # -- max-flow (Dinic) -------------------------------------------------------
@@ -425,9 +506,10 @@ def _cut_between(
     host_x: str,
     host_y: str,
     movable: List[int],
+    forced: Dict[int, str],
 ) -> Dict[int, str]:
     """Exact min-cut placement of ``movable`` nodes onto ``host_x`` /
-    ``host_y``, with every other node at its forced host."""
+    ``host_y``, with every other node at its ``forced`` host."""
     link = model.link
     index_in_cut = {node: pos for pos, node in enumerate(movable)}
     n = len(movable)
@@ -450,7 +532,7 @@ def _cut_between(
                 dinic.add_edge(a_pos, b_pos, cut_cost, cut_cost)
         elif a_pos is not None or b_pos is not None:
             pos = a_pos if a_pos is not None else b_pos
-            other = model.forced[b if a_pos is not None else a]
+            other = forced[b if a_pos is not None else a]
             to_source[pos] += weight * link[host_y, other]
             to_sink[pos] += weight * link[host_x, other]
     for pos in range(n):
@@ -465,35 +547,38 @@ def _cut_between(
     }
 
 
-def solve_two_host(model: PlacementModel, union: List[str]) -> List[str]:
-    """Exact solution for a (reduced) two-host instance."""
-    hosts: List[str] = [model.forced.get(i, "") for i in range(len(model.node_keys))]
-    movable = [i for i in range(len(model.node_keys)) if i not in model.forced]
+def solve_two_host(
+    model: PlacementModel, candidates: Sequence[Tuple[str, ...]]
+) -> List[str]:
+    """Exact solution when every node with more than one of its
+    (pruned) ``candidates`` chooses between the same two hosts."""
+    forced: Dict[int, str] = {}
+    movable: List[int] = []
+    hosts: List[str] = []
+    for index, names in enumerate(candidates):
+        if len(names) == 1:
+            forced[index] = names[0]
+            hosts.append(names[0])
+        else:
+            movable.append(index)
+            hosts.append("")
     if movable:
-        host_x, host_y = sorted(union)
-        placed = _cut_between(model, host_x, host_y, movable)
+        host_x, host_y = sorted(candidates[movable[0]])
+        placed = _cut_between(model, host_x, host_y, movable, forced)
         for node, host in placed.items():
             hosts[node] = host
     return hosts
 
 
-def try_exact(
-    checked: CheckedProgram,
-    program: ir.IRProgram,
-    config: TrustConfiguration,
-    candidates: CandidateSets,
-):
-    """The exact engine, when it applies.
+def try_exact(model: PlacementModel) -> Optional[Assignment]:
+    """The exact solver, when it applies.
 
-    Returns an :class:`~repro.splitter.optimizer.Assignment` when the
-    instance reduces to at most two eligible hosts (after domination
-    pruning), or ``None`` — in which case the caller falls back to the
-    heuristic.  Pruning reads only the node tables, so a declined
-    instance never builds its edges."""
-    model = PlacementModel.nodes(checked, program, config, candidates)
-    union = reduce_hosts(model)
+    Returns an :class:`Assignment` when the instance reduces to at most
+    two eligible hosts (after domination pruning), or ``None`` — in
+    which case the caller falls back to the heuristic.  Pruning reads
+    only the node tables, so a declined instance aggregates no edge."""
+    union, candidates = reduce_hosts(model)
     if len(union) > 2:
         return None
     model.add_edges()
-    hosts = solve_two_host(model, union)
-    return model.to_assignment(hosts)
+    return model.to_assignment(solve_two_host(model, candidates))

@@ -11,7 +11,7 @@ executes; it embeds a one-way hash of the splitter inputs (Section 8) so
 subprograms produced under different assumptions refuse to interoperate.
 
 **Whole-pipeline cache.**  The splitter is a pure function of
-(source, trust configuration, engine), so results are memoized end to
+(source, trust configuration), so results are memoized end to
 end in :mod:`.cache`: a repeated ``split_source`` call rehydrates a
 fresh, observably identical :class:`SplitProgram` from the encoded
 artifact instead of re-running the pipeline.  Cache hits return a
@@ -33,7 +33,8 @@ from . import ir
 from .forwarding import insert_forwards
 from .fragments import FieldPlacement, MethodPlan, SplitProgram
 from .lower import lower_program
-from .optimizer import Assignment, assign_hosts
+from .mincut import Assignment
+from .optimizer import assign_hosts
 from .selection import CandidateSets, SplitError, compute_candidates
 from .serialize import SplitEncodeError, encode_split
 from .transfers import translate
@@ -102,7 +103,6 @@ class SplitResult:
 def _split_uncached(
     source: Union[str, CheckedProgram],
     config: TrustConfiguration,
-    engine: Optional[str] = None,
 ) -> SplitResult:
     """One full pipeline run, no cache consulted on either side."""
     if isinstance(source, str):
@@ -115,7 +115,7 @@ def _split_uncached(
     if program.main_key is None:
         raise SplitError("program has no main method to start from")
     candidates = compute_candidates(checked, program, config)
-    assignment = assign_hosts(checked, program, config, candidates, engine)
+    assignment = assign_hosts(checked, program, config, candidates)
     fragments, entries = translate(program, assignment, config)
     insert_forwards(fragments, entries, program)
 
@@ -182,24 +182,22 @@ def _source_digest(source: Union[str, CheckedProgram]) -> Optional[str]:
 def split_program(
     source: Union[str, CheckedProgram],
     config: TrustConfiguration,
-    engine: Optional[str] = None,
 ) -> SplitResult:
     """Partition a mini-Jif program for the given trust configuration.
 
-    ``engine`` picks the host-assignment engine (``auto``, the default,
-    or ``heuristic``); see :func:`repro.splitter.optimizer.assign_hosts`.
+    Host assignment is :func:`repro.splitter.optimizer.assign_hosts`.
     Served from the whole-pipeline cache when the same (source, trust
-    configuration, engine) triple has been split before.
+    configuration) pair has been split before.
     """
-    key = split_cache.split_key(_source_digest(source), config, engine)
+    key = split_cache.split_key(_source_digest(source), config)
     if key is not None:
         split = split_cache.lookup(key, config)
         if split is not None:
             return SplitResult(
                 split,
-                recompute=lambda: _split_uncached(source, config, engine),
+                recompute=lambda: _split_uncached(source, config),
             )
-    result = _split_uncached(source, config, engine)
+    result = _split_uncached(source, config)
     if key is not None:
         try:
             split_cache.store(key, encode_split(result.split))
@@ -208,8 +206,6 @@ def split_program(
     return result
 
 
-def split_source(
-    source: str, config: TrustConfiguration, engine: Optional[str] = None
-) -> SplitResult:
+def split_source(source: str, config: TrustConfiguration) -> SplitResult:
     """Convenience wrapper returning the full :class:`SplitResult`."""
-    return split_program(source, config, engine)
+    return split_program(source, config)

@@ -1,8 +1,8 @@
 """Canonical serialization of :class:`SplitProgram` — the artifact tier.
 
-The splitter is a pure function of (source, trust configuration,
-engine), so its output is a legitimate build product: something that can
-be written to disk once and rehydrated by later runs, by ``fork_map``
+The splitter is a pure function of (source, trust configuration), so
+its output is a legitimate build product: something that can be
+written to disk once and rehydrated by later runs, by ``fork_map``
 workers, and eventually by spawn-based or distributed workers that
 cannot inherit in-memory objects.  This module defines the contract:
 

@@ -1,5 +1,10 @@
 """Shared mini-Jif programs and trust configurations used across tests."""
 
+import contextlib
+import os
+from unittest import mock
+
+from repro.splitter import cache, optimizer
 from repro.trust import HostDescriptor, TrustConfiguration, example_hosts
 
 #: Figure 2, written strictly (every flow to Bob is declassified and
@@ -165,3 +170,13 @@ def single_host_config(name: str = "H") -> TrustConfiguration:
     return TrustConfiguration(
         [HostDescriptor.of(name, "{Alice:; Bob:}", "{?:Alice, Bob}")]
     )
+
+
+@contextlib.contextmanager
+def heuristic_placement():
+    """Split with the chain-DP heuristic alone: the exact cut declines
+    every instance, and the split cache stands aside, so no split the
+    cut placed is served from it."""
+    with mock.patch.object(optimizer, "try_exact", lambda model: None):
+        with mock.patch.dict(os.environ, {cache.ENV_FLAG: "0"}):
+            yield

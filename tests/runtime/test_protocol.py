@@ -220,9 +220,15 @@ class TestUnknownSender:
             "array write": (
                 "setField", payload(split, array=ref, idx=0, value=9)
             ),
+            "recover": (
+                "recover",
+                payload(split, host="Z", epoch=1, seq=0, seal=b"x" * 32),
+            ),
         }
 
-    @pytest.mark.parametrize("request_name", ["forward", "array read", "array write"])
+    @pytest.mark.parametrize(
+        "request_name", ["forward", "array read", "array write", "recover"]
+    )
     def test_rejected_and_audited(self, setup, request_name):
         split, executor = setup
         host_t = executor.hosts["T"]
@@ -234,7 +240,9 @@ class TestUnknownSender:
         assert all("choice" not in frame for frame in host_t.frames.values())
         assert all(store == [0, 0, 0] for store in host_t.array_store.values())
 
-    @pytest.mark.parametrize("request_name", ["forward", "array read", "array write"])
+    @pytest.mark.parametrize(
+        "request_name", ["forward", "array read", "array write", "recover"]
+    )
     def test_quarantines_the_sender(self, setup, request_name):
         split, executor = setup
         executor.network.quarantine_enabled = True
@@ -301,6 +309,10 @@ class TestMalformedRequests:
         "forward keyed by 5": (
             "forward", {"vars": {5: {"choice": 1}}},
             "malformed vars from B: 5",
+        ),
+        "recover with epoch=True": (
+            "recover", {"host": "B", "epoch": True, "seq": 0, "seal": b"x" * 32},
+            "malformed recovery announcement from B",
         ),
     }
 

@@ -1,19 +1,22 @@
-"""Property test: the placement engine never changes what a program
+"""Property test: the placement solver never changes what a program
 *computes* — only where it runs.
 
 For seeded random programs under seeded random trust configurations
 (preferences and link costs perturbed around progen's A/B/T setup),
-both engines — the chain-DP heuristic and ``auto`` (the exact min-cut
-where the instance reduces to two hosts, else the heuristic) — must
+both solvers of the one cost model — the chain-DP heuristic (forced by
+``tests.programs.heuristic_placement``) and the default ``auto`` (the
+exact min-cut where the instance reduces to two hosts, else the
+heuristic) — must
 
 * produce a split the validator accepts (``split_source`` runs
   ``validate_split`` as its last stage, so success *is* acceptance), and
 * execute to exactly the single-host oracle's field values.
 
-Engines may legitimately disagree on placement (equal-cost optima), so
+Solvers may legitimately disagree on placement (equal-cost optima), so
 message counts are *not* compared — observable results are.
 """
 
+import contextlib
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -24,7 +27,10 @@ from repro.runtime import run_single_host, run_split_program
 from repro.splitter import split_source
 from repro.trust import HostDescriptor, TrustConfiguration
 
-ENGINES = ("heuristic", "auto")
+from tests.programs import heuristic_placement
+
+#: solver name -> the context a split runs under to take it.
+ENGINES = {"heuristic": heuristic_placement, "auto": contextlib.nullcontext}
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 
@@ -64,7 +70,8 @@ def test_engines_agree_with_oracle_and_each_other(seed):
     oracle = run_single_host(source)
     results = {}
     for engine in ENGINES:
-        result = split_source(source, random_trust_config(seed), engine=engine)
+        with ENGINES[engine]():
+            result = split_source(source, random_trust_config(seed))
         outcome = run_split_program(result.split)
         results[engine] = {
             key: outcome.field_value(*key) for key in result.split.fields

@@ -1,7 +1,7 @@
 """Determinism of the optimizer and the parallel sweep drivers.
 
-The splitter is a pure function of (program, trust configuration,
-engine): repeated runs must produce identical placements — statement
+The splitter is a pure function of (program, trust configuration):
+repeated runs must produce identical placements — statement
 uids are allocated from a global counter, so statement hosts are
 compared by structural (method, walk-order) position rather than uid.
 
@@ -9,6 +9,8 @@ The ``--jobs`` drivers must be invisible: a parallel fault or
 crash-point sweep aggregates per-item results in submission order, so
 every report field is identical to a serial run.
 """
+
+import contextlib
 
 import pytest
 
@@ -20,7 +22,7 @@ from repro.runtime.trace import recorded_run
 from repro.splitter import cache as split_cache
 from repro.splitter import ir, split_source
 
-from tests.programs import OT_SOURCE, config_abt
+from tests.programs import OT_SOURCE, config_abt, heuristic_placement
 
 fork_only = pytest.mark.skipif(
     not parallel.fork_available(),
@@ -44,15 +46,21 @@ def _placement(result):
 
 @pytest.mark.parametrize("engine", ["heuristic", "auto"])
 def test_assignment_identical_across_repeated_runs(engine):
+    # "heuristic" takes the chain-DP solver on every instance, "auto"
+    # the default (the exact cut where the instance reduces).
+    placement = (
+        heuristic_placement if engine == "heuristic" else contextlib.nullcontext
+    )
     cases = [
         (generate_program(7), progen_config),
         (OT_SOURCE, config_abt),
     ]
     for source, config_factory in cases:
-        snapshots = [
-            _placement(split_source(source, config_factory(), engine=engine))
-            for _ in range(3)
-        ]
+        with placement():
+            snapshots = [
+                _placement(split_source(source, config_factory()))
+                for _ in range(3)
+            ]
         assert snapshots[0] == snapshots[1] == snapshots[2]
 
 

@@ -1,17 +1,18 @@
-"""The exact min-cut placement engine (Section 6, exact path).
+"""The placement cost model and its exact min-cut solver (Section 6).
 
 Three layers are pinned here:
 
-* the :class:`PlacementModel` objective is *the same function* the
-  heuristic optimizer minimises (term-for-term parity with
-  ``Optimizer._total_cost``), so the two engines compete on one cost;
+* :class:`PlacementModel` is the one objective both solvers minimise:
+  its aggregated ``cost`` equals a term-by-term recount of the Section 6
+  terms kept in this file as the differential reference;
 * ``solve_two_host`` is exact — verified by brute force over random
-  small instances, and differentially against the heuristic over the
-  progen corpus (the cut may never cost more);
-* the dispatch plumbing: progen's A/B/T configuration reduces to a
-  two-host instance, ``engine="heuristic"`` is the bare chain-DP
-  optimizer bit-for-bit, the default is ``auto``, and engine names
-  other than ``auto`` / ``heuristic`` are rejected.
+  small instances, and differentially against the chain-DP heuristic
+  solving the same model over the progen corpus (the cut may never cost
+  more);
+* the dispatch: progen's A/B/T configuration reduces to a two-host
+  instance, a three-host instance declines before any edge is
+  aggregated, pruning leaves the model as built (so the heuristic sees
+  the unpruned candidates), and the default placement is the cut's.
 """
 
 import itertools
@@ -21,11 +22,10 @@ import pytest
 
 from repro.progen import config as progen_config
 from repro.progen import generate_program
-from repro.splitter import assign_hosts, ir, split_source
-from repro.splitter.cache import resolve_engine
-from repro.splitter import optimizer
+from repro.splitter import ir, split_source
 from repro.splitter.mincut import (
     PlacementModel,
+    build_cfg_edges,
     reduce_hosts,
     solve_two_host,
     try_exact,
@@ -33,12 +33,7 @@ from repro.splitter.mincut import (
 from repro.splitter.optimizer import Optimizer
 from repro.workloads import ot
 
-from tests.programs import (
-    OT_SOURCE,
-    PINGPONG_SOURCE,
-    SIMPLE_SOURCE,
-    config_abt,
-)
+from tests.programs import OT_SOURCE, PINGPONG_SOURCE, config_abt
 
 
 def _build_model(result, config):
@@ -47,74 +42,75 @@ def _build_model(result, config):
     )
 
 
-def _stmt_hosts_in_order(result):
-    """Statement hosts keyed by (method, walk position) — uid values
-    differ between splitter runs, so compare by structural position."""
-    return {
-        mkey: [
-            result.assignment.statements[stmt.info.uid]
-            for stmt in ir.walk_stmts(method.body)
-        ]
-        for mkey, method in result.program.methods.items()
+def _reference_cost(result, config, assignment) -> float:
+    """The Section 6 objective recounted term by term from the IR and
+    the trust configuration: field accesses and calls per statement,
+    control-flow transfers per CFG edge, preference terms per field."""
+    statements = assignment.statements
+    entries = {
+        key: next(ir.walk_stmts(method.body), None)
+        for key, method in result.program.methods.items()
     }
+    cost = 0.0
+    for method in result.program.methods.values():
+        for stmt in ir.walk_stmts(method.body):
+            host = statements[stmt.info.uid]
+            weight = 4.0 ** min(stmt.info.loop_depth, 6)
+            for key in stmt.info.used_fields | stmt.info.defined_fields:
+                cost += 2.0 * config.link_cost(
+                    host, assignment.fields[key]
+                ) * weight
+            if isinstance(stmt, ir.CallStmt):
+                entry = entries.get((stmt.cls, stmt.method))
+                if entry is not None:
+                    cost += 2.0 * config.link_cost(
+                        host, statements[entry.info.uid]
+                    ) * weight
+        for a, b, depth in build_cfg_edges(method.body):
+            cost += config.link_cost(
+                statements[a], statements[b]
+            ) * 4.0 ** min(depth, 6)
+    for key, host in assignment.fields.items():
+        info = result.checked.fields[key]
+        owners = info.label.conf.owners() or info.label.integ.trust
+        weight = 1.0
+        for owner in owners:
+            weight *= config.preference(owner.name, host)
+        cost += 1000.0 * weight
+    return cost
 
 
-# -- cost-model parity -------------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "source",
-    [OT_SOURCE, PINGPONG_SOURCE, SIMPLE_SOURCE],
-    ids=["ot", "pingpong", "simple"],
-)
-def test_model_cost_matches_optimizer_total_cost(source):
-    config = config_abt()
-    result = split_source(source, config, engine="heuristic")
-    model = _build_model(result, config)
-    optimizer = Optimizer(
-        result.checked, result.program, config, result.candidates
-    )
-    optimizer.assignment = result.assignment
-    assert model.cost(
-        model.assignment_hosts(result.assignment)
-    ) == pytest.approx(optimizer._total_cost())
+# -- the one cost model -------------------------------------------------------
 
 
 def test_model_cost_parity_over_progen_corpus():
-    for seed in range(10):
-        config = progen_config()
-        result = split_source(
-            generate_program(seed), config, engine="heuristic"
-        )
+    cases = [(generate_program(seed), progen_config) for seed in range(10)]
+    cases += [(OT_SOURCE, config_abt), (PINGPONG_SOURCE, config_abt)]
+    for source, config_factory in cases:
+        config = config_factory()
+        result = split_source(source, config)
         model = _build_model(result, config)
-        optimizer = Optimizer(
-            result.checked, result.program, config, result.candidates
-        )
-        optimizer.assignment = result.assignment
-        assert model.cost(
-            model.assignment_hosts(result.assignment)
-        ) == pytest.approx(optimizer._total_cost()), f"seed={seed}"
+        for assignment in (result.assignment, Optimizer(model).run()):
+            assert model.cost(
+                model.assignment_hosts(assignment)
+            ) == pytest.approx(
+                _reference_cost(result, config, assignment)
+            ), source
 
 
 # -- differential oracle: exact never costs more ----------------------------
 
 
 def test_exact_engine_never_costs_more_than_heuristic():
+    # Both solvers read the same model, so their costs compare directly.
     for seed in range(25):
-        source = generate_program(seed)
-        heuristic = split_source(
-            source, progen_config(), engine="heuristic"
-        )
-        exact = split_source(source, progen_config(), engine="auto")
-        # Each run's uids are fresh, so each cost is evaluated against
-        # the model built from that run's own artifacts; the two models
-        # describe the same program, so the costs are comparable.
-        model_h = _build_model(heuristic, progen_config())
-        cost_h = model_h.cost(
-            model_h.assignment_hosts(heuristic.assignment)
-        )
-        model_e = _build_model(exact, progen_config())
-        cost_e = model_e.cost(model_e.assignment_hosts(exact.assignment))
+        result = split_source(generate_program(seed), progen_config())
+        model = _build_model(result, progen_config())
+        exact = try_exact(model)
+        assert exact is not None, f"seed={seed}: progen must reduce"
+        heuristic = Optimizer(model).run()
+        cost_e = model.cost(model.assignment_hosts(exact))
+        cost_h = model.cost(model.assignment_hosts(heuristic))
         assert cost_e <= cost_h + 1e-6, (
             f"seed={seed}: exact {cost_e} > heuristic {cost_h}"
         )
@@ -126,7 +122,7 @@ def test_exact_engine_never_costs_more_than_heuristic():
 def _random_two_host_model(rng: random.Random, free_nodes: int):
     """A synthetic two-host instance with random weights; a few nodes
     are forced to stress the terminal (fixed-neighbor) capacities."""
-    model = PlacementModel(progen_config())
+    model = PlacementModel()
     hosts = ("A", "B")
     model.link = {
         ("A", "A"): 0.0,
@@ -181,7 +177,7 @@ def test_two_host_cut_is_exact_by_brute_force():
     rng = random.Random(0xC07)
     for trial in range(40):
         model = _random_two_host_model(rng, free_nodes=8)
-        hosts = solve_two_host(model, ["A", "B"])
+        hosts = solve_two_host(model, model.candidates)
         assert model.cost(hosts) == pytest.approx(
             _brute_force_cost(model)
         ), f"trial={trial}"
@@ -192,97 +188,65 @@ def test_two_host_cut_is_exact_by_brute_force():
 
 def test_progen_config_reduces_to_two_hosts():
     config = progen_config()
-    result = split_source(
-        generate_program(0), config, engine="heuristic"
-    )
-    model = _build_model(result, config)
-    union = reduce_hosts(model)
+    result = split_source(generate_program(0), config)
+    union, _ = reduce_hosts(_build_model(result, config))
     assert len(union) <= 2, (
-        "A/B/T progen instances must reduce (B is dominated), or the "
+        "A/B/T progen instances must reduce (A or B is dominated), or the "
         f"benchmark sweep loses the exact path; got {union}"
     )
 
 
-def test_three_host_instance_declines_before_building_edges(monkeypatch):
-    # OT keeps A, B and T eligible after pruning, so the exact engine
-    # declines; pruning reads only the node tables, so it must decline
-    # without walking a single control-flow edge.
+def test_three_host_instance_declines_before_building_edges():
+    # OT keeps A, B and T eligible after pruning, so the exact solver
+    # declines; pruning reads only the node tables, so it declines
+    # before aggregating a single edge.
     config = ot.config()
-    result = split_source(ot.source(), config, engine="heuristic")
-    walked = []
-
-    def recording_cfg_edges(body, depth=0):
-        walked.append(body)
-        return []
-
-    monkeypatch.setattr(optimizer, "build_cfg_edges", recording_cfg_edges)
-    assert try_exact(
-        result.checked, result.program, config, result.candidates
-    ) is None
-    assert walked == []
-    # A two-host instance still builds its edges before the cut.
+    result = split_source(ot.source(), config)
+    model = _build_model(result, config)
+    assert try_exact(model) is None
+    assert model.edges == [] and model.constant == 0.0
+    # A two-host instance aggregates its edges before the cut.
     progen = split_source(generate_program(0), progen_config())
-    assert try_exact(
-        progen.checked, progen.program, progen_config(), progen.candidates
-    ) is not None
-    assert walked
+    model = _build_model(progen, progen_config())
+    assert try_exact(model) is not None
+    assert model.edges
 
 
 def test_node_tables_reduce_like_the_full_model():
-    # Declining early must not change what pruning sees: the node
-    # tables alone reduce to the same hosts, candidates and forced
-    # nodes as the model with its edges.
+    # Pruning leaves the model as built, so the heuristic that solves
+    # a declined instance sees the unpruned Section 4 candidates, and
+    # aggregating the edges does not change what pruning returns.
     for source, config in [
         (ot.source(), ot.config()),
         (generate_program(0), progen_config()),
     ]:
-        result = split_source(source, config, engine="heuristic")
-        args = (result.checked, result.program, config, result.candidates)
-        full, bare = PlacementModel.build(*args), PlacementModel.nodes(*args)
-        assert bare.edges == [] and bare.constant == 0.0
-        assert reduce_hosts(bare) == reduce_hosts(full)
-        assert bare.candidates == full.candidates
-        assert bare.forced == full.forced
+        result = split_source(source, config)
+        model = _build_model(result, config)
+        built = (list(model.candidates), dict(model.forced))
+        bare = reduce_hosts(model)
+        assert (model.candidates, model.forced) == built
+        model.add_edges()
+        assert reduce_hosts(model) == bare
+        assert (model.candidates, model.forced) == built
+    # Progen prunes a host for the cut that stays a model candidate.
+    union, pruned = bare
+    (dropped,) = {"A", "B", "T"} - set(union)
+    assert any(dropped in names for names in model.candidates)
+    assert not any(dropped in names for names in pruned)
 
 
 def test_repro_mincut_env_escape_hatch():
-    # The escape hatch is ``engine="heuristic"``: it must be the bare
-    # chain-DP optimizer, while the default resolves to ``auto``.
+    # No option selects a solver: the bare heuristic is reached by
+    # handing the model ``assign_hosts`` builds to ``Optimizer``, and
+    # on a two-host instance the default placement is the cut's.
     source = generate_program(3)
-    heuristic = split_source(source, progen_config(), engine="heuristic")
-    bare = Optimizer(
-        heuristic.checked, heuristic.program, progen_config(),
-        heuristic.candidates,
-    ).run()
-    assert bare.fields == heuristic.assignment.fields
-    assert bare.statements == heuristic.assignment.statements
-    default = split_source(source, progen_config())
-    exact = split_source(source, progen_config(), engine="auto")
-    assert default.assignment.fields == exact.assignment.fields
-    assert _stmt_hosts_in_order(default) == _stmt_hosts_in_order(exact)
-    model_e = _build_model(exact, progen_config())
-    model_h = _build_model(heuristic, progen_config())
-    assert model_e.cost(
-        model_e.assignment_hosts(exact.assignment)
-    ) <= model_h.cost(
-        model_h.assignment_hosts(heuristic.assignment)
+    result = split_source(source, progen_config())
+    model = _build_model(result, progen_config())
+    exact = try_exact(_build_model(result, progen_config()))
+    assert result.assignment.fields == exact.fields
+    assert result.assignment.statements == exact.statements
+    heuristic = Optimizer(model).run()
+    assert heuristic.statements.keys() == exact.statements.keys()
+    assert model.cost(model.assignment_hosts(exact)) <= model.cost(
+        model.assignment_hosts(heuristic)
     ) + 1e-6
-
-
-@pytest.mark.parametrize("name", ["mincut", "0", "off", "", "exact"])
-def test_unknown_engine_names_are_rejected(name):
-    # One parser for engine names: a caller naming any other engine
-    # (such as the former ``mincut``) fails loudly instead of silently
-    # getting ``auto``.
-    assert resolve_engine(None) == "auto"
-    assert resolve_engine("heuristic") == "heuristic"
-    with pytest.raises(ValueError, match="unknown placement engine"):
-        resolve_engine(name)
-    with pytest.raises(ValueError, match="unknown placement engine"):
-        split_source(SIMPLE_SOURCE, config_abt(), engine=name)
-    result = split_source(SIMPLE_SOURCE, config_abt())
-    with pytest.raises(ValueError, match="unknown placement engine"):
-        assign_hosts(
-            result.checked, result.program, config_abt(),
-            result.candidates, name,
-        )

@@ -10,7 +10,8 @@ from repro.splitter import (
     lower_program,
     split_source,
 )
-from repro.splitter.optimizer import assign_hosts, build_cfg_edges
+from repro.splitter.mincut import build_cfg_edges
+from repro.splitter.optimizer import assign_hosts
 from repro.splitter import ir
 from repro.trust import HostDescriptor, TrustConfiguration
 

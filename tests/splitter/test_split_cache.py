@@ -176,9 +176,9 @@ def test_acts_for_edge_invalidates():
     config = _config_with_own_hierarchy()
     digest = cache.digest(OT_SOURCE)
     assert not split_source(OT_SOURCE, config).cached
-    before = cache.split_key(digest, config, None)
+    before = cache.split_key(digest, config)
     config.hierarchy.add(Principal("Alice"), Principal("Bob"))
-    after = cache.split_key(digest, config, None)
+    after = cache.split_key(digest, config)
     assert before != after
     assert not split_source(OT_SOURCE, config).cached
 
@@ -196,8 +196,8 @@ def test_host_trust_change_invalidates():
         HostDescriptor.of("T", "{Alice:; Bob:}", "{?:Alice, Bob}"),
     ])
     digest = cache.digest(OT_SOURCE)
-    assert cache.split_key(digest, trusted, None) != cache.split_key(
-        digest, stronger, None
+    assert cache.split_key(digest, trusted) != cache.split_key(
+        digest, stronger
     )
     assert not split_source(OT_SOURCE, trusted).cached
     assert not split_source(OT_SOURCE, stronger).cached
@@ -206,21 +206,14 @@ def test_host_trust_change_invalidates():
 def test_preference_pin_and_link_cost_invalidate():
     config = config_abt()
     digest = cache.digest(OT_SOURCE)
-    keys = [cache.split_key(digest, config, None)]
+    keys = [cache.split_key(digest, config)]
     config.set_preference("Bob", "B", 0.25)
-    keys.append(cache.split_key(digest, config, None))
+    keys.append(cache.split_key(digest, config))
     config.pin_field("OTExample", "request", "B")
-    keys.append(cache.split_key(digest, config, None))
+    keys.append(cache.split_key(digest, config))
     config.set_link_cost("A", "T", 2.5)
-    keys.append(cache.split_key(digest, config, None))
+    keys.append(cache.split_key(digest, config))
     assert len(set(keys)) == len(keys)
-
-
-def test_engine_choice_is_part_of_the_key():
-    config = config_abt()
-    assert not split_source(OT_SOURCE, config, engine="heuristic").cached
-    assert not split_source(OT_SOURCE, config, engine="auto").cached
-    assert split_source(OT_SOURCE, config, engine="heuristic").cached
 
 
 # ---------------------------------------------------------------------------
@@ -277,21 +270,23 @@ def test_damaged_artifact_recompiles_with_recorded_miss(
     assert stats["hits"] == 0 and stats["misses"] == 1
 
 
-def test_artifact_under_wrong_engine_key_is_rejected(tmp_path, monkeypatch):
+def test_artifact_under_another_configs_key_is_rejected(tmp_path, monkeypatch):
     config = config_abt()
+    other = config_abt(prefer_alice_a=False)
     monkeypatch.setenv(cache.ENV_DIR, str(tmp_path))
-    split_source(OT_SOURCE, config, engine="heuristic")
+    split_source(OT_SOURCE, other)
     digest = cache.digest(OT_SOURCE)
-    heuristic_key = cache.split_key(digest, config, "heuristic")
-    auto_key = cache.split_key(digest, config, "auto")
-    heuristic_path = cache.artifact_path(heuristic_key, str(tmp_path))
-    auto_path = cache.artifact_path(auto_key, str(tmp_path))
-    with open(heuristic_path, "rb") as src, open(auto_path, "wb") as dst:
+    other_path = cache.artifact_path(
+        cache.split_key(digest, other), str(tmp_path)
+    )
+    path = cache.artifact_path(cache.split_key(digest, config), str(tmp_path))
+    with open(other_path, "rb") as src, open(path, "wb") as dst:
         dst.write(src.read())
     cache.clear()
     # The copied artifact passes magic and digest checks, but its
-    # embedded key names the wrong engine: verified away, recompiled.
-    result = split_source(OT_SOURCE, config, engine="auto")
+    # embedded key names the other configuration: verified away,
+    # recompiled.
+    result = split_source(OT_SOURCE, config)
     assert not result.cached
     assert cache.stats()["split.disk"]["misses"] == 1
 
