@@ -949,11 +949,13 @@ class TypeChecker:
 
     def _record_locals(self, cls: str, method: ast.MethodDecl) -> None:
         checked = self.checked
-
-        def walk(stmt: ast.Stmt) -> None:
+        # A preorder walk as a loop: a recursive closure would hold
+        # itself (and ``checked``) in a reference cycle.
+        stack: List[ast.Stmt] = [method.body]
+        while stack:
+            stmt = stack.pop()
             if isinstance(stmt, ast.Block):
-                for inner in stmt.stmts:
-                    walk(inner)
+                stack.extend(reversed(stmt.stmts))
             elif isinstance(stmt, ast.VarDecl):
                 key = (cls, method.name, stmt.name)
                 checked.var_types[key] = stmt.type.base
@@ -962,13 +964,11 @@ class TypeChecker:
                 elif key not in checked.var_labels:
                     checked.var_labels[key] = Label.constant()
             elif isinstance(stmt, ast.If):
-                walk(stmt.then_branch)
                 if stmt.else_branch is not None:
-                    walk(stmt.else_branch)
+                    stack.append(stmt.else_branch)
+                stack.append(stmt.then_branch)
             elif isinstance(stmt, ast.While):
-                walk(stmt.body)
-
-        walk(method.body)
+                stack.append(stmt.body)
 
 
 def check_program(program: ast.Program, hierarchy=None) -> CheckedProgram:

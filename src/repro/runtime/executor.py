@@ -53,7 +53,9 @@ def run_split_program(
     (nonces come from ``token_rng``/``os.urandom``), and nothing
     outlives the session that minted it.  A caller that *wants*
     distinct key material (e.g. to model key rotation) builds its
-    session over ``RuntimeImage.for_split(split, registry)``.
+    session over ``RuntimeImage.for_split(split, registry)``, which
+    returns a new image each call and memoizes none: once the caller
+    drops it, the old registry and its keys are freed.
     """
     return Session(
         RuntimeImage.for_split(split), cost_model=cost_model,

@@ -10,8 +10,10 @@ immutable/mutable line the compile caches use:
 
 * :class:`RuntimeImage` — everything about a (split, key registry)
   pair that no run ever mutates, built once and shared by every
-  session: the :class:`~repro.splitter.fragments.SplitProgram` itself,
-  the compiled fragment cache, the per-host key material (HMAC keys
+  session: a memo-free view of the
+  :class:`~repro.splitter.fragments.SplitProgram`
+  (:meth:`~repro.splitter.fragments.SplitProgram.shared_view`), the
+  compiled fragment cache, the per-host key material (HMAC keys
   derived exactly once per registry — the reuse contract of
   :func:`~repro.runtime.executor.run_split_program`), per-host entry
   tables and invoker ACLs, initial field values, and the precomputed
@@ -219,12 +221,15 @@ class RuntimeImage:
         "compiled",
         "host_images",
         "main_method_key",
+        "__weakref__",
     )
 
     def __init__(
         self, split: SplitProgram, registry: Optional[KeyRegistry] = None
     ) -> None:
-        self.split = split
+        #: ``split`` without its memos, so a split that memoizes this
+        #: image is not reachable from it (no reference cycle).
+        self.split = split = split.shared_view()
         self.registry = registry or KeyRegistry()
         #: entry -> the compiled function of its component, shared
         #: across hosts and sessions.  Filled lazily by
@@ -293,19 +298,16 @@ class RuntimeImage:
         """The shared image of ``split``, memoized on the split object.
 
         With ``registry=None`` (the common case) every caller gets the
-        same image and therefore the same derived key material; passing
-        an explicit registry yields an image bound to it (memoized per
-        registry object).
+        same image and therefore the same derived key material.  An
+        explicit registry yields a fresh image bound to it on every
+        call: nothing keeps it, so a rotated-out registry and its keys
+        die with their last caller's reference.
         """
-        images = getattr(split, "_images", None)
-        if images is None:
-            images = split._images = {}
-        key = id(registry) if registry is not None else None
-        image = images.get(key)
-        if image is None or (
-            registry is not None and image.registry is not registry
-        ):
-            image = images[key] = cls(split, registry)
+        if registry is not None:
+            return cls(split, registry)
+        image = split._image
+        if image is None:
+            image = split._image = cls(split)
         return image
 
 

@@ -327,6 +327,30 @@ class SplitProgram:
         self.fields: Dict[Tuple[str, str], FieldPlacement] = {}
         self.methods: Dict[Tuple[str, str], MethodPlan] = {}
         self.main_entry: Optional[str] = None
+        #: continuation entry -> (result variable, consumer hosts),
+        #: built on the first :meth:`cont_result`.
+        self._cont_results: Optional[
+            Dict[str, Tuple[Optional[str], Tuple[str, ...]]]
+        ] = None
+        #: the default-registry runtime image
+        #: (:meth:`~repro.runtime.session.RuntimeImage.for_split`).
+        self._image = None
+
+    def shared_view(self) -> "SplitProgram":
+        """This split over the same ``fragments``, ``fields`` and
+        ``methods`` tables, without its memos.
+
+        A runtime image holds the view, so nothing the image owns
+        points back at the split that memoizes it: a split and its
+        image die by reference counting.  A mutation of the tables
+        reaches both.
+        """
+        view = SplitProgram(self.config, self.digest)
+        view.fragments = self.fragments
+        view.fields = self.fields
+        view.methods = self.methods
+        view.main_entry = self.main_entry
+        return view
 
     def cont_result(self, entry: str):
         """(result variable, consumer hosts) for the call whose
@@ -335,7 +359,7 @@ class SplitProgram:
         Static per call site, so the returning host derives the whole
         return route from the capability token alone.
         """
-        cache = getattr(self, "_cont_results", None)
+        cache = self._cont_results
         if cache is None:
             cache = {}
             for fragment in self.fragments.values():

@@ -99,42 +99,39 @@ def build_cfg_edges(body, depth: int = 0):
     """Item-level control-flow edges (uid pairs with loop depths) —
     including loop-back edges the linear chain DP cannot see."""
     edges = []
-
-    def seq_edges(stmts, depth):
-        for index, stmt in enumerate(stmts):
-            if isinstance(stmt, ir.IfStmt):
-                inner = depth
-                for branch in (stmt.then_body, stmt.else_body):
-                    if branch:
-                        edges.append(
-                            (stmt.info.uid, branch[0].info.uid, inner)
-                        )
-                        seq_edges(branch, inner)
-                following = stmts[index + 1] if index + 1 < len(stmts) else None
-                if following is not None:
-                    for exit_stmt in _exit_stmts(stmt):
-                        edges.append(
-                            (exit_stmt.info.uid, following.info.uid, depth)
-                        )
-            elif isinstance(stmt, ir.WhileStmt):
-                inner = depth + 1
-                if stmt.body:
-                    edges.append((stmt.info.uid, stmt.body[0].info.uid, inner))
-                    seq_edges(stmt.body, inner)
-                    for exit_stmt in _exit_stmts(stmt.body[-1]):
-                        edges.append(
-                            (exit_stmt.info.uid, stmt.info.uid, inner)
-                        )
-                following = stmts[index + 1] if index + 1 < len(stmts) else None
-                if following is not None:
-                    edges.append((stmt.info.uid, following.info.uid, depth))
-            else:
-                following = stmts[index + 1] if index + 1 < len(stmts) else None
-                if following is not None:
-                    edges.append((stmt.info.uid, following.info.uid, depth))
-
-    seq_edges(body, depth)
+    _seq_edges(body, depth, edges)
     return edges
+
+
+def _seq_edges(stmts, depth: int, edges: list) -> None:
+    """Append the edges of the statement sequence ``stmts`` to ``edges``."""
+    for index, stmt in enumerate(stmts):
+        if isinstance(stmt, ir.IfStmt):
+            inner = depth
+            for branch in (stmt.then_body, stmt.else_body):
+                if branch:
+                    edges.append((stmt.info.uid, branch[0].info.uid, inner))
+                    _seq_edges(branch, inner, edges)
+            following = stmts[index + 1] if index + 1 < len(stmts) else None
+            if following is not None:
+                for exit_stmt in _exit_stmts(stmt):
+                    edges.append(
+                        (exit_stmt.info.uid, following.info.uid, depth)
+                    )
+        elif isinstance(stmt, ir.WhileStmt):
+            inner = depth + 1
+            if stmt.body:
+                edges.append((stmt.info.uid, stmt.body[0].info.uid, inner))
+                _seq_edges(stmt.body, inner, edges)
+                for exit_stmt in _exit_stmts(stmt.body[-1]):
+                    edges.append((exit_stmt.info.uid, stmt.info.uid, inner))
+            following = stmts[index + 1] if index + 1 < len(stmts) else None
+            if following is not None:
+                edges.append((stmt.info.uid, following.info.uid, depth))
+        else:
+            following = stmts[index + 1] if index + 1 < len(stmts) else None
+            if following is not None:
+                edges.append((stmt.info.uid, following.info.uid, depth))
 
 
 class PlacementModel:
@@ -461,27 +458,39 @@ class _Dinic:
             if level[sink] < 0:
                 return flow
             iters = [0] * self.n
-
-            def dfs(u: int, pushed: float) -> float:
-                if u == sink:
-                    return pushed
-                while iters[u] < len(self.adj[u]):
-                    edge = self.adj[u][iters[u]]
-                    v = self.to[edge]
-                    if self.cap[edge] > _EPSILON and level[v] == level[u] + 1:
-                        found = dfs(v, min(pushed, self.cap[edge]))
-                        if found > _EPSILON:
-                            self.cap[edge] -= found
-                            self.cap[edge ^ 1] += found
-                            return found
-                    iters[u] += 1
-                return 0.0
-
             while True:
-                pushed = dfs(source, float("inf"))
+                pushed = self._augment(
+                    source, float("inf"), sink, level, iters
+                )
                 if pushed <= _EPSILON:
                     break
                 flow += pushed
+
+    def _augment(
+        self,
+        u: int,
+        pushed: float,
+        sink: int,
+        level: List[int],
+        iters: List[int],
+    ) -> float:
+        """Push flow along one level-graph path from ``u`` to ``sink``
+        (the blocking-flow DFS); returns the amount pushed."""
+        if u == sink:
+            return pushed
+        while iters[u] < len(self.adj[u]):
+            edge = self.adj[u][iters[u]]
+            v = self.to[edge]
+            if self.cap[edge] > _EPSILON and level[v] == level[u] + 1:
+                found = self._augment(
+                    v, min(pushed, self.cap[edge]), sink, level, iters
+                )
+                if found > _EPSILON:
+                    self.cap[edge] -= found
+                    self.cap[edge ^ 1] += found
+                    return found
+            iters[u] += 1
+        return 0.0
 
     def source_side(self, source: int) -> List[bool]:
         """Nodes reachable from the source in the residual graph — the

@@ -49,19 +49,14 @@ from .selection import SplitError
 class SegItem:
     """A placeable unit of the segmented method body."""
 
-    __slots__ = ("entry", "host", "next_item", "fragment", "pc_hint",
-                 "parent_seq")
+    __slots__ = ("entry", "host", "fragment", "pc_hint")
 
     def __init__(self, entry: str, host: str) -> None:
         self.entry = entry
         self.host = host
-        #: the item control falls through to (None = method return point).
-        self.next_item: Optional["SegItem"] = None
         self.fragment: Optional[Fragment] = None
         #: pc label for synthetic (statement-free) items.
         self.pc_hint: Optional[Label] = None
-        #: the sequence this item belongs to (set by linking).
-        self.parent_seq: Optional[List["SegItem"]] = None
 
 
 class SegRun(SegItem):
@@ -131,6 +126,13 @@ class Translator:
         self.fragments: Dict[str, Fragment] = {}
         self._counters: Dict[Tuple[str, str], itertools.count] = {}
         self._method_seqs: Dict[Tuple[str, str], List[SegItem]] = {}
+        # Set by linking, and kept here rather than on the items so the
+        # segment tree holds no reference cycle.
+        #: item -> the item control falls through to (None = method
+        #: return point).
+        self._next: Dict[SegItem, Optional[SegItem]] = {}
+        #: item -> the sequence it belongs to.
+        self._parent: Dict[SegItem, List[SegItem]] = {}
         self._entry_integ: Dict[str, IntegLabel] = {}
         self._entry_pc: Dict[str, Label] = {}
         #: while emitting a branch/loop body, the guard's edge plan can
@@ -286,8 +288,8 @@ class Translator:
         """Set each item's fall-through successor and parent sequence."""
         for index, item in enumerate(seq):
             following = seq[index + 1] if index + 1 < len(seq) else cont
-            item.next_item = following
-            item.parent_seq = seq
+            self._next[item] = following
+            self._parent[item] = seq
             if isinstance(item, SegIf):
                 self._link(item.then_seq, following)
                 self._link(item.else_seq, following)
@@ -360,14 +362,15 @@ class Translator:
             if candidate is not None and candidate.host == item.host:
                 successors.append(candidate)
 
+        following = self._next.get(item)
         if isinstance(item, (SegRun, SegCall)):
-            add(item.next_item)
+            add(following)
         elif isinstance(item, SegIf):
-            add(item.then_seq[0] if item.then_seq else item.next_item)
-            add(item.else_seq[0] if item.else_seq else item.next_item)
+            add(item.then_seq[0] if item.then_seq else following)
+            add(item.else_seq[0] if item.else_seq else following)
         elif isinstance(item, SegWhile):
             add(item.body_seq[0] if item.body_seq else item)
-            add(item.next_item)
+            add(following)
         return successors
 
     def _compute_entry_integrity(self, key: Tuple[str, str]) -> None:
@@ -604,17 +607,16 @@ class Translator:
                 self._branch_hooks[-1][2] = True
                 return True
         candidates = []
-        if src.parent_seq is not None:
-            for position, item in enumerate(src.parent_seq):
-                if item is src:
-                    break
-                fragment = item.fragment
-                if fragment is None or not isinstance(
-                    fragment.terminator, TermJump
-                ):
-                    continue
-                if self._rgoto_ok(fragment.host, dst.entry):
-                    candidates.append((position, fragment))
+        for position, item in enumerate(self._parent.get(src, ())):
+            if item is src:
+                break
+            fragment = item.fragment
+            if fragment is None or not isinstance(
+                fragment.terminator, TermJump
+            ):
+                continue
+            if self._rgoto_ok(fragment.host, dst.entry):
+                candidates.append((position, fragment))
         # Prefer a provider co-located with the target (local sync),
         # then the nearest preceding one.
         dst_host = self._entry_host(dst.entry)
@@ -659,7 +661,9 @@ class Translator:
                     OpSetElem(stmt.array, stmt.index, stmt.expr)
                 )
         pc = item.stmts[-1].info.pc if item.stmts else fragment.pc
-        plan = self._transition_plan(item, item.next_item, consume, pc)
+        plan = self._transition_plan(
+            item, self._next.get(item), consume, pc
+        )
         fragment.terminator = TermJump(plan)
 
     def _emit_call(self, key: Tuple[str, str], item: SegCall, consume: bool) -> None:
@@ -676,7 +680,7 @@ class Translator:
         # The caller syncs its own continuation (a local ICS push) and
         # rgotos the callee; the callee's return is an lgoto of that
         # one-shot capability.
-        if item.next_item is None:
+        if self._next.get(item) is None:
             raise SplitError(
                 f"call at {stmt.info.pos} has no continuation; normalize "
                 "the method with an explicit return"
@@ -715,7 +719,7 @@ class Translator:
         return *value* never passes through it (it is forwarded directly
         to its consumers, Section 5.2).
         """
-        nxt = item.next_item
+        nxt = self._next.get(item)
         if nxt.host == item.host:
             return nxt.entry
         cont_entry = self._new_entry(key, item.host)
@@ -861,10 +865,10 @@ class Translator:
         # pc inside the branches includes the guard's label.
         inner_pc = item.stmt.info.l_in
         plan_true = self._branch_plan(
-            key, item, item.then_seq, item.next_item, inner_pc
+            key, item, item.then_seq, self._next.get(item), inner_pc
         )
         plan_false = self._branch_plan(
-            key, item, item.else_seq, item.next_item, inner_pc
+            key, item, item.else_seq, self._next.get(item), inner_pc
         )
         fragment.terminator = TermBranch(item.stmt.cond, plan_true, plan_false)
 
@@ -885,7 +889,7 @@ class Translator:
         # is inevitable under the termination assumption, so it reveals
         # only the *outer* pc (Section 2.3's point D), not the guard.
         outer_pc = item.stmt.info.pc
-        cont = item.next_item
+        cont = self._next.get(item)
         if cont is None:
             raise SplitError("loop falls off the end of the method")
         if item.host == cont.host:

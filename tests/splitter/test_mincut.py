@@ -235,10 +235,11 @@ def test_node_tables_reduce_like_the_full_model():
     assert not any(dropped in names for names in pruned)
 
 
-def test_repro_mincut_env_escape_hatch():
-    # No option selects a solver: the bare heuristic is reached by
-    # handing the model ``assign_hosts`` builds to ``Optimizer``, and
-    # on a two-host instance the default placement is the cut's.
+def test_heuristic_over_assign_hosts_model_never_beats_the_cut():
+    # The bare chain-DP heuristic runs over the same PlacementModel
+    # that ``assign_hosts`` builds.  On this two-host instance the
+    # default placement is the exact cut's, and the heuristic's
+    # placement never costs less than the cut.
     source = generate_program(3)
     result = split_source(source, progen_config())
     model = _build_model(result, progen_config())
