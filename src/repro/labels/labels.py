@@ -162,7 +162,10 @@ class ConfLabel:
     _top_singleton: Optional["ConfLabel"] = None
     _public_singleton: Optional["ConfLabel"] = None
 
-    __slots__ = ("_policies", "_is_top", "_hash")
+    #: ``_encoded`` memoizes this label's split-artifact encoding
+    #: (:mod:`repro.splitter.serialize`), so every artifact that
+    #: mentions the label shares one immutable tuple.
+    __slots__ = ("_policies", "_is_top", "_hash", "_encoded")
 
     def __new__(cls, policies: Iterable[ConfPolicy] = ()) -> "ConfLabel":
         merged: Dict[Principal, FrozenSet[Principal]] = {}
@@ -180,6 +183,7 @@ class ConfLabel:
         object.__setattr__(label, "_policies", canon)
         object.__setattr__(label, "_is_top", False)
         object.__setattr__(label, "_hash", hash((False, canon)))
+        object.__setattr__(label, "_encoded", None)
         cls._interned[canon] = label
         return label
 
@@ -206,6 +210,7 @@ class ConfLabel:
             object.__setattr__(label, "_policies", frozenset())
             object.__setattr__(label, "_is_top", True)
             object.__setattr__(label, "_hash", hash((True, frozenset())))
+            object.__setattr__(label, "_encoded", None)
             cls._top_singleton = label
         return label
 
@@ -362,7 +367,8 @@ class IntegLabel:
     _bottom_singleton: Optional["IntegLabel"] = None
     _untrusted_singleton: Optional["IntegLabel"] = None
 
-    __slots__ = ("_trust", "_is_bottom", "_hash")
+    #: ``_encoded``: as for :class:`ConfLabel`.
+    __slots__ = ("_trust", "_is_bottom", "_hash", "_encoded")
 
     def __new__(cls, trust: Iterable = ()) -> "IntegLabel":
         if not isinstance(trust, frozenset):
@@ -374,6 +380,7 @@ class IntegLabel:
         object.__setattr__(label, "_trust", trust)
         object.__setattr__(label, "_is_bottom", False)
         object.__setattr__(label, "_hash", hash((False, trust)))
+        object.__setattr__(label, "_encoded", None)
         cls._interned[trust] = label
         return label
 
@@ -404,6 +411,7 @@ class IntegLabel:
             object.__setattr__(label, "_trust", frozenset())
             object.__setattr__(label, "_is_bottom", True)
             object.__setattr__(label, "_hash", hash((True, frozenset())))
+            object.__setattr__(label, "_encoded", None)
             cls._bottom_singleton = label
         return label
 
@@ -533,7 +541,8 @@ class Label:
     _public_untrusted_singleton: Optional["Label"] = None
     _constant_singleton: Optional["Label"] = None
 
-    __slots__ = ("conf", "integ", "_hash")
+    #: ``_encoded``: as for :class:`ConfLabel`.
+    __slots__ = ("conf", "integ", "_hash", "_encoded")
 
     def __new__(
         cls,
@@ -552,6 +561,7 @@ class Label:
         object.__setattr__(label, "conf", conf)
         object.__setattr__(label, "integ", integ)
         object.__setattr__(label, "_hash", hash((conf, integ)))
+        object.__setattr__(label, "_encoded", None)
         cls._interned[key] = label
         return label
 

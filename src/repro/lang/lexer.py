@@ -24,6 +24,11 @@ Unicode identifiers (``[^\\W\\d]\\w*`` matched ``café``) fed the
 pretty-printer and typechecker input they were never exercised on.
 Such input now raises :class:`LexError` at the offending character.
 
+Name texts (identifiers and keywords) are interned with
+:func:`sys.intern`, so each name is one string object from the AST
+through the split, its runtime image and its split-cache entry, however
+many programs and occurrences mention it.
+
 Positions are 1-based (line, column) pairs.  Token positions are
 tracked incrementally (tokens arrive in offset order, so the current
 line advances monotonically); error and end-of-file positions are
@@ -36,6 +41,7 @@ cross-checks them token by token over the whole corpus.
 from __future__ import annotations
 
 import re
+import sys
 from bisect import bisect_right
 from typing import Iterator, List, NamedTuple, Sequence
 
@@ -145,6 +151,7 @@ class Lexer:
         name_match = _NAME_RE.match
         num_match = _NUM_RE.match
         keywords = KEYWORDS
+        intern = sys.intern
         token = Token
         position = SourcePosition
         starts = self._line_starts
@@ -165,7 +172,7 @@ class Lexer:
             cat = category(ch)
             if cat == _NAME:
                 found = name_match(source, index)
-                text = found.group()
+                text = intern(found.group())
                 kind = "keyword" if text in keywords else "ident"
                 end = found.end()
             elif cat == _PUNCT:

@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import gc
 import time
+import weakref
 from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..labels import Label
@@ -380,7 +381,7 @@ class Session:
         """Wire every host's durable store to the session's persistent
         tier and publish boundary 1 (base checkpoints + empty journal)."""
         storage = self.storage
-        storage.on_degrade = self._note_degraded
+        self._watch_storage(storage)
         if not storage.available:
             self._note_degraded(
                 storage.degraded_reason or "storage unavailable"
@@ -393,6 +394,20 @@ class Session:
         for host in self.hosts.values():
             host.attach_storage(storage)
         storage.save_boundary(self)
+
+    def _watch_storage(self, storage) -> None:
+        """Route ``storage``'s degradation to :meth:`_note_degraded`,
+        holding this session weakly: a tier its caller keeps after
+        dropping the session must not keep the session, its hosts and
+        its image alive."""
+        note = weakref.WeakMethod(self._note_degraded)
+
+        def on_degrade(reason: str) -> None:
+            method = note()
+            if method is not None:
+                method(reason)
+
+        storage.on_degrade = on_degrade
 
     def _note_degraded(self, reason: str) -> None:
         """The durable tier failed: detach it and keep running
@@ -436,6 +451,7 @@ class Session:
         if storage is not self.storage:
             # Swapping tiers: sever the old one before anything writes.
             if self.storage is not None:
+                self.storage.on_degrade = None
                 self.storage.close()
             for host in self.hosts.values():
                 host.detach_storage()
@@ -461,7 +477,7 @@ class Session:
             for host in self.hosts.values():
                 host.detach_storage()
             return self
-        storage.on_degrade = self._note_degraded
+        self._watch_storage(storage)
         if usable and storage.available:
             for name in self.hosts:
                 storage.record_key(

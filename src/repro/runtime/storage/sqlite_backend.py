@@ -717,7 +717,7 @@ def rehydrate_session(
         storage._boundary = boundary
         storage._flow_len = journal["flow_len"]
         session.storage = storage
-        storage.on_degrade = session._note_degraded
+        session._watch_storage(storage)
         if boundary != sidecar_boundary:
             # Roll forward: the process died after COMMIT but before the
             # sidecar publish; re-sync the sealed counter.

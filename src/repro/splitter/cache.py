@@ -18,6 +18,14 @@ Two tiers:
   :mod:`.serialize`), keyed in-process.  Every hit *rehydrates a fresh*
   :class:`~repro.splitter.fragments.SplitProgram`, so callers that
   mutate their split (the attack tests do) can never poison later hits.
+  Entries share what every program shares: each interned label's
+  encoding is one immutable tuple memoized on the label, and names
+  (identifiers, entry names) are interned strings, so an entry owns
+  only its own lists, dicts and constants.  Those stay ordinary
+  GC-tracked containers on purpose: with fewer long-lived tracked
+  objects, ``perfbench``'s per-op young collections trigger full
+  collections more often and push them into the latency tail.  A disk
+  hit is promoted here re-encoded, in the same shared form.
 * **disk** — optional, enabled by pointing ``REPRO_SPLIT_CACHE_DIR`` at
   a directory.  Artifacts are content-addressed files written with an
   atomic rename (concurrent ``fork_map`` workers race safely), carrying
@@ -250,7 +258,7 @@ def lookup(key: SplitKey, config):
     rehydrates a brand-new program object; a body that fails to decode
     is discarded and counted as a miss, never raised.
     """
-    from .serialize import decode_split
+    from .serialize import decode_split, encode_split
 
     encoded = _MEMORY.get(key)
     if encoded is not None:
@@ -275,7 +283,9 @@ def lookup(key: SplitKey, config):
             pass
         else:
             _DISK_TIER.hits += 1
-            _MEMORY[key] = encoded
+            # Re-encoded, not the JSON body: the entry then shares each
+            # label's memoized tuple like every other memory entry.
+            _MEMORY[key] = encode_split(split)
             return split
     _DISK_TIER.misses += 1
     return None

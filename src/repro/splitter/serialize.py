@@ -10,6 +10,11 @@ cannot inherit in-memory objects.  This module defines the contract:
   JSON-compatible structure of plain lists/dicts/scalars.  Identical
   splits encode to identical bytes (``canonical_bytes``), which is what
   lets the on-disk tier content-address and digest-verify artifacts.
+  Each interned label is encoded once, into an immutable tuple memoized
+  on the label, so every fragment, field and variable that carries the
+  label, in every encoded split, shares that one tuple; JSON writes a
+  tuple as it writes a list, so the bytes do not depend on it, and
+  decoding accepts either form (the disk tier's JSON yields lists).
 * :func:`decode_split` rebuilds a **fresh** :class:`SplitProgram` from
   that structure.  Labels and principals go through their interning
   constructors, so rehydrated labels are the same hash-consed objects
@@ -79,18 +84,20 @@ class SplitDecodeError(Exception):
 
 
 def _enc_conf(conf: ConfLabel):
-    if conf.is_top:
-        return "T"
-    return sorted(
-        [policy.owner.name, sorted(r.name for r in policy.readers)]
-        for policy in conf.policies
-    )
+    encoded = conf._encoded
+    if encoded is None:
+        encoded = "T" if conf.is_top else tuple(sorted(
+            (policy.owner.name, tuple(sorted(r.name for r in policy.readers)))
+            for policy in conf.policies
+        ))
+        object.__setattr__(conf, "_encoded", encoded)
+    return encoded
 
 
 def _dec_conf(data) -> ConfLabel:
     if data == "T":
         return ConfLabel.top()
-    if not isinstance(data, list):
+    if not isinstance(data, (list, tuple)):
         raise SplitDecodeError(f"bad conf label {data!r}")
     return ConfLabel(
         ConfPolicy(Principal(owner), [Principal(r) for r in readers])
@@ -99,25 +106,33 @@ def _dec_conf(data) -> ConfLabel:
 
 
 def _enc_integ(integ: IntegLabel):
-    if integ.is_bottom:
-        return "B"
-    return sorted(p.name for p in integ.trust)
+    encoded = integ._encoded
+    if encoded is None:
+        encoded = "B" if integ.is_bottom else tuple(
+            sorted(p.name for p in integ.trust)
+        )
+        object.__setattr__(integ, "_encoded", encoded)
+    return encoded
 
 
 def _dec_integ(data) -> IntegLabel:
     if data == "B":
         return IntegLabel.bottom()
-    if not isinstance(data, list):
+    if not isinstance(data, (list, tuple)):
         raise SplitDecodeError(f"bad integ label {data!r}")
     return IntegLabel(Principal(name) for name in data)
 
 
 def _enc_label(label: Label):
-    return [_enc_conf(label.conf), _enc_integ(label.integ)]
+    encoded = label._encoded
+    if encoded is None:
+        encoded = (_enc_conf(label.conf), _enc_integ(label.integ))
+        object.__setattr__(label, "_encoded", encoded)
+    return encoded
 
 
 def _dec_label(data) -> Label:
-    if not isinstance(data, list) or len(data) != 2:
+    if not isinstance(data, (list, tuple)) or len(data) != 2:
         raise SplitDecodeError(f"bad label {data!r}")
     return Label(_dec_conf(data[0]), _dec_integ(data[1]))
 
@@ -339,9 +354,10 @@ def _dec_terminator(data):
 def encode_split(split: SplitProgram) -> Dict:
     """Lower ``split`` to a JSON-compatible plain-data structure.
 
-    The structure is pure data: encoding never aliases live objects, so
-    a split mutated *after* encoding (the attack tests do this) cannot
-    poison what was stored.
+    The structure is pure data: it aliases only immutable objects (the
+    split's strings and each label's memoized tuple), never a live list,
+    dict or IR node, so a split mutated *after* encoding (the attack
+    tests do this) cannot poison what was stored.
     """
     fragments: List[Dict] = []
     for fragment in split.fragments.values():

@@ -23,6 +23,7 @@ constraints on where ``rgoto`` and ``sync`` may be inserted:
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..labels import C, I, IntegLabel, Label
@@ -142,8 +143,10 @@ class Translator:
     # -- naming -------------------------------------------------------------
 
     def _new_entry(self, key: Tuple[str, str], host: str) -> str:
+        # Interned: splits of different programs mint the same names,
+        # and their split-cache entries then share one string each.
         counter = self._counters.setdefault(key, itertools.count())
-        return f"{key[0]}.{key[1]}.{next(counter)}@{host}"
+        return sys.intern(f"{key[0]}.{key[1]}.{next(counter)}@{host}")
 
     def _host_of(self, stmt: ir.IRStmt) -> str:
         return self.assignment.statements[stmt.info.uid]

@@ -9,12 +9,13 @@ verified away silently — recompile with a recorded miss, never an
 exception, never a wrong split.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from repro import parallel, progen
-from repro.labels import ActsForHierarchy, Principal
+from repro.labels import ActsForHierarchy, Label, Principal
 from repro.runtime.trace import recorded_run
 from repro.splitter import cache
 from repro.splitter.partition import split_source
@@ -160,6 +161,142 @@ def test_mutating_a_hit_cannot_poison_later_hits():
 
 
 # ---------------------------------------------------------------------------
+# Shared encodings: one tuple per interned label, bytes unchanged
+# ---------------------------------------------------------------------------
+
+#: SHA-256 of ``canonical_bytes(encode_split(split))`` for the Table 1
+#: workloads and the Figure 4 oblivious transfer.  These bytes are what
+#: the disk tier digests and content-addresses: a change here needs a
+#: ``FORMAT_VERSION`` bump.
+CANONICAL_PINS = {
+    "table1/listcompare":
+        "10cd8bb9266acc8522b16268b99f0bfd7efe98f7d7e8f523c43e1090b7a23b69",
+    "table1/medical":
+        "f417df070435880e004ae998351dd60ac2120a3f8e82e2978b6e0804dfdc3bf9",
+    "table1/ot":
+        "52fc7f61cc8ac2c9f899f126be9b1b6a8558e94b36c8cc1ce3ef543576665e75",
+    "table1/tax":
+        "c9c3896dc9a2eb24ae5ef968bb8886d08485da0d15e7d314bb7431a156821d06",
+    "table1/work":
+        "280d4ebd02d1e221ff901a0445d255226c575ffb6a677228776fc7d0a068ac1e",
+    "fig4/ot":
+        "6eb8ea76d7c2ea7ae0ac63238bbba3d3a32e87f0364b0a3b9a4266fdc7956bbc",
+}
+
+
+def _pinned_input(name):
+    group, workload = name.split("/")
+    module = WORKLOADS[workload]
+    if group == "fig4":
+        return module.source(rounds=1), module.config()
+    return module.source(), module.config()
+
+
+def _sha(split):
+    return hashlib.sha256(canonical_bytes(encode_split(split))).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CANONICAL_PINS))
+def test_canonical_bytes_are_pinned(name):
+    source, config = _pinned_input(name)
+    fresh = split_source(source, config)
+    hit = split_source(source, config)
+    assert hit.cached
+    assert _sha(fresh.split) == _sha(hit.split) == CANONICAL_PINS[name]
+
+
+def _entry(source, config):
+    """The memory tier's entry for one compile of ``source``."""
+    split_source(source, config)
+    return cache._MEMORY[cache.split_key(cache.digest(source), config)]
+
+
+def _label_encodings(entry):
+    """Every label encoding an entry's tables carry (not the labels
+    inside expressions), as (where, encoding) pairs."""
+    found = []
+    for fragment in entry["fragments"]:
+        found.append((fragment["entry"] + "/pc", fragment["pc"]))
+        found.append((fragment["entry"] + "/integ", fragment["integ"]))
+    for field in entry["fields"]:
+        found.append((field["field"] + "/label", field["label"]))
+        found.append((field["field"] + "/loc", field["loc"]))
+    for method in entry["methods"]:
+        for var, label in method["var_labels"]:
+            found.append((f"{method['name']}.{var}", label))
+    return found
+
+
+def _immutable(value):
+    if isinstance(value, str):
+        return True
+    return isinstance(value, tuple) and all(map(_immutable, value))
+
+
+def test_entries_share_one_immutable_encoding_per_label():
+    first = _label_encodings(_entry(OT_SOURCE, config_abt()))
+    second = _label_encodings(
+        _entry(WORKLOADS["tax"].source(), WORKLOADS["tax"].config())
+    )
+    assert all(_immutable(encoding) for _, encoding in first + second)
+    by_value = {}
+    for _, encoding in first:
+        assert by_value.setdefault(encoding, encoding) is encoding
+    shared = [
+        where for where, encoding in second
+        if not isinstance(encoding, str) and encoding in by_value
+    ]
+    assert shared, "the two programs share no label"
+    for where, encoding in second:
+        if encoding in by_value:
+            assert by_value[encoding] is encoding, where
+
+
+def _mutate(split):
+    """Change every mutable table of ``split`` in place."""
+    for fragment in split.fragments.values():
+        fragment.ops.clear()
+        fragment.pc = Label.public_untrusted()
+        fragment.host = "Z"
+    for placement in split.fields.values():
+        placement.label = Label.public_untrusted()
+        placement.host = "Z"
+    for plan in split.methods.values():
+        plan.params.append("extra")
+        plan.var_labels.clear()
+    split.fields.clear()
+
+
+def test_mutating_a_stored_or_hit_split_leaves_the_entry_unchanged():
+    config = config_abt()
+    stored = split_source(OT_SOURCE, config)
+    assert not stored.cached
+    pinned = canonical_bytes(encode_split(stored.split))
+    _mutate(stored.split)
+    hit = split_source(OT_SOURCE, config)
+    assert hit.cached
+    assert canonical_bytes(encode_split(hit.split)) == pinned
+    _mutate(hit.split)
+    again = split_source(OT_SOURCE, config)
+    assert again.cached
+    assert canonical_bytes(encode_split(again.split)) == pinned
+
+
+def test_json_list_form_body_decodes():
+    config = config_abt()
+    entry = _entry(OT_SOURCE, config)
+    payload = canonical_bytes(entry)
+    body = from_canonical_bytes(payload)
+    # JSON turns every tuple into a list: this is the disk tier's form.
+    assert isinstance(entry["fragments"][0]["pc"], tuple)
+    assert isinstance(body["fragments"][0]["pc"], list)
+    rehydrated = decode_split(body, config)
+    assert canonical_bytes(encode_split(rehydrated)) == payload
+    fresh = decode_split(entry, config)
+    assert observe(rehydrated) == observe(fresh)
+
+
+# ---------------------------------------------------------------------------
 # Invalidation: any changed trust input must miss
 # ---------------------------------------------------------------------------
 
@@ -239,7 +376,12 @@ def test_disk_hit_across_cleared_memory(tmp_path, monkeypatch):
     assert observe(warm.split) == baseline
     stats = cache.stats()
     assert stats["split.disk"]["hits"] == 1
-    # ... and the disk hit was promoted into memory.
+    # ... and the disk hit was promoted into memory, in the memory
+    # tier's form: label encodings are the labels' shared tuples.
+    entry = cache._MEMORY[cache.split_key(cache.digest(OT_SOURCE), config)]
+    main = warm.split.fragments[warm.split.main_entry]
+    (pc,) = [f["pc"] for f in entry["fragments"] if f["entry"] == main.entry]
+    assert pc is main.pc._encoded
     assert split_source(OT_SOURCE, config).cached
     assert cache.stats()["split.memory"]["hits"] == 1
 

@@ -20,7 +20,7 @@ import pytest
 
 from repro import progen
 from repro.reporting.throughput import request_workloads
-from repro.runtime import RuntimeImage, SessionPool
+from repro.runtime import RuntimeImage, Session, SessionPool, SessionStorage
 from repro.splitter import cache, split_source
 from repro.splitter.serialize import decode_split, encode_split
 from repro.trust import KeyRegistry
@@ -116,9 +116,9 @@ def test_compile_dies_by_reference_counting(
     assert _repro_garbage() == []
 
     # Sessions keep cycles of their own; once one collection has freed
-    # those, the split and image still need none.
-    # No durable tier (under ``--session-storage sqlite`` too): a tier
-    # outlives its session and keeps it, and so its image, alive.
+    # those, the split and image still need none.  No durable tier
+    # (under ``--session-storage sqlite`` too): this checks the image,
+    # and ``test_kept_tier_does_not_pin_its_session`` checks the tier.
     split, image = _compile(name, rehydrated)
     pool = SessionPool(image, size=1, storage=None)
     session = pool.acquire()
@@ -144,3 +144,30 @@ def test_explicit_registry_images_are_not_retained():
     del first, image
     assert ref() is None
     assert RuntimeImage.for_split(split) is default
+
+
+@pytest.mark.parametrize("swapped", [False, True], ids=["kept", "swapped-out"])
+def test_kept_tier_does_not_pin_its_session(tmp_path, swapped):
+    # A caller may keep a durable tier after dropping its session (to
+    # rehydrate from it later); the tier must not keep the session, its
+    # hosts or its image alive, whether it is still attached or was
+    # swapped out by ``reset``.
+    source, config = INPUTS["fig4/OT"]
+    image = RuntimeImage.for_split(split_source(source, config).split)
+    storage = SessionStorage(str(tmp_path / "tier"))
+    try:
+        session = Session(image, storage=storage)
+        session.run()
+        if swapped:
+            session.reset(storage=None)
+            assert storage.on_degrade is None
+            session.run()
+        refs = [weakref.ref(session), weakref.ref(image)]
+        del session, image
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        # The hook of a dead session ignores a later degradation.
+        storage._degrade("disk gone")
+        assert not storage.available
+    finally:
+        storage.close()
