@@ -49,7 +49,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
-from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple
 
 from ..reporting.serve import ServeStats
 from ..splitter import split_source
@@ -256,7 +256,9 @@ class Gateway:
         if me is not None:
             self._conn_tasks.add(me)
         write_lock = asyncio.Lock()
-        tasks: List[asyncio.Task] = []
+        # In-flight request tasks only: each leaves the set as it
+        # finishes, so a long-lived connection holds no finished task.
+        tasks: Set[asyncio.Task] = set()
 
         async def send(frame: Dict[str, Any]) -> None:
             async with write_lock:
@@ -290,9 +292,11 @@ class Gateway:
                         "bad-request", f"unknown frame type {kind!r}"
                     ).frame(frame.get("id")))
                 else:
-                    tasks.append(asyncio.ensure_future(
+                    task = asyncio.ensure_future(
                         self._run(frame, principal, send)
-                    ))
+                    )
+                    tasks.add(task)
+                    task.add_done_callback(tasks.discard)
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
         except FrameError as error:

@@ -177,6 +177,23 @@ class TestGateway:
 
         _run(_with_gateway(scenario, rate=1000.0, burst=1000.0))
 
+    def test_connection_holds_no_finished_request_task(self):
+        """A long-lived client's finished requests are not kept alive
+        until it hangs up: the handler tracks in-flight tasks only."""
+        async def scenario(gateway, host, port):
+            client = await GatewayClient.connect(host, port, "steady")
+            for _ in range(50):
+                assert (await client.run("work"))["t"] == "result"
+            for _ in range(3):
+                await asyncio.sleep(0)
+            # The request tasks are a local of the connection handler.
+            (handler,) = gateway._conn_tasks
+            held = handler.get_coro().cr_frame.f_locals["tasks"]
+            assert [task for task in held if task.done()] == []
+            await client.close()
+
+        _run(_with_gateway(scenario, rate=1000.0, burst=1000.0))
+
     def test_rate_limiter_sheds_with_structured_error(self):
         async def scenario(gateway, host, port):
             greedy = await GatewayClient.connect(host, port, "greedy")

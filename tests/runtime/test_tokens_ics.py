@@ -1,7 +1,12 @@
 """Unit tests for capability tokens and the integrity control stack."""
 
+import hmac
+from hashlib import sha256
+
 from repro.runtime import FrameID, LocalStack, TokenFactory, forged_token
 from repro.trust import KeyRegistry
+
+FRAME = FrameID(("C", "m"))
 
 
 def make_factory(name="T"):
@@ -50,6 +55,77 @@ class TestTokens:
         token = factory.mint(FrameID(("C", "m")), "e1")
         factory.verify(token)
         assert factory.hash_count == before + 2
+        # A memo hit is still a charged operation: the memo must not
+        # leak into the simulated cost model.
+        factory.verify(token)
+        assert factory.hash_count == before + 3
+
+
+def reference_verdict(factory, token):
+    """The verdict with no memo involved: recompute the MAC under the
+    host key and compare in constant time."""
+    key = factory._registry.key_of("host:T")
+    expected = hmac.new(key, token.message(), sha256).digest()
+    return hmac.compare_digest(expected, token.mac)
+
+
+def token_corpus(factory):
+    """One token of every verdict class the runtime can meet."""
+    valid = factory.mint(FRAME, "e1")
+    forged = forged_token(FRAME, "e1", "T")
+    tampered = factory.mint(FRAME, "e1")
+    tampered.entry = "privileged"
+    cross = TokenFactory("A", KeyRegistry()).mint(FRAME, "e1")
+    return [("valid", valid), ("forged", forged),
+            ("tampered", tampered), ("cross-host", cross)]
+
+
+class TestBatchedVerifySafety:
+    """The key registry memoizes correct MACs keyed on (host, message
+    bytes), so interleaved sessions of one image batch their verify
+    work.  Memoized verification must give the verdict of a plain HMAC
+    recompute for every token class."""
+
+    def test_memoized_verdicts_match_recomputed(self):
+        factory = make_factory()
+        memo = factory._registry._mac_memo
+        for name, token in token_corpus(factory):
+            # The second presentation is the pure memo-hit path; the
+            # third, after clearing the memo, recomputes the MAC.
+            first = factory.verify(token)
+            second = factory.verify(token)
+            memo.clear()
+            third = factory.verify(token)
+            recomputed = reference_verdict(factory, token)
+            assert first == second == third == recomputed, (
+                f"{name} token verdict diverged between memoized and "
+                f"recomputed verification"
+            )
+        # The corpus spans both verdicts.
+        verdicts = {factory.verify(t) for _, t in token_corpus(factory)}
+        assert verdicts == {True, False}
+
+    def test_memo_holds_only_correct_macs(self):
+        """A forged token's bytes never enter the memo: verification of
+        a forgery cannot poison later verifications."""
+        factory = make_factory()
+        bad = forged_token(FRAME, "e1", "T")
+        assert not factory.verify(bad)
+        assert not factory.verify(bad)  # still rejected, post-memo
+        good = factory.mint(bad.frame, bad.entry)
+        assert factory.verify(good)
+
+    def test_replay_rejection_is_ics_not_verify(self):
+        """Batching verify is safe against replays because replay
+        protection never lived there: a replayed valid token passes the
+        MAC check but the one-shot ICS pop refuses it."""
+        factory = make_factory()
+        stack = LocalStack()
+        token = factory.mint(FRAME, "e1")
+        stack.push(token, None)
+        assert factory.verify(token) and factory.verify(token)
+        assert stack.pop_if_top(token) == (None,)
+        assert stack.pop_if_top(token) is None  # the replay dies here
 
 
 class TestLocalStack:

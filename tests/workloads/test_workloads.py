@@ -56,6 +56,7 @@ class TestOT:
         split = ot_result.split_result.split
         assert split.fields[("OTBench", "m1")].host == "A"
         assert split.fields[("OTBench", "m2")].host == "A"
+        assert split.fields[("OTBench", "isAccessed")].host == "A"
 
     def test_without_preference_fields_move_to_t(self):
         result = ot.run(rounds=5, prefer_alice_a=False)
@@ -74,10 +75,11 @@ class TestOT:
 
 class TestList:
     def test_lists_compare_equal(self, list_result):
-        assert (
-            list_result.execution.field_value("ListCompare", "listsEqual")
-            is True
-        )
+        for result in (list_result, listcompare.run()):
+            assert (
+                result.execution.field_value("ListCompare", "listsEqual")
+                is True
+            )
 
     def test_detects_unequal_lists(self):
         source = listcompare.source(10).replace(
@@ -158,13 +160,6 @@ class TestWork:
         assert counts["getField"] == 0
         assert counts["total_messages"] == 40
 
-    def test_full_scale_matches_table1_exactly(self):
-        result = work.run(rounds=300, inner=2)
-        counts = result.counts
-        assert counts["rgoto"] == 300
-        assert counts["lgoto"] == 300
-        assert counts["total_messages"] == 600
-
 
 class TestHandcoded:
     def test_ot_h_message_count_matches_paper(self):
@@ -189,15 +184,6 @@ class TestHandcoded:
 
 
 class TestSourceMetrics:
-    def test_annotation_burden_in_paper_band(self):
-        # The paper reports annotations at 11-25% of source text; our
-        # mini-Jif is denser than Java, so allow up to 40%.
-        for module in (listcompare, ot, tax, work):
-            ratio = __import__(
-                "repro.workloads.base", fromlist=["annotation_ratio"]
-            ).annotation_ratio(module.source())
-            assert 0.05 <= ratio <= 0.45, module.__name__
-
     def test_line_counts_positive(self):
         from repro.workloads.base import count_lines
 
