@@ -428,18 +428,31 @@ class GatewayClient:
                 if future is not None and not future.done():
                     future.set_result(frame)
         except (asyncio.IncompleteReadError, ConnectionError):
-            for future in self._pending.values():
+            pass
+        finally:
+            # However the loop ends (hang-up, a frame read_frame refuses,
+            # cancellation by close), nothing will answer a waiter again.
+            waiters = [*self._pending.values(), *self._stats_waiters]
+            self._pending.clear()
+            self._stats_waiters.clear()
+            for future in waiters:
                 if not future.done():
                     future.set_exception(ConnectionError("gateway closed"))
-            self._pending.clear()
+
+    def _waiter(self) -> asyncio.Future:
+        """A future for one reply; ``ConnectionError`` at once when the
+        read loop has ended and so would never resolve it."""
+        if self._reader_task.done():
+            raise ConnectionError("gateway closed")
+        return asyncio.get_running_loop().create_future()
 
     async def run(
         self, workload: str, transport: str = "sim"
     ) -> Dict[str, Any]:
         """One execution request; returns the result *or* error frame."""
+        future = self._waiter()
         self._ids += 1
         request_id = self._ids
-        future: asyncio.Future = asyncio.get_event_loop().create_future()
         self._pending[request_id] = future
         await write_frame(
             self._writer,
@@ -453,7 +466,7 @@ class GatewayClient:
         return await future
 
     async def stats(self) -> Dict[str, Any]:
-        future: asyncio.Future = asyncio.get_event_loop().create_future()
+        future = self._waiter()
         self._stats_waiters.append(future)
         await write_frame(self._writer, {"t": "stats"})
         return await future

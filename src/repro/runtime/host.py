@@ -303,7 +303,7 @@ class TrustedHost:
                     network.audit(
                         self.name, f"lgoto with foreign token for {token.entry}"
                     )
-                elif remote and not self.factory.verify(token):
+                elif remote and not self._authentic(token):
                     # Tokens used locally are never hashed (Section 7.4),
                     # so only remote presentations pay for verification.
                     network.audit(
@@ -350,6 +350,27 @@ class TrustedHost:
             if self.durable is not None:
                 self._maybe_checkpoint()
         return result
+
+    def _authentic(self, token: Token) -> bool:
+        """Whether a remote lgoto's ``token`` (this host's, by its
+        ``host`` field) carries this host's MAC.
+
+        The ICS holds only tokens this host minted itself (``mint`` in
+        ``_do_sync``, ``_handle_sync`` and ``run_main``'s
+        ``adopt_root``) or restored from sealed checkpoint and WAL
+        rows, so a token that is, or equals, the top's issued token is
+        authentic and its MAC is not recomputed; tokens are immutable,
+        so the one shared object cannot have changed since it was
+        pushed.  Every other token is recomputed by ``factory.verify``,
+        which only tells a forgery (false) from a stale or replayed
+        token (true, and then refused by the ICS pop).  Either way the
+        presentation counts one hash.
+        """
+        top = self.stack.top()
+        if top is not None and (top[0] is token or top[0] == token):
+            self.factory.hash_count += 1
+            return True
+        return self.factory.verify(token)
 
     def _malformed(self, message: Message, what: str) -> Any:
         """Audit a request whose payload lacks ``what`` or holds the

@@ -5,6 +5,13 @@ authenticated with the issuing host's key and made unique by a nonce.
 The paper hashes with MD5 and a private key; we use HMAC-SHA256 from
 the same key registry that signs trust declarations — the property that
 matters is that bad hosts can neither forge nor replay tokens.
+
+Tokens are immutable: a minted token is the very object its issuer
+pushes on its ICS and, in the simulator, the very object an lgoto
+carries back.  That lets a host admit an lgoto whose token *is* (or
+equals) its ICS top without recomputing the MAC — the stack only ever
+holds tokens the host minted itself — while any other token still goes
+through :meth:`TokenFactory.verify` (see ``TrustedHost._authentic``).
 """
 
 from __future__ import annotations
@@ -17,7 +24,11 @@ from .values import FrameID
 
 
 class Token:
-    """A one-shot capability for an entry point on a host."""
+    """A one-shot capability for an entry point on a host.
+
+    Immutable: assigning or deleting a field raises ``AttributeError``.
+    A changed token is a new ``Token`` built from the old one's fields.
+    """
 
     __slots__ = ("host", "frame", "entry", "nonce", "mac")
 
@@ -29,17 +40,21 @@ class Token:
         nonce: bytes,
         mac: bytes,
     ) -> None:
-        self.host = host
-        self.frame = frame
-        self.entry = entry
-        self.nonce = nonce
-        self.mac = mac
+        # The slots' own setters: ``__setattr__`` refuses every name.
+        _set_host(self, host)
+        _set_frame(self, frame)
+        _set_entry(self, entry)
+        _set_nonce(self, nonce)
+        _set_mac(self, mac)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Token is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Token is immutable: cannot delete {name!r}")
 
     def message(self) -> bytes:
-        return (
-            f"token|{self.host}|{self.frame.fid}|{self.entry}|"
-            f"{self.nonce.hex()}".encode()
-        )
+        return _message(self.host, self.frame, self.entry, self.nonce)
 
     def __repr__(self) -> str:
         return f"Token({self.entry}, frame={self.frame.fid})"
@@ -57,6 +72,18 @@ class Token:
 
     def __hash__(self) -> int:
         return hash((self.host, self.frame, self.entry, self.nonce))
+
+
+_set_host = Token.host.__set__
+_set_frame = Token.frame.__set__
+_set_entry = Token.entry.__set__
+_set_nonce = Token.nonce.__set__
+_set_mac = Token.mac.__set__
+
+
+def _message(host: str, frame: FrameID, entry: str, nonce: bytes) -> bytes:
+    """The bytes a token's MAC covers."""
+    return f"token|{host}|{frame.fid}|{entry}|{nonce.hex()}".encode()
 
 
 class TokenFactory:
@@ -93,11 +120,13 @@ class TokenFactory:
         return os.urandom(8)
 
     def mint(self, frame: FrameID, entry: str) -> Token:
+        host = self.host
         nonce = self._nonce()
-        token = Token(self.host, frame, entry, nonce, b"")
-        token.mac = self._registry.sign(f"host:{self.host}", token.message())
+        mac = self._registry.sign(
+            f"host:{host}", _message(host, frame, entry, nonce)
+        )
         self.hash_count += 1
-        return token
+        return Token(host, frame, entry, nonce, mac)
 
     def verify(self, token: Token) -> bool:
         if token.host != self.host:

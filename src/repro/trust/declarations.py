@@ -33,12 +33,6 @@ class TrustError(Exception):
     """An inconsistent, unsigned, or forged trust declaration."""
 
 
-#: Entry cap on the (key, message) → MAC memo.  A session run mints a
-#: handful of tokens, so thousands of entries cover many interleaved
-#: sessions; on overflow the memo is simply cleared (correctness never
-#: depends on a hit, only speed does).
-_MAC_MEMO_LIMIT = 8192
-
 #: RFC 2104's inner and outer pad bytes, as translation tables (a key
 #: byte ``b`` becomes ``b ^ 0x36`` and ``b ^ 0x5c``).
 _IPAD = bytes(b ^ 0x36 for b in range(256))
@@ -66,6 +60,12 @@ class KeyRegistry:
     Maps each principal to a secret signing key.  ``sign`` produces an
     HMAC tag over a message; ``verify`` checks it.  Hosts also get keys
     (used by the runtime to sign capability tokens).
+
+    The registry keeps per-key state only, never per-message state:
+    ``sign`` and ``verify`` always compute the MAC.  An honest lgoto
+    costs no recompute because the receiving host admits a token that
+    is its own ICS top without calling ``verify``
+    (``TrustedHost._authentic``), not because MACs are remembered here.
     """
 
     def __init__(self) -> None:
@@ -81,19 +81,6 @@ class KeyRegistry:
         #: RuntimeImage stretches across every session run over the
         #: same split program.
         self._bases: Dict[str, Tuple["hashlib._Hash", "hashlib._Hash"]] = {}
-        #: memoized (key name, message) → MAC.  In the fault-free hot
-        #: path every capability token is minted and then verified
-        #: exactly once over the identical bytes, so ``verify`` can
-        #: compare against the MAC ``sign`` already computed instead of
-        #: recomputing it.  The memo holds only *correct* MACs produced
-        #: under this registry's keys, so the verdict is bit-identical
-        #: to a recompute: a forged signature still mismatches the true
-        #: MAC, and replay rejection lives in the ICS, not here.  The
-        #: registry rides on the shared RuntimeImage, so the memo batches
-        #: verification across every session interleaved over the image.
-        #: The token micro-benchmark checks its verdicts against a plain
-        #: ``hmac.compare_digest`` recompute.
-        self._mac_memo: Dict[Tuple[str, bytes], bytes] = {}
 
     def register(self, name: str) -> None:
         if name not in self._keys:
@@ -105,7 +92,6 @@ class KeyRegistry:
         sidecar rather than drawing fresh randomness)."""
         self._keys[name] = bytes(key)
         self._bases.pop(name, None)
-        self._mac_memo.clear()
 
     def key_of(self, name: str) -> bytes:
         if name not in self._keys:
@@ -113,10 +99,6 @@ class KeyRegistry:
         return self._keys[name]
 
     def sign(self, name: str, message: bytes) -> bytes:
-        memo_key = (name, message)
-        mac = self._mac_memo.get(memo_key)
-        if mac is not None:
-            return mac
         pads = self._bases.get(name)
         if pads is None:
             pads = self._bases[name] = _keyed_pads(self.key_of(name))
@@ -124,11 +106,7 @@ class KeyRegistry:
         inner.update(message)
         outer = pads[1].copy()
         outer.update(inner.digest())
-        mac = outer.digest()
-        if len(self._mac_memo) >= _MAC_MEMO_LIMIT:
-            self._mac_memo.clear()
-        self._mac_memo[memo_key] = mac
-        return mac
+        return outer.digest()
 
     def verify(self, name: str, message: bytes, signature: bytes) -> bool:
         expected = self.sign(name, message)

@@ -194,6 +194,22 @@ class TestGateway:
 
         _run(_with_gateway(scenario, rate=1000.0, burst=1000.0))
 
+    def test_requests_after_the_gateway_closes_fail_at_once(self):
+        """A client whose gateway has hung up raises ConnectionError
+        for a stats or run request instead of waiting forever."""
+        async def scenario():
+            gateway = Gateway()
+            host, port = await gateway.start()
+            client = await GatewayClient.connect(host, port, "orphan")
+            await gateway.close()
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(client.stats(), 3)
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(client.run("work"), 3)
+            await client.close()
+
+        _run(scenario())
+
     def test_rate_limiter_sheds_with_structured_error(self):
         async def scenario(gateway, host, port):
             greedy = await GatewayClient.connect(host, port, "greedy")

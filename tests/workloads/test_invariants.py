@@ -22,15 +22,19 @@ the field rule C(L) ⊑ C_h, which keeps its clinic-only ``readings``
 array off LabHost.
 
 The module also holds the work-count guard for pooled runs (nothing is
-rebuilt per request after the first run) and the cross-process warm
-split-cache check (a second interpreter serves every Table 1 split from
-the disk tier with identical invariants).
+rebuilt per request after the first run), the retention guard (after a
+warm-up, pooled runs grow the traced heap by a small bound at most)
+and the cross-process warm split-cache check (a second interpreter
+serves every Table 1 split from the disk tier with identical
+invariants).
 """
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -244,6 +248,40 @@ def test_pooled_runs_after_the_first_rebuild_nothing(name):
     assert _artifacts(image) == first
     # The driver's in-flight sessions are the only others ever built.
     assert pool.created <= 8
+
+
+def test_pooled_runs_after_a_warm_up_retain_nothing():
+    """Pooled runs of the Table 1 images keep no per-run state: after a
+    warm-up, more runs grow the traced heap by less than a small bound
+    (no per-token MACs, frames or messages are kept by the image).  The
+    pools run without a durable tier even under ``--session-storage
+    sqlite``: this guard is about what the image and its sessions keep,
+    not about a tier's sqlite3 connection."""
+    pools = [
+        SessionPool(RuntimeImage.for_split(
+            split_source(module.source(), module.config()).split
+        ), size=1, storage=None)
+        for module in TABLE1_MODULES.values()
+    ]
+
+    def run_each(times):
+        for _ in range(times):
+            for pool in pools:
+                session = pool.acquire()
+                session.run()
+                pool.release(session)
+
+    run_each(2)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run_each(3)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 64 * 1024, f"pooled runs retained {grown} bytes"
 
 
 # ---------------------------------------------------------------------------
