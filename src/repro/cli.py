@@ -32,14 +32,11 @@ Host placement minimises one cost model with two solvers (an exact
 min-cut where the instance reduces to two hosts, else the chain-DP
 heuristic); there is no option choosing between them.  Repeated splits
 of the same (program, trust configuration) pair are served from the
-whole-pipeline split cache (``repro.splitter.cache``); set
-``REPRO_SPLIT_CACHE=0`` to disable it, or point
-``REPRO_SPLIT_CACHE_DIR`` at a directory to persist split artifacts
-across runs (digest-verified on load).  These two are the
-only environment variables the package reads; durable storage is
-chosen per command (``run --storage sqlite``, ``faultsweep --storage
-sqlite``, which gives each schedule or crash point its own temporary
-SQLite tier).
+whole-pipeline split cache (``repro.splitter.cache``), which lives in
+the process and has no switch.  The package reads no environment
+variables; durable storage is chosen per command (``run --storage
+sqlite``, ``faultsweep --storage sqlite``, which gives each schedule or
+crash point its own temporary SQLite tier).
 
 Performance is measured from outside the package by the repo
 benchmark (``python3 perfbench/run.py``, declared in

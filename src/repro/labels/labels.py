@@ -162,8 +162,8 @@ class ConfLabel:
     _top_singleton: Optional["ConfLabel"] = None
     _public_singleton: Optional["ConfLabel"] = None
 
-    #: ``_encoded`` memoizes this label's split-artifact encoding
-    #: (:mod:`repro.splitter.serialize`), so every artifact that
+    #: ``_encoded`` memoizes this label's encoding for the split cache
+    #: (:mod:`repro.splitter.serialize`), so every encoded split that
     #: mentions the label shares one immutable tuple.
     __slots__ = ("_policies", "_is_top", "_hash", "_encoded")
 

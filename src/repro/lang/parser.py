@@ -509,17 +509,8 @@ class Parser:
 
 
 def parse_program(source: str) -> ast.Program:
-    """Parse a complete mini-Jif program.
-
-    The returned AST records the SHA-256 digest of ``source`` in
-    ``source_digest``, the content address the split cache keys on when
-    a staged caller splits the checked program.
-    """
-    from ..splitter.cache import digest
-
-    program = Parser(source).parse_program()
-    program.source_digest = digest(source)
-    return program
+    """Parse a complete mini-Jif program."""
+    return Parser(source).parse_program()
 
 
 def parse_stmt(source: str) -> ast.Stmt:

@@ -92,12 +92,10 @@ def split_for_sweep(source: str, config) -> SplitProgram:
     """Partition ``source`` for a sweep, through the whole-pipeline
     split cache.
 
-    Sweep drivers re-split the same (source, config) pair across CLI
-    invocations and parallel sweeps; routing them through
-    :func:`repro.splitter.partition.split_source` means a warm
-    ``REPRO_SPLIT_CACHE_DIR`` serves the split from the artifact tier
-    instead of re-running the splitter.  The rehydrated split is
-    observably identical to a fresh compile (pinned by
+    A sweep driver that re-splits the same (source, config) pair in
+    one process gets the split from the memory tier instead of
+    re-running the splitter.  The rehydrated split is observably
+    identical to a fresh compile (pinned by
     ``tests/splitter/test_split_cache.py``), so sweep verdicts cannot
     depend on how the split was obtained.
     """

@@ -653,8 +653,6 @@ class MultiSessionDriver:
                 SessionPool(img, size=size, **session_opts) for img in images
             ]
             self.images = images
-        #: back-compat alias: the first (often only) pool.
-        self.pool = self.pools[0]
 
     def run_many(
         self,

@@ -14,17 +14,17 @@ subprograms produced under different assumptions refuse to interoperate.
 (source, trust configuration), so results are memoized end to
 end in :mod:`.cache`: a repeated ``split_source`` call rehydrates a
 fresh, observably identical :class:`SplitProgram` from the encoded
-artifact instead of re-running the pipeline.  Cache hits return a
+split instead of re-running the pipeline.  Cache hits return a
 :class:`SplitResult` whose intermediate artifacts (checked program, IR,
 candidates, assignment) are rebuilt lazily on first access — the
 runtime only ever needs the split itself, so sweeps never pay for
-intermediates they do not inspect.  Set ``REPRO_SPLIT_CACHE=0`` to
-force every call down the full pipeline.
+intermediates they do not inspect.  Only source text is cached: a
+:class:`CheckedProgram` input always runs the full pipeline.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union
+from typing import Callable, Optional, Union
 
 from ..lang.typecheck import CheckedProgram, check_source
 from ..trust import TrustConfiguration
@@ -158,25 +158,11 @@ def _split_uncached(
     # Defense in depth: abstractly interpret the fragment graph to prove
     # the sync/lgoto pairs keep the ICS a stack and every transfer obeys
     # Section 5.5 (see splitter/validate.py).  Cached rehydrations skip
-    # this: only validated splits are ever encoded, and the artifact
-    # tier digest-verifies them on the way back in.
+    # this: the cache only holds splits this process validated here.
     from .validate import validate_split
 
     validate_split(split)
     return SplitResult(split, checked, program, candidates, assignment)
-
-
-def _source_digest(source: Union[str, CheckedProgram]) -> Optional[str]:
-    """The content address of the program text, when one is knowable.
-
-    For checked-program inputs (a staged parse/check/split pipeline)
-    the digest is the one ``parse_program`` recorded on the AST; an AST
-    built any other way has no stable address, and the split cache
-    simply stands aside for it.
-    """
-    if isinstance(source, str):
-        return split_cache.digest(source)
-    return source.program.source_digest
 
 
 def split_program(
@@ -186,23 +172,22 @@ def split_program(
     """Partition a mini-Jif program for the given trust configuration.
 
     Host assignment is :func:`repro.splitter.optimizer.assign_hosts`.
-    Served from the whole-pipeline cache when the same (source, trust
-    configuration) pair has been split before.
+    Served from the whole-pipeline cache when the same (source text,
+    trust configuration) pair has been split before.
     """
-    key = split_cache.split_key(_source_digest(source), config)
-    if key is not None:
-        split = split_cache.lookup(key, config)
-        if split is not None:
-            return SplitResult(
-                split,
-                recompute=lambda: _split_uncached(source, config),
-            )
+    if not isinstance(source, str):
+        return _split_uncached(source, config)
+    key = split_cache.split_key(source, config)
+    split = split_cache.lookup(key, config)
+    if split is not None:
+        return SplitResult(
+            split, recompute=lambda: _split_uncached(source, config)
+        )
     result = _split_uncached(source, config)
-    if key is not None:
-        try:
-            split_cache.store(key, encode_split(result.split))
-        except SplitEncodeError:
-            pass
+    try:
+        split_cache.store(key, encode_split(result.split))
+    except SplitEncodeError:
+        pass
     return result
 
 

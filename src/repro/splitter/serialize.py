@@ -1,43 +1,39 @@
-"""Canonical serialization of :class:`SplitProgram` — the artifact tier.
+"""Plain-data encoding of :class:`SplitProgram` for the split cache.
 
-The splitter is a pure function of (source, trust configuration), so
-its output is a legitimate build product: something that can be
-written to disk once and rehydrated by later runs, by ``fork_map``
-workers, and eventually by spawn-based or distributed workers that
-cannot inherit in-memory objects.  This module defines the contract:
+The splitter is a pure function of (source, trust configuration), so a
+split can be kept as data and rehydrated later in the same process;
+the split cache (:mod:`.cache`) keeps every entry in this form.
 
 * :func:`encode_split` lowers a split program to a deterministic,
-  JSON-compatible structure of plain lists/dicts/scalars.  Identical
-  splits encode to identical bytes (``canonical_bytes``), which is what
-  lets the on-disk tier content-address and digest-verify artifacts.
-  Each interned label is encoded once, into an immutable tuple memoized
-  on the label, so every fragment, field and variable that carries the
-  label, in every encoded split, shares that one tuple; JSON writes a
-  tuple as it writes a list, so the bytes do not depend on it, and
-  decoding accepts either form (the disk tier's JSON yields lists).
+  JSON-compatible structure of plain lists/dicts/scalars: identical
+  splits encode to identical structures (and identical JSON).  Each
+  interned label is encoded once, into an immutable tuple memoized on
+  the label, so every fragment, field and variable that carries the
+  label, in every encoded split, shares that one tuple.  The label
+  decoders accept a tuple or a list: the storage codec
+  (:mod:`repro.runtime.storage.codec`) reuses them on JSON, which
+  yields lists.
 * :func:`decode_split` rebuilds a **fresh** :class:`SplitProgram` from
   that structure.  Labels and principals go through their interning
   constructors, so rehydrated labels are the same hash-consed objects
   the rest of the process uses; generated fragment functions are *not*
-  part of the artifact — they are rebuilt lazily on first execution by
+  part of the encoding — they are rebuilt lazily on first execution by
   :mod:`repro.runtime.compiler`, exactly as for a freshly split
   program.
 
 Every semantic ordering (fragment op lists, edge plans, method
 parameter order, forward target order) is preserved verbatim; only
 auxiliary maps with order-insensitive lookups (``var_bases``,
-``arg_hosts``) are emitted sorted so the canonical bytes are stable.
+``arg_hosts``) are emitted sorted so the encoding is stable.
 
 Decoding is strict: any structural surprise raises
-:class:`SplitDecodeError`, which the cache layer treats as a miss
-(fall back to recompilation — never a crash, never a wrong split).
-``tests/splitter/test_split_cache.py`` holds the battery proving a
-rehydrated split is observably identical to a fresh compile.
+:class:`SplitDecodeError`.  ``tests/splitter/test_split_cache.py``
+holds the battery proving a rehydrated split is observably identical
+to a fresh compile.
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional
 
 from ..labels import ConfLabel, ConfPolicy, IntegLabel, Label, Principal
@@ -59,23 +55,19 @@ from .fragments import (
     TermReturn,
 )
 
-#: Bumped whenever the encoding (or the splitter's observable output
-#: contract) changes shape; artifacts with any other version are stale.
-FORMAT_VERSION = 2
-
 #: Scalar types a ``Const`` / field initializer may carry.
 _SCALARS = (bool, int, str)
 
 
 class SplitEncodeError(Exception):
-    """The split contains something the canonical encoding cannot carry
-    (e.g. a foreign op injected by a test harness); the cache layer
-    skips storing such splits."""
+    """The split contains something the encoding cannot carry (e.g. a
+    foreign op injected by a test harness); the cache layer skips
+    storing such splits."""
 
 
 class SplitDecodeError(Exception):
-    """The artifact is malformed, tampered with, or from a different
-    format generation; the cache layer records a miss and recompiles."""
+    """The encoded split (or a label the storage codec decodes) is
+    malformed."""
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +393,9 @@ def encode_split(split: SplitProgram) -> Dict:
             "return_base": plan.return_base,
         })
     return {
-        "version": FORMAT_VERSION,
+        # Never read back; the encoding's shape generation, which the
+        # pinned encodings of tests/splitter/test_split_cache.py carry.
+        "version": 2,
         "digest": split.digest.hex(),
         "main_entry": split.main_entry,
         "fragments": fragments,
@@ -421,12 +415,7 @@ def decode_split(data: Dict, config) -> SplitProgram:
     """
     try:
         if not isinstance(data, dict):
-            raise SplitDecodeError(f"artifact body is {type(data).__name__}")
-        if data.get("version") != FORMAT_VERSION:
-            raise SplitDecodeError(
-                f"format version {data.get('version')!r}, "
-                f"expected {FORMAT_VERSION}"
-            )
+            raise SplitDecodeError(f"encoded split is {type(data).__name__}")
         split = SplitProgram(config, bytes.fromhex(data["digest"]))
         for entry in data["fragments"]:
             fragment = Fragment(
@@ -471,22 +460,4 @@ def decode_split(data: Dict, config) -> SplitProgram:
     except SplitDecodeError:
         raise
     except (KeyError, TypeError, ValueError, AttributeError) as error:
-        raise SplitDecodeError(f"malformed artifact: {error!r}") from error
-
-
-def canonical_bytes(data: Dict) -> bytes:
-    """The canonical byte form of an encoded split (or artifact body):
-    compact JSON with sorted keys, UTF-8.  Identical structures always
-    produce identical bytes — the property digest verification needs."""
-    return json.dumps(
-        data, sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    ).encode("ascii")
-
-
-def from_canonical_bytes(payload: bytes) -> Dict:
-    """Inverse of :func:`canonical_bytes`; strict, raises
-    :class:`SplitDecodeError` on anything that is not valid JSON."""
-    try:
-        return json.loads(payload.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise SplitDecodeError(f"artifact body is not JSON: {error}") from error
+        raise SplitDecodeError(f"malformed split: {error!r}") from error

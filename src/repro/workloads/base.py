@@ -4,8 +4,7 @@ Workload sources are plain strings rebuilt by each ``source()`` call,
 so the Table 1 report, the fault sweeps, and the oracle checks all
 construct byte-identical programs many times over; the split cache
 (``repro.splitter.cache``) keys on the source digest and serves every
-rebuild after the first from memory.  ``WorkloadResult.source_digest``
-exposes that content address for correlation with cache stats.
+rebuild after the first from memory.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from typing import Callable, Dict, Optional
 from ..runtime import CostModel, run_single_host, run_split_program
 from ..runtime.executor import ExecutionResult
 from ..splitter import SplitResult, split_source
-from ..splitter.cache import digest as source_digest
 from ..trust import TrustConfiguration
 
 
@@ -41,11 +39,6 @@ class WorkloadResult:
     @property
     def elapsed(self) -> float:
         return self.execution.elapsed
-
-    @property
-    def source_digest(self) -> str:
-        """Content address of the source (the split cache's key)."""
-        return source_digest(self.source)
 
     @property
     def lines(self) -> int:

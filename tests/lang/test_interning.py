@@ -8,6 +8,7 @@ stream itself unchanged.
 """
 
 import sys
+from unittest import mock
 
 from repro.lang import tokenize
 from repro.splitter import cache, split_source
@@ -39,10 +40,11 @@ def test_keyword_texts_are_interned():
     assert keyword is sys.intern("while")
 
 
-def test_entry_names_are_interned(monkeypatch):
-    monkeypatch.setenv(cache.ENV_FLAG, "0")
-    first = split_source(ot.source(), ot.config()).split
-    second = split_source(ot.source(), ot.config()).split
+def test_entry_names_are_interned():
+    with mock.patch.dict(cache._MEMORY, clear=True):
+        first = split_source(ot.source(), ot.config()).split
+    with mock.patch.dict(cache._MEMORY, clear=True):
+        second = split_source(ot.source(), ot.config()).split
     assert first is not second
     for entry, fragment in first.fragments.items():
         assert sys.intern(entry) is entry
@@ -51,14 +53,12 @@ def test_entry_names_are_interned(monkeypatch):
     assert sys.intern(first.main_entry) is first.main_entry
 
 
-def test_split_cache_entry_holds_the_splits_names(monkeypatch):
-    monkeypatch.setenv(cache.ENV_FLAG, "1")
-    monkeypatch.delenv(cache.ENV_DIR, raising=False)
+def test_split_cache_entry_holds_the_splits_names():
     cache.clear()
     try:
         source, config = tax.source(), tax.config()
         split = split_source(source, config).split
-        entry = cache._MEMORY[cache.split_key(cache.digest(source), config)]
+        entry = cache._MEMORY[cache.split_key(source, config)]
         for encoded in entry["fragments"]:
             fragment = split.fragments[encoded["entry"]]
             assert encoded["entry"] is fragment.entry

@@ -15,13 +15,13 @@ from tests.programs import (
 
 def ast_equal(a, b) -> bool:
     """Structural AST equality, ignoring where the text came from
-    (positions and the source digest)."""
+    (positions)."""
     if type(a) is not type(b):
         return False
     if isinstance(a, (ast.Node,)):
         for slot_holder in type(a).__mro__:
             for slot in getattr(slot_holder, "__slots__", ()):
-                if slot in ("pos", "source_digest"):
+                if slot == "pos":
                     continue
                 if not ast_equal(getattr(a, slot), getattr(b, slot)):
                     return False

@@ -1,7 +1,6 @@
 """Shared mini-Jif programs and trust configurations used across tests."""
 
 import contextlib
-import os
 from unittest import mock
 
 from repro.splitter import cache, optimizer
@@ -175,8 +174,9 @@ def single_host_config(name: str = "H") -> TrustConfiguration:
 @contextlib.contextmanager
 def heuristic_placement():
     """Split with the chain-DP heuristic alone: the exact cut declines
-    every instance, and the split cache stands aside, so no split the
-    cut placed is served from it."""
+    every instance, and the split cache starts empty and gets its
+    entries back afterwards, so no split the cut placed is served inside
+    and no heuristic split outlives the block."""
     with mock.patch.object(optimizer, "try_exact", lambda model: None):
-        with mock.patch.dict(os.environ, {cache.ENV_FLAG: "0"}):
+        with mock.patch.dict(cache._MEMORY, clear=True):
             yield

@@ -101,7 +101,7 @@ def test_driver_interleaving_matches_solo_oracle():
         assert got == want
         assert record["latency"] >= 0.0
     # 40 sessions were served by at most `concurrency` session objects.
-    assert driver.pool.created <= 16
+    assert driver.pools[0].created <= 16
 
 
 def test_mixed_image_driver_matches_each_solo_oracle():
@@ -133,10 +133,8 @@ def test_mixed_image_driver_matches_each_solo_oracle():
     records = driver.run_many(30, observer=observer)
     assert len(records) == 30
     assert seen == {"tax", "work", "ot"}
-    # One pool per image — sessions never migrate between programs —
-    # and the single-image alias still points at the first.
+    # One pool per image — sessions never migrate between programs.
     assert len(driver.pools) == len(images)
-    assert driver.pool is driver.pools[0]
     for pool, image in zip(driver.pools, images.values()):
         assert pool.image is image
 

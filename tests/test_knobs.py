@@ -1,14 +1,11 @@
 """Census of the ``REPRO_*`` environment knobs the package reads.
 
-Every knob is a second behaviour to keep working, so the set is pinned
-here: adding one means adding it to ``ALLOWED`` on purpose.  A knob
-counts when its full name appears as a string constant in ``src/repro``
-(``os.environ.get("REPRO_X")``, or a module constant such as
-``ENV_FLAG = "REPRO_X"`` that is read later); mentions inside
-docstrings and messages are prose, not reads, and do not count.
-
-Both remaining knobs configure the split cache, so both are read in
-that one module and nowhere else.
+Every knob is a second behaviour to keep working, and the package has
+none: any ``REPRO_*`` name that appears as a string constant in
+``src/repro`` (``os.environ.get("REPRO_X")``, or a module constant such
+as ``FLAG = "REPRO_X"`` that is read later) fails here, so adding one
+means adding it to ``ALLOWED`` on purpose.  Mentions inside docstrings
+and messages are prose, not reads, and do not count.
 """
 
 import ast
@@ -17,10 +14,7 @@ import re
 
 import repro
 
-ALLOWED = {"REPRO_SPLIT_CACHE", "REPRO_SPLIT_CACHE_DIR"}
-
-#: The one module allowed to read a knob, relative to ``src/repro``.
-READER = "splitter/cache.py"
+ALLOWED = set()
 
 _KNOB = re.compile(r"REPRO_[A-Z0-9_]+")
 
@@ -52,12 +46,3 @@ def test_knob_set_is_the_allowlist():
         f"listed but unread: {sorted(ALLOWED - set(found))}"
     )
 
-
-def test_every_knob_is_read_in_one_module():
-    found = knobs_in_package()
-    elsewhere = {
-        knob: sorted(modules - {READER})
-        for knob, modules in found.items()
-        if modules != {READER}
-    }
-    assert elsewhere == {}, f"knobs read outside {READER}: {elsewhere}"
