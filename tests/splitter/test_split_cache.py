@@ -343,9 +343,10 @@ def test_preference_pin_and_link_cost_invalidate():
 # ---------------------------------------------------------------------------
 
 
-def test_checked_program_always_runs_the_pipeline():
-    # Only source text is keyed: a checked program is split afresh
-    # every time and never touches the cache's counters or entries.
+def test_unknown_source_digest_stands_aside():
+    # Only source text is keyed: a checked program has no content
+    # address the cache can use, so it is split afresh every time and
+    # never touches the cache's counters or entries.
     from repro.lang.parser import parse_program
     from repro.lang.typecheck import check_program
     from repro.splitter.partition import split_program
@@ -358,3 +359,24 @@ def test_checked_program_always_runs_the_pipeline():
     assert not first.cached and not second.cached
     assert cache.stats() == before
     assert observe(second.split) == observe(first.split)
+
+
+def test_staged_pipeline_hits_on_repeat():
+    # The staged path (parse -> check -> split a CheckedProgram) runs
+    # the full pipeline; repeating the split from the same source text
+    # hits, and the hit is observably the split the staged path made.
+    from repro.lang.parser import parse_program
+    from repro.lang.typecheck import check_program
+    from repro.splitter.partition import split_program
+
+    config = config_abt()
+    staged = split_program(
+        check_program(parse_program(OT_SOURCE), config.hierarchy), config
+    )
+    first = split_program(OT_SOURCE, config)
+    second = split_program(OT_SOURCE, config)
+    assert not staged.cached and not first.cached
+    assert second.cached
+    memory = cache.stats()["split.memory"]
+    assert (memory["hits"], memory["misses"]) == (1, 1)
+    assert observe(second.split) == observe(staged.split)
