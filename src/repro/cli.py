@@ -10,7 +10,9 @@ Usage (also via ``python -m repro``)::
                                [--schedules N] [--seed S]
                                [--crash-points [--crash-mode MODE]
                                 [--per-point K]]
-                               [--storage sqlite] [--storage-faults]
+                               [--storage sqlite]
+    python -m repro faultsweep [program.jif --hosts hosts.json]
+                               --storage-faults [--schedules N] [--seed S]
     python -m repro rehydrate --smoke
     python -m repro rehydrate program.jif --hosts hosts.json
                               --storage-dir DIR
@@ -247,17 +249,22 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_faultsweep(args: argparse.Namespace) -> int:
     from .runtime.faultsweep import (
         crash_point_sweep,
-        split_for_sweep,
         storage_fault_sweep,
         sweep,
     )
     from .workloads import ot
 
+    if args.storage_faults and (args.crash_points or args.storage != "memory"):
+        raise CliError(
+            "bad-request",
+            "faultsweep: --storage-faults runs its own sqlite tier and "
+            "cannot be combined with --crash-points or --storage sqlite",
+        )
     if args.program:
         if not args.hosts:
-            print("faultsweep: --hosts is required with a program",
-                  file=sys.stderr)
-            return 2
+            raise CliError(
+                "bad-request", "faultsweep: --hosts is required with a program"
+            )
         targets = [(args.program,
                     read_program(args.program),
                     load_trust_configuration(args.hosts))]
@@ -280,7 +287,7 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
     exit_code = 0
     for name, source, config in targets:
         try:
-            split = split_for_sweep(source, config)
+            split = split_source(source, config).split
         except (JifError, SplitError) as error:
             print(f"REJECTED: {error}", file=sys.stderr)
             return 1
@@ -301,7 +308,6 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
                 per_point=args.per_point,
                 crash_mode=args.crash_mode,
                 name=name,
-                jobs=args.jobs,
                 storage=args.storage,
             )
             print(f"crash-point sweep over {name} "
@@ -313,7 +319,6 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
                 base_seed=args.seed,
                 opt_level=args.opt_level,
                 name=name,
-                jobs=args.jobs,
                 storage=args.storage,
             )
             print(f"fault sweep over {name} (base seed {args.seed}):")
@@ -354,9 +359,11 @@ def cmd_rehydrate(args: argparse.Namespace) -> int:
               + ("passed" if exit_code == 0 else "FAILED"))
         return exit_code
     if not (args.program and args.hosts and args.storage_dir):
-        print("rehydrate: program, --hosts, and --storage-dir are "
-              "required (or use --smoke)", file=sys.stderr)
-        return 2
+        raise CliError(
+            "bad-request",
+            "rehydrate: program, --hosts, and --storage-dir are required "
+            "(or use --smoke)",
+        )
     from .runtime.checkpoint import CheckpointTamperError
     from .runtime.storage import StorageUnavailableError, rehydrate_session
 
@@ -509,11 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="receipt indices sampled per (host, kind) crash point",
     )
     faultsweep.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for the sweep (schedules and crash "
-             "points are independent; results are identical to --jobs 1)",
-    )
-    faultsweep.add_argument(
         "--storage", choices=("memory", "sqlite"), default="memory",
         help="with 'sqlite', run each schedule or crash point over its "
              "own SQLite tier in a temporary directory (removed "
@@ -525,7 +527,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--storage-faults", action="store_true",
         help="sweep seeded *storage* fault schedules instead (injected "
              "busy/locked errors, disk-full, post-run tampering); "
-             "verifies graceful degradation and fail-closed rehydration",
+             "verifies graceful degradation and fail-closed rehydration; "
+             "not with --crash-points or --storage sqlite",
     )
     faultsweep.set_defaults(func=cmd_faultsweep)
 

@@ -90,12 +90,6 @@ class MethodInfo:
     def key(self) -> Tuple[str, str]:
         return (self.cls, self.name)
 
-    def param_label(self, name: str) -> Label:
-        for pname, _, label in self.params:
-            if pname == name:
-                return label
-        raise KeyError(name)
-
     def __repr__(self) -> str:
         return f"MethodInfo({self.cls}.{self.name})"
 
@@ -134,17 +128,6 @@ class CheckedProgram:
 
     def method_info(self, cls: str, name: str) -> MethodInfo:
         return self.methods[(cls, name)]
-
-    def main_method(self) -> MethodInfo:
-        mains = [m for m in self.methods.values() if m.name == "main"]
-        if len(mains) != 1:
-            raise TypeError_(
-                f"expected exactly one main method, found {len(mains)}"
-            )
-        return mains[0]
-
-    def label_of(self, expr: ast.Expr) -> Label:
-        return self.expr_labels[id(expr)]
 
     def pc_of(self, stmt: ast.Stmt) -> Label:
         return self.stmt_pc[id(stmt)]

@@ -42,7 +42,6 @@ import tempfile
 from collections import Counter
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from .. import parallel
 from ..splitter.fragments import SplitProgram
 from ..trust import KeyRegistry
 from .checkpoint import CheckpointTamperError
@@ -86,22 +85,6 @@ def _storage_tier(storage: str) -> Iterator[Optional[SessionStorage]]:
     finally:
         tier.close()
         shutil.rmtree(directory, ignore_errors=True)
-
-
-def split_for_sweep(source: str, config) -> SplitProgram:
-    """Partition ``source`` for a sweep, through the whole-pipeline
-    split cache.
-
-    A sweep driver that re-splits the same (source, config) pair in
-    one process gets the split from the memory tier instead of
-    re-running the splitter.  The rehydrated split is observably
-    identical to a fresh compile (pinned by
-    ``tests/splitter/test_split_cache.py``), so sweep verdicts cannot
-    depend on how the split was obtained.
-    """
-    from ..splitter.partition import split_source
-
-    return split_source(source, config).split
 
 
 def random_policy(rng: random.Random) -> FaultPolicy:
@@ -168,7 +151,7 @@ class FaultOutcome:
 
 class FaultReport:
     """Aggregate of one sweep: its oracle and every run's outcome, in
-    input order (independent of ``jobs``)."""
+    input order."""
 
     def __init__(self, kind: str, oracle: Dict[str, Any], name: str = "") -> None:
         #: "schedules" | "crash points" | "storage schedules"
@@ -314,21 +297,24 @@ def verdict(
 
 
 def _faulty_run(
+    split: SplitProgram,
+    expected: Dict[str, Any],
+    opt_level: int,
+    storage: str,
     key: Any,
     name: str,
     faults: FaultInjector,
     token_rng: random.Random,
     checks: Callable[[ExecutionResult], List[str]] = lambda outcome: [],
 ) -> FaultOutcome:
-    """One run under ``faults`` with the fork-shared split, oracle,
-    opt level and storage mode, judged by :func:`verdict` plus the
-    driver's own ``checks(outcome)``."""
-    shared = parallel.state()
-    split = shared["split"]
+    """One run of ``split`` at ``opt_level`` under ``faults``, over the
+    durable tier ``storage`` names, judged by :func:`verdict` against
+    the oracle fingerprint ``expected`` plus the driver's own
+    ``checks(outcome)``."""
     try:
-        with _storage_tier(shared["storage"]) as tier:
+        with _storage_tier(storage) as tier:
             outcome, messages = recorded_run(
-                split, opt_level=shared["opt_level"], faults=faults,
+                split, opt_level=opt_level, faults=faults,
                 token_rng=token_rng, storage=tier,
             )
     except DeliveryTimeoutError as error:
@@ -337,7 +323,7 @@ def _faulty_run(
         )
     except Exception as error:  # noqa: BLE001 — any other escape is a bug
         return FaultOutcome(key, name, "failure", f"unexpected {error!r}")
-    problems = verdict(split, shared["oracle"], outcome, messages)
+    problems = verdict(split, expected, outcome, messages)
     problems.extend(checks(outcome))
     return FaultOutcome.from_problems(
         key, name, problems, fault_counts=dict(outcome.network.fault_counts)
@@ -349,50 +335,31 @@ def _faulty_run(
 # ----------------------------------------------------------------------
 
 
-def _run_schedule(seed: int) -> FaultOutcome:
-    """One seeded fault schedule (a :func:`parallel.fork_map` task)."""
-    policy = parallel.state()["policy_factory"](random.Random(seed))
-    return _faulty_run(
-        seed, f"seed={seed} {policy}", FaultInjector(policy, seed=seed),
-        random.Random(seed ^ 0x5EED),
-    )
-
-
 def sweep(
     split: SplitProgram,
     schedules: int = 50,
     base_seed: int = 0,
     opt_level: int = 1,
-    policy_factory: Callable[[random.Random], FaultPolicy] = random_policy,
     name: str = "",
-    jobs: int = 1,
     storage: str = "memory",
 ) -> FaultReport:
     """Run ``schedules`` seeded fault schedules against ``split``, each
     over the durable tier ``storage`` names (see the module docstring).
 
-    With ``jobs > 1`` the schedules run in a shared-nothing pool of
-    forked workers; every schedule is seeded independently, so the
-    report is identical to a serial run regardless of ``jobs``.  The
-    split program (and with it every split-cache and label-cache
-    entry its construction populated) is built in the parent before the
-    pool forks, so workers inherit warm caches by memory copy.
+    Schedule ``seed`` draws its :func:`random_policy`, its fault
+    injector and its token RNG from ``seed`` alone, so a report is a
+    pure function of its arguments.
     """
     _check_storage_mode(storage)
     expected, _ = oracle(split, opt_level)
     report = FaultReport("schedules", expected, name)
-    report.outcomes = parallel.fork_map(
-        _run_schedule,
-        [base_seed + index for index in range(schedules)],
-        jobs,
-        shared={
-            "split": split,
-            "oracle": expected,
-            "opt_level": opt_level,
-            "policy_factory": policy_factory,
-            "storage": storage,
-        },
-    )
+    for seed in range(base_seed, base_seed + schedules):
+        policy = random_policy(random.Random(seed))
+        report.outcomes.append(_faulty_run(
+            split, expected, opt_level, storage,
+            seed, f"seed={seed} {policy}", FaultInjector(policy, seed=seed),
+            random.Random(seed ^ 0x5EED),
+        ))
     return report
 
 
@@ -412,16 +379,18 @@ def _pick_occurrences(total: int, per_point: Optional[int]) -> List[int]:
     return sorted({round(i * step) for i in range(per_point)})
 
 
-def _run_crash_point(point: Tuple[str, str, int]) -> FaultOutcome:
-    """One deterministic crash point (a :func:`parallel.fork_map`
-    task): it must fire and, when volatile, log a recovery."""
-    shared = parallel.state()
+def _run_crash_point(
+    split: SplitProgram,
+    expected: Dict[str, Any],
+    opt_level: int,
+    storage: str,
+    crash_mode: str,
+    point: Tuple[str, str, int],
+) -> FaultOutcome:
+    """One deterministic crash point: it must fire and, when volatile,
+    log a recovery."""
     dst, kind, occurrence = point
-    injector = CrashPointInjector(
-        dst, kind, occurrence,
-        crash_downtime=shared["crash_downtime"],
-        crash_mode=shared["crash_mode"],
-    )
+    injector = CrashPointInjector(dst, kind, occurrence, crash_mode=crash_mode)
 
     def checks(outcome: ExecutionResult) -> List[str]:
         if not injector.fired:
@@ -433,8 +402,9 @@ def _run_crash_point(point: Tuple[str, str, int]) -> FaultOutcome:
         return []
 
     return _faulty_run(
+        split, expected, opt_level, storage,
         point, f"{dst}/{kind}@{occurrence}", injector,
-        random.Random(shared["token_seed"]), checks,
+        random.Random(0x5EED), checks,
     )
 
 
@@ -443,10 +413,7 @@ def crash_point_sweep(
     opt_level: int = 1,
     per_point: Optional[int] = 3,
     crash_mode: str = "volatile",
-    crash_downtime: float = 2e-3,
     name: str = "",
-    token_seed: int = 0x5EED,
-    jobs: int = 1,
     storage: str = "memory",
 ) -> FaultReport:
     """Crash each host at each message-kind receipt boundary, recover,
@@ -460,11 +427,6 @@ def crash_point_sweep(
     Because :class:`~repro.runtime.faults.CrashPointInjector` injects no
     other fault, the pre-crash prefix of each run matches the oracle
     exactly, so every enumerated point is guaranteed to fire.
-
-    With ``jobs > 1`` the crash points run in a shared-nothing pool of
-    forked workers; each point is fully determined by its
-    ``(host, kind, occurrence)`` triple, so the report is identical to
-    a serial run regardless of ``jobs``.
     """
     _check_storage_mode(storage)
     expected, messages = oracle(split, opt_level)
@@ -477,18 +439,12 @@ def crash_point_sweep(
         for occurrence in _pick_occurrences(total, per_point)
     ]
     report = FaultReport("crash points", expected, name)
-    report.outcomes = parallel.fork_map(
-        _run_crash_point, points, jobs,
-        shared={
-            "split": split,
-            "oracle": expected,
-            "opt_level": opt_level,
-            "crash_mode": crash_mode,
-            "crash_downtime": crash_downtime,
-            "token_seed": token_seed,
-            "storage": storage,
-        },
-    )
+    report.outcomes = [
+        _run_crash_point(
+            split, expected, opt_level, storage, crash_mode, point
+        )
+        for point in points
+    ]
     return report
 
 
@@ -517,11 +473,15 @@ def rehydrated_run(
         session.storage.close()
 
 
-def _run_storage_schedule(seed: int) -> FaultOutcome:
-    """One seeded storage fault schedule (a :func:`parallel.fork_map`
-    task); see :func:`storage_fault_sweep`."""
-    shared = parallel.state()
-    split, expected = shared["split"], shared["oracle"]
+def _run_storage_schedule(
+    split: SplitProgram,
+    expected: Dict[str, Any],
+    opt_level: int,
+    image: RuntimeImage,
+    seed: int,
+) -> FaultOutcome:
+    """One seeded storage fault schedule of ``split``, run from its
+    ``image``; see :func:`storage_fault_sweep`."""
     rng = random.Random(seed ^ 0x570AA6E)
     policy = StorageFaultPolicy(
         busy_prob=rng.uniform(0.0, 0.3),
@@ -533,9 +493,7 @@ def _run_storage_schedule(seed: int) -> FaultOutcome:
     degraded, tampered = False, ""
     try:
         StorageFaultInjector(policy, seed=seed).install(storage)
-        session = Session(
-            shared["image"], opt_level=shared["opt_level"], storage=storage
-        )
+        session = Session(image, opt_level=opt_level, storage=storage)
         messages = record_messages(session.network)
         try:
             outcome = session.run()
@@ -569,9 +527,9 @@ def _run_storage_schedule(seed: int) -> FaultOutcome:
                     tampered = "corrupt-page"
                     tamper(directory, tampered)
             try:
-                problems.extend(rehydrated_run(
-                    split, directory, expected, shared["opt_level"]
-                ))
+                problems.extend(
+                    rehydrated_run(split, directory, expected, opt_level)
+                )
                 if tampered:
                     problems.append(f"tamper {tampered} was not detected")
             except (CheckpointTamperError, StorageUnavailableError):
@@ -609,15 +567,9 @@ def storage_fault_sweep(
     """
     expected, _ = oracle(split, opt_level)
     report = FaultReport("storage schedules", expected, name)
-    report.outcomes = parallel.fork_map(
-        _run_storage_schedule,
-        [base_seed + index for index in range(schedules)],
-        1,
-        shared={
-            "split": split,
-            "oracle": expected,
-            "opt_level": opt_level,
-            "image": RuntimeImage(split, KeyRegistry()),
-        },
-    )
+    image = RuntimeImage(split, KeyRegistry())
+    report.outcomes = [
+        _run_storage_schedule(split, expected, opt_level, image, seed)
+        for seed in range(base_seed, base_seed + schedules)
+    ]
     return report

@@ -134,6 +134,31 @@ class TestRehydrate:
         assert payload["error"] in ("quarantine", "storage-degraded")
 
 
+class TestMissingArguments:
+    def test_faultsweep_program_without_hosts(self, capsys):
+        assert main(["faultsweep", PROGRAM]) == 2
+        payload = structured_error(capsys)
+        assert payload["error"] == "bad-request"
+        assert "--hosts" in payload["detail"]
+
+    def test_rehydrate_without_arguments(self, capsys):
+        assert main(["rehydrate"]) == 2
+        payload = structured_error(capsys)
+        assert payload["error"] == "bad-request"
+        assert "--storage-dir" in payload["detail"]
+
+    @pytest.mark.parametrize(
+        "extra", [["--crash-points"], ["--storage", "sqlite"]],
+        ids=["crash-points", "storage-sqlite"],
+    )
+    def test_storage_faults_conflicts_are_refused(self, extra, capsys):
+        argv = ["faultsweep", "--storage-faults", "--schedules", "1"]
+        assert main(argv + extra) == 2
+        payload = structured_error(capsys)
+        assert payload["error"] == "bad-request"
+        assert "--storage-faults" in payload["detail"]
+
+
 class TestRejectionsUnchanged:
     def test_frontend_rejection_keeps_rejected_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.jif"

@@ -34,7 +34,6 @@ NOT_ON_THE_RUN_PATH = [
     "repro.runtime.gateway",
     "repro.runtime.rmi",
     "repro.runtime.checkpoint",
-    "repro.parallel",
     "repro.reporting.experiments",
     "repro.reporting.table1",
     "repro.reporting.fig4",
