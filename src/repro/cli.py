@@ -8,9 +8,10 @@ Usage (also via ``python -m repro``)::
                        [--storage sqlite [--storage-dir DIR]]
     python -m repro faultsweep [program.jif --hosts hosts.json]
                                [--schedules N] [--seed S]
-                               [--crash-points [--crash-mode MODE]
-                                [--per-point K]]
                                [--storage sqlite]
+    python -m repro faultsweep [program.jif --hosts hosts.json]
+                               --crash-points [--crash-mode MODE]
+                               [--per-point K] [--storage sqlite]
     python -m repro faultsweep [program.jif --hosts hosts.json]
                                --storage-faults [--schedules N] [--seed S]
     python -m repro rehydrate --smoke
@@ -260,6 +261,24 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
             "faultsweep: --storage-faults runs its own sqlite tier and "
             "cannot be combined with --crash-points or --storage sqlite",
         )
+    # Each option applies to one kind of sweep; an explicit value for
+    # another kind is refused rather than ignored.
+    if args.crash_points:
+        other = (("--schedules", args.schedules), ("--seed", args.seed))
+        why = "cannot be combined with --crash-points"
+    else:
+        other = (("--per-point", args.per_point),
+                 ("--crash-mode", args.crash_mode))
+        why = "applies only with --crash-points"
+    given = [flag for flag, value in other if value is not None]
+    if given:
+        raise CliError(
+            "bad-request", f"faultsweep: {' and '.join(given)} {why}"
+        )
+    schedules = 50 if args.schedules is None else args.schedules
+    seed = 0 if args.seed is None else args.seed
+    per_point = 2 if args.per_point is None else args.per_point
+    crash_mode = args.crash_mode or "volatile"
     if args.program:
         if not args.hosts:
             raise CliError(
@@ -294,34 +313,34 @@ def cmd_faultsweep(args: argparse.Namespace) -> int:
         if args.storage_faults:
             report = storage_fault_sweep(
                 split,
-                schedules=args.schedules,
-                base_seed=args.seed,
+                schedules=schedules,
+                base_seed=seed,
                 opt_level=args.opt_level,
                 name=name,
             )
             print(f"storage fault sweep over {name} "
-                  f"(base seed {args.seed}):")
+                  f"(base seed {seed}):")
         elif args.crash_points:
             report = crash_point_sweep(
                 split,
                 opt_level=args.opt_level,
-                per_point=args.per_point,
-                crash_mode=args.crash_mode,
+                per_point=per_point,
+                crash_mode=crash_mode,
                 name=name,
                 storage=args.storage,
             )
             print(f"crash-point sweep over {name} "
-                  f"(mode {args.crash_mode}):")
+                  f"(mode {crash_mode}):")
         else:
             report = sweep(
                 split,
-                schedules=args.schedules,
-                base_seed=args.seed,
+                schedules=schedules,
+                base_seed=seed,
                 opt_level=args.opt_level,
                 name=name,
                 storage=args.storage,
             )
-            print(f"fault sweep over {name} (base seed {args.seed}):")
+            print(f"fault sweep over {name} (base seed {seed}):")
         print(report.summary())
         if report.failures:
             exit_code = 1
@@ -496,8 +515,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="mini-Jif program (default: the Figure 4 OT example)",
     )
     faultsweep.add_argument("--hosts", help="hosts JSON file")
-    faultsweep.add_argument("--schedules", type=int, default=50)
-    faultsweep.add_argument("--seed", type=int, default=0)
+    faultsweep.add_argument(
+        "--schedules", type=int, default=None,
+        help="seeded schedules to run (default 50); not with --crash-points",
+    )
+    faultsweep.add_argument(
+        "--seed", type=int, default=None,
+        help="base seed of the schedules (default 0); not with "
+             "--crash-points",
+    )
     faultsweep.add_argument("--opt-level", type=int, default=1,
                             choices=(0, 1, 2))
     faultsweep.add_argument(
@@ -507,13 +533,15 @@ def build_parser() -> argparse.ArgumentParser:
              "bit-identical to the fault-free run",
     )
     faultsweep.add_argument(
-        "--crash-mode", choices=("durable", "volatile"), default="volatile",
-        help="what a crash destroys: 'volatile' wipes everything but "
-             "the checkpointed store and recovers via WAL replay",
+        "--crash-mode", choices=("durable", "volatile"), default=None,
+        help="with --crash-points, what a crash destroys: 'volatile' "
+             "(the default) wipes everything but the checkpointed store "
+             "and recovers via WAL replay",
     )
     faultsweep.add_argument(
-        "--per-point", type=int, default=2,
-        help="receipt indices sampled per (host, kind) crash point",
+        "--per-point", type=int, default=None,
+        help="with --crash-points, receipt indices sampled per (host, "
+             "kind) crash point (default 2)",
     )
     faultsweep.add_argument(
         "--storage", choices=("memory", "sqlite"), default="memory",

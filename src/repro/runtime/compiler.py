@@ -67,6 +67,12 @@ The generated code does exactly what the tree-walking oracle in
   anyway (the entry table admits every fragment of the host), it
   dispatches to one shared leaf that runs the component compiled, on
   first use, with that member entered (:class:`_Reentry`).
+* A loop block entered with ``S`` fresh, whose jumps back also leave
+  ``S`` fresh, loads each variable those jumps hold into its local once,
+  before its ``while True:``, so no iteration reads the slot again
+  (Work's inner loop reads ``acc`` once per round, not per step).  A
+  loop whose body may reach the network, or that a message can enter,
+  loads nothing ahead.
 * Every plan is generated in place.  A fused ``sync`` goes through
   ``host._do_sync``, and a rejected one ends the chain.  An ``rgoto``
   to its static target host or an ``lgoto`` to the token's host builds
@@ -80,7 +86,17 @@ The generated code does exactly what the tree-walking oracle in
   deferred forward.  A return routes its value (``null`` included) by
   the static route of the call site its token names
   (:attr:`Linkage.returns`), then pops the local ICS or ``lgoto``\\ s.
-* Java ``/`` and ``%`` truncate toward zero.
+* Java ``/`` and ``%`` truncate toward zero.  By a positive integer
+  literal that is one Python ``//`` or ``%`` for a non-negative
+  dividend and the same operation on the negated dividend, negated, for
+  a negative one; any other divisor derives the truncated quotient from
+  the floored one.
+* A field placed on the executing host (placement is per ``(cls,
+  field)``, for static and object fields alike) is read and written in
+  ``host.field_store`` directly, with the write's ``host.durable`` WAL
+  record; ``host.read_field`` runs only to give an absent key its
+  default.  A field placed elsewhere goes through ``host.read_field``/
+  ``host.write_field``, which send the ``getField``/``setField``.
 * An operand nested deeper than :data:`_MAX_INLINE_DEPTH` is computed
   by preceding statements that store its operands in temporaries, level
   by level, so a long operator chain stays within CPython's limit on
@@ -351,7 +367,10 @@ _MAX_INLINE_DEPTH = 60
 
 
 def _depth(expr: ir.IRExpr) -> int:
-    return 1 + max(map(_depth, ir.children(expr)), default=0)
+    # A read of a field placed here through an object nests four
+    # brackets, so every object field read counts as two levels.
+    level = 2 if isinstance(expr, ir.FieldUse) and expr.obj is not None else 1
+    return level + max(map(_depth, ir.children(expr)), default=0)
 
 
 # ----------------------------------------------------------------------
@@ -554,12 +573,7 @@ class _Generator:
         if isinstance(expr, ir.VarUse):
             return self.read_var(expr.name)
         if isinstance(expr, ir.FieldUse):
-            oid = "None"
-            if expr.obj is not None:
-                oid = self.deref(sub(expr.obj), "oid", "field read")
-            if not self.is_local_field(expr.cls, expr.field):
-                self.stale()
-            return f"host.read_field({expr.cls!r}, {expr.field!r}, {oid})"
+            return self.read_field(expr, sub)
         if isinstance(expr, ir.BinOp):
             return self.binop(expr, sub)
         if isinstance(expr, ir.UnOp):
@@ -584,6 +598,35 @@ class _Generator:
             return sub(expr.inner)
         raise AssertionError(f"unknown expression {expr!r}")
 
+    def read_field(
+        self, expr: ir.FieldUse, sub: Callable[[ir.IRExpr], str]
+    ) -> str:
+        """A field placed here is read from ``host.field_store``, and
+        ``host.read_field`` only gives an absent key its default; any
+        other field is read through ``host.read_field``."""
+        cls, field = expr.cls, expr.field
+        if not self.is_local_field(cls, field):
+            oid = "None"
+            if expr.obj is not None:
+                oid = self.deref(sub(expr.obj), "oid", "field read")
+            self.stale()
+            return f"host.read_field({cls!r}, {field!r}, {oid})"
+        if expr.obj is None:
+            key = repr((cls, field, None))
+            return (
+                f"(host.field_store[{key}] if {key} in host.field_store "
+                f"else host.read_field({cls!r}, {field!r}, None))"
+            )
+        # The key's oid dereferences the object inside the tuple, so
+        # this level nests four brackets (see :func:`_depth`).
+        k, t = self.temp(), self.temp()
+        ref = sub(expr.obj)
+        oid = f"{t}.oid if ({t} := {ref}) is not None else _null('field read')"
+        return (
+            f"(host.field_store[{k}] if ({k} := ({cls!r}, {field!r}, {oid})) "
+            f"in host.field_store else host.read_field(*{k}))"
+        )
+
     def deref(self, ref: str, attr: str, what: str) -> str:
         t = self.temp()
         return (
@@ -596,6 +639,19 @@ class _Generator:
     ) -> str:
         op = expr.op
         left = sub(expr.left)
+        divisor = expr.right
+        if (
+            op in ("/", "%")
+            and isinstance(divisor, ir.Const)
+            and type(divisor.value) is int
+            and divisor.value > 0
+        ):
+            # One floor operation for a non-negative dividend, mirrored
+            # for a negative one, which Java truncates toward zero.
+            a = self.temp()
+            py = "//" if op == "/" else "%"
+            c = divisor.value
+            return f"({a} {py} {c} if ({a} := {left}) >= 0 else -(-{a} {py} {c}))"
         if op in ("&&", "||"):
             # The right operand may not run: afterwards S and the locals
             # are known only as well as on the worse of the two paths.
@@ -633,16 +689,21 @@ class _Generator:
             self.held.add(op.var)
         elif isinstance(op, OpSetField):
             (value,) = self.operands(op.expr)
+            self.emit(f"v = {value}")
             target = f"{op.cls!r}, {op.field!r}"
-            if op.obj is None:
-                self.emit(f"host.write_field({target}, None, {value})")
-            else:
-                self.emit(f"v = {value}")
+            oid = "None"
+            if op.obj is not None:
                 (ref,) = self.operands(op.obj)
                 self.emit(f"r = {ref}")
                 self.emit("if r is None: _null('field write')")
-                self.emit(f"host.write_field({target}, r.oid, v)")
-            if not self.is_local_field(op.cls, op.field):
+                oid = "r.oid"
+            if self.is_local_field(op.cls, op.field):
+                # A field placed here: the store write and its WAL record.
+                self.emit(f"k = ({target}, {oid})")
+                self.emit("host.field_store[k] = v")
+                self.emit("if D is not None: D.log('field', k, v)")
+            else:
+                self.emit(f"host.write_field({target}, {oid}, v)")
                 self.stale()
         elif isinstance(op, OpSetElem):
             args = ", ".join(self.operands(op.array, op.index, op.expr))
@@ -654,11 +715,11 @@ class _Generator:
             # fetches ``S`` again and reloads the held locals.
             self.emit(f"v = {self.read_var(op.var)}")
             label = self.var_label(self.fragment.method_key, op.var)
-            slot = f"(fid.fid, {op.var!r})"
             for target in op.hosts:
                 if target != self.host:
                     self.emit(
-                        f"host.defer_forward({target!r}, {slot}, v, {label}, fid)"
+                        f"host.defer_forward({target!r}, fid, {op.var!r}, v,"
+                        f" {label})"
                     )
             self.emit("if host.opt_level == 0:")
             self.indent += 1
@@ -822,8 +883,8 @@ class _Generator:
                     self.emit(f"N.flow({label}, {target!r})")
                 else:
                     self.emit(
-                        f"host.defer_forward({target!r}, (cf.fid, {param!r}),"
-                        f" a{i}, {label}, cf)"
+                        f"host.defer_forward({target!r}, cf, {param!r}, a{i},"
+                        f" {label})"
                     )
         if callee_host == self.host:
             self.emit(f"return ({terminator.callee_entry!r}, cf, tok)")
@@ -872,20 +933,65 @@ class _Generator:
             self.op(op)
         self.terminator(fragment.terminator)
 
-    def block(self, fragment: Fragment, state: _State) -> List[str]:
-        """One block, entered in ``state``, with its in-place members; a
-        loop block is an inner ``while True:`` whose jumps back to it
+    def block(
+        self, fragment: Fragment, state: _State
+    ) -> Tuple[List[str], _State]:
+        """One block, entered in ``state`` by every jump from outside it,
+        with its in-place members, and the state its code starts in.
+
+        A loop block is an inner ``while True:`` whose jumps back to it
         continue it and whose other fused jumps break out to the
-        dispatcher.  Its jumps are left in :attr:`jumps`."""
+        dispatcher; the loop starts as fresh, and holding as many
+        locals, as both ``state`` and its jumps back.  If ``S`` is fresh
+        both on entry and on every jump back, each variable a jump back
+        holds is loaded once before the loop, so the loop starts holding
+        it.  The block's other jumps are left in :attr:`jumps`."""
+        if fragment.entry not in self.loops:
+            return self.block_code(fragment, state, state), state
+        head = state
+        lines = self.block_code(fragment, state, head)
+        back = self.jumps_back()
+        if state[0] == _FRESH and back[0] == _FRESH:
+            head = (_FRESH, state[1] | back[1])
+            lines = self.block_code(fragment, state, head)
+            back = self.jumps_back()
+        while _meet(head, back) != head:
+            head = _meet(head, back)
+            lines = self.block_code(fragment, state, head)
+            back = self.jumps_back()
+        return lines, (state if head[1] - state[1] else head)
+
+    def jumps_back(self) -> _State:
+        """Take the current loop block's jumps back to itself out of
+        :attr:`jumps`; the meet of their states."""
+        block = self.block_of[self.root.entry]
+        back = [state for target, state in self.jumps if target == block]
+        self.jumps = [jump for jump in self.jumps if jump[0] != block]
+        state = back[0]
+        for other in back[1:]:
+            state = _meet(state, other)
+        return state
+
+    def block_code(
+        self, fragment: Fragment, state: _State, head: _State
+    ) -> List[str]:
+        """The lines of :meth:`block` for a loop that starts in ``head``,
+        after loading what ``head`` holds beyond ``state``."""
         self.root = fragment
         self.lines, self.jumps = [], []
         self.breaks = False
-        self.restore(state)
         self.temps = 0
         loop = fragment.entry in self.loops
         if loop:
+            for var in sorted(head[1] - state[1]):
+                name = repr(var)
+                self.emit(
+                    f"{self.local(var)} = S[{name}] if {name} in S "
+                    f"else host.var(fid, {name})"
+                )
             self.emit("while True:")
             self.indent += 1
+        self.restore(head)
         self.fragment_code(fragment)
         if loop:
             self.indent -= 1
@@ -894,11 +1000,11 @@ class _Generator:
         return self.lines
 
     def blocks(self) -> Tuple[List[List[str]], List[_State]]:
-        """Every block and the state it is entered in.  A block that
-        something outside can enter starts at :data:`_UNFETCHED`, any
-        other at the meet of its incoming jumps; a block whose entry
-        state drops is generated again.  A block nothing reaches is
-        generated as if entered from outside."""
+        """Every block and the state its code starts in.  A block that
+        something outside can enter is entered at :data:`_UNFETCHED`,
+        any other at the meet of the jumps into it from other blocks; a
+        block whose entry state drops is generated again.  A block
+        nothing reaches is generated as if entered from outside."""
         entered = self.linkage.entered
         count = len(self.roots)
         states: List[Optional[_State]] = [
@@ -906,11 +1012,12 @@ class _Generator:
             for fragment in self.roots
         ]
         code: List[Optional[List[str]]] = [None] * count
+        starts: List[Optional[_State]] = [None] * count
         todo = [i for i in range(count) if states[i] is not None]
         while True:
             while todo:
                 i = todo.pop(0)
-                code[i] = self.block(self.roots[i], states[i])
+                code[i], starts[i] = self.block(self.roots[i], states[i])
                 for target, state in self.jumps:
                     old = states[target]
                     new = state if old is None else _meet(old, state)
@@ -920,7 +1027,7 @@ class _Generator:
                             todo.append(target)
             missing = [i for i in range(count) if code[i] is None]
             if not missing:
-                return code, states
+                return code, starts
             states[missing[0]] = _UNFETCHED
             todo.append(missing[0])
 
@@ -930,13 +1037,13 @@ class _Generator:
         place, or a block that expects ``S`` fresh) dispatches to one
         shared leaf, which runs the body compiled for entering it
         (:class:`_Reentry`)."""
-        code, states = self.blocks()
+        code, starts = self.blocks()
         index = {}
         reentry = len(code)
         for fragment in self.fragments:
             entry = fragment.entry
             block = self.block_of.get(entry)
-            if block is not None and states[block][0] != _FRESH:
+            if block is not None and starts[block][0] != _FRESH:
                 index[entry] = block
             else:
                 index[entry] = reentry

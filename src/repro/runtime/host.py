@@ -33,7 +33,7 @@ ignored, blacklisting the offender.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from ..labels import Label
 from ..splitter.fragments import Fragment, SplitProgram
@@ -99,8 +99,13 @@ class TrustedHost:
         #: because the per-message hot path (forwarded variables, frame
         #: reads in fragment bodies) lives and dies on these lookups.
         self.frames: Dict[FrameID, Dict[str, Any]] = {}
-        #: deferred data forwards: dst host -> {(fid, var): (value, label)}.
-        self.pending: Dict[str, Dict[Tuple[int, str], Tuple[Any, Label, FrameID]]] = {}
+        #: deferred data forwards: dst host -> (the ``vars`` payload
+        #: that carries them, ``{frame: {var: value}}``, and the label of
+        #: each of its slots in the order the slots were first deferred).
+        #: A flush sends or piggybacks the payload as it stands.
+        self.pending: Dict[
+            str, Tuple[Dict[FrameID, Dict[str, Any]], List[Label]]
+        ] = {}
         #: False only when no deferred forward is waiting, so a control
         #: transfer skips the flush.
         self.forwards_pending = False
@@ -707,17 +712,13 @@ class TrustedHost:
         sending them early cannot change any final field or variable —
         it just guarantees the recovered host is not waiting on data.
         """
-        slots = self.pending.get(target)
-        if not slots:
+        forwards = self.pending.pop(target, None)
+        if forwards is None:
             return
-        vars_payload: Dict[FrameID, Dict[str, Any]] = {}
-        labels = []
-        for (fid_num, var), (value, label, fid) in slots.items():
-            vars_payload.setdefault(fid, {})[var] = value
-            labels.append(label)
+        vars_payload, labels = forwards
+        for label in labels:
             self.network.flow(label, target)
-        slots.clear()
-        self.forwards_pending = any(self.pending.values())
+        self.forwards_pending = bool(self.pending)
         if self.durable is not None:
             self.durable.log("pending_clear", target)
         self.network.request(
@@ -871,7 +872,7 @@ class TrustedHost:
         self.stack = stack
         self._seen_requests = state["seen"]
         self.pending = state["pending"]
-        self.forwards_pending = any(self.pending.values())
+        self.forwards_pending = bool(self.pending)
         self.peer_epochs = state["peer_epochs"]
 
     def _replay(self, entry: Tuple) -> None:
@@ -897,11 +898,10 @@ class TrustedHost:
         elif op == "seen":
             self._seen_requests[entry[1]] = entry[2]
         elif op == "pending":
-            _, target, slot, value, label, fid = entry
-            self.pending.setdefault(target, {})[slot] = (value, label, fid)
-            self.forwards_pending = True
+            self._store_forward(*entry[1:])
         elif op == "pending_clear":
-            self.pending.get(entry[1], {}).clear()
+            self.pending.pop(entry[1], None)
+            self.forwards_pending = bool(self.pending)
         elif op == "peer_epoch":
             self.peer_epochs[entry[1]] = entry[2]
         else:
@@ -998,44 +998,58 @@ class TrustedHost:
     # -- data forwarding ----------------------------------------------------------
 
     def defer_forward(
-        self, target: str, slot: Tuple[int, str], value: Any, label: Label,
-        frame: FrameID,
+        self, target: str, frame: FrameID, var: str, value: Any,
+        label: Label,
     ) -> None:
-        """Defer a data forward to ``target`` (WAL-logged)."""
-        self.pending.setdefault(target, {})[slot] = (value, label, frame)
-        self.forwards_pending = True
+        """Defer the forward of ``var`` of ``frame`` to ``target``
+        (WAL-logged)."""
+        self._store_forward(target, frame, var, value, label)
         if self.durable is not None:
-            self.durable.log("pending", target, slot, value, label, frame)
+            self.durable.log("pending", target, frame, var, value, label)
+
+    def _store_forward(
+        self, target: str, frame: FrameID, var: str, value: Any,
+        label: Label,
+    ) -> None:
+        """Put one slot in ``target``'s outgoing payload.  A slot
+        deferred again keeps its place and its label, which is static
+        per method variable."""
+        forwards = self.pending.get(target)
+        if forwards is None:
+            forwards = self.pending[target] = ({}, [])
+        slots = forwards[0].get(frame)
+        if slots is None:
+            slots = forwards[0][frame] = {}
+        if var not in slots:
+            forwards[1].append(label)
+        slots[var] = value
+        self.forwards_pending = True
 
     def flush_forwards(
         self, piggyback_for: Optional[str]
     ) -> Optional[Dict[FrameID, Dict[str, Any]]]:
-        """Send all deferred forwards; values destined to
-        ``piggyback_for`` are returned for inclusion in the transfer
+        """Send all deferred forwards; the payload destined to
+        ``piggyback_for`` is returned for inclusion in the transfer
         message instead of being sent separately."""
         piggyback: Optional[Dict[FrameID, Dict[str, Any]]] = None
+        network = self.network
         for target in sorted(self.pending):
-            slots = self.pending[target]
-            if not slots:
+            # Read the store afresh: a crash and recovery inside an
+            # earlier send may have replaced it.
+            forwards = self.pending.pop(target, None)
+            if forwards is None:
                 continue
+            vars_payload, labels = forwards
+            for label in labels:
+                network.flow(label, target)
+            if self.durable is not None:
+                self.durable.log("pending_clear", target)
             if target == piggyback_for and self.opt_level >= 1:
-                piggyback = {}
-                for (fid_num, var), (value, label, fid) in slots.items():
-                    piggyback.setdefault(fid, {})[var] = value
-                    self.network.flow(label, target)
-                self.network.note_eliminated(len(slots))
-                slots.clear()
-                if self.durable is not None:
-                    self.durable.log("pending_clear", target)
+                network.note_eliminated(len(labels))
+                piggyback = vars_payload
                 continue
-            vars_payload: Dict[FrameID, Dict[str, Any]] = {}
-            labels = []
-            for (fid_num, var), (value, label, fid) in slots.items():
-                vars_payload.setdefault(fid, {})[var] = value
-                labels.append(label)
-                self.network.flow(label, target)
-            if self.opt_level >= 1 and len(slots) > 1:
-                self.network.note_eliminated(len(slots) - 1)
+            if self.opt_level >= 1 and len(labels) > 1:
+                network.note_eliminated(len(labels) - 1)
             message = Message(
                 "forward",
                 self.name,
@@ -1043,17 +1057,14 @@ class TrustedHost:
                 {"vars": vars_payload, "digest": self.split.digest},
                 data_labels=labels,
             )
-            slots.clear()
-            if self.durable is not None:
-                self.durable.log("pending_clear", target)
             if self.opt_level >= 2:
                 # The paper's proposed (unimplemented) optimization:
                 # forwards need no acknowledgment.
-                self.network.one_way(message)
+                network.one_way(message)
             else:
-                self.network.request(message)
-        # A crash and recovery inside a send may have restored slots.
-        self.forwards_pending = any(self.pending.values())
+                network.request(message)
+        # A crash and recovery inside a send may have restored forwards.
+        self.forwards_pending = bool(self.pending)
         return piggyback
 
     # -- control transfers ------------------------------------------------------

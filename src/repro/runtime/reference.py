@@ -94,11 +94,10 @@ def run_op(host: TrustedHost, op, state: ExecutionState) -> None:
         value = host.var(state.frame, op.var)
         plan = host.split.methods[state.frame.method_key]
         label = plan.var_labels.get(op.var, Label.constant())
-        slot = (state.frame.fid, op.var)
         for target in op.hosts:
             if target == host.name:
                 continue
-            host.defer_forward(target, slot, value, label, state.frame)
+            host.defer_forward(target, state.frame, op.var, value, label)
         if host.opt_level == 0:
             host.flush_forwards(piggyback_for=None)
     else:
@@ -244,10 +243,7 @@ def finish_call(
                 rgoto_payload[param] = value
                 host.network.flow(label, target)
             else:
-                host.defer_forward(
-                    target, (callee_frame.fid, param), value, label,
-                    callee_frame,
-                )
+                host.defer_forward(target, callee_frame, param, value, label)
     if callee_host == host.name:
         for param, value in rgoto_payload.items():
             host.set_var(callee_frame, param, value)

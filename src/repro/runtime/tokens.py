@@ -81,6 +81,24 @@ _set_nonce = Token.nonce.__set__
 _set_mac = Token.mac.__set__
 
 
+#: Nonces one ``os.urandom`` call draws for a factory's buffer.
+_NONCES_PER_DRAW = 64
+
+#: Forks this process has gone through.  A factory drops the nonces it
+#: buffered in an earlier generation, so a forked child never reuses
+#: bytes its parent may also hand out.
+_forks = 0
+
+
+def _forked() -> None:
+    global _forks
+    _forks += 1
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forked)
+
+
 def _message(host: str, frame: FrameID, entry: str, nonce: bytes) -> bytes:
     """The bytes a token's MAC covers."""
     return f"token|{host}|{frame.fid}|{entry}|{nonce.hex()}".encode()
@@ -89,10 +107,12 @@ def _message(host: str, frame: FrameID, entry: str, nonce: bytes) -> bytes:
 class TokenFactory:
     """Mints and verifies tokens for one host.
 
-    Nonces come from ``os.urandom`` by default; pass a seeded
-    ``random.Random`` as ``rng`` for fully deterministic runs (used by
-    the differential fault-injection harness, where bit-reproducible
-    executions make failures replayable from a seed).
+    Nonces come from ``os.urandom`` by default, drawn
+    :data:`_NONCES_PER_DRAW` at a time into a buffer that a fork
+    discards; pass a seeded ``random.Random`` as ``rng`` for fully
+    deterministic runs (used by the differential fault-injection
+    harness, where bit-reproducible executions make failures replayable
+    from a seed).
     """
 
     def __init__(self, host: str, registry: KeyRegistry, rng=None) -> None:
@@ -103,6 +123,11 @@ class TokenFactory:
         #: number of MAC computations performed (for the Section 7.3
         #: hashing-overhead accounting).
         self.hash_count = 0
+        #: unused ``os.urandom`` bytes from ``_pool[_at:]``, drawn in
+        #: fork generation ``_drawn_in``.
+        self._pool = b""
+        self._at = 0
+        self._drawn_in = _forks
 
     def reset(self, rng=None) -> None:
         """Back to a freshly constructed factory for session recycling.
@@ -117,7 +142,13 @@ class TokenFactory:
     def _nonce(self) -> bytes:
         if self._rng is not None:
             return self._rng.getrandbits(64).to_bytes(8, "big")
-        return os.urandom(8)
+        at = self._at
+        if at == len(self._pool) or self._drawn_in != _forks:
+            self._pool = os.urandom(8 * _NONCES_PER_DRAW)
+            self._drawn_in = _forks
+            at = 0
+        self._at = at + 8
+        return self._pool[at:at + 8]
 
     def mint(self, frame: FrameID, entry: str) -> Token:
         host = self.host

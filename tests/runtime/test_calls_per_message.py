@@ -24,8 +24,10 @@ from repro.workloads import listcompare, medical, ot, tax, work
 #: Calls per message the protocol path may cost.  Routing every exit
 #: through generic host methods cost 41.6; generated exits with an
 #: ``ExecutionState`` per transfer and ``hmac`` copy chains cost 28.0,
-#: and without them 26.5 (Python 3.11).
-LIMIT = 27
+#: and without them 26.5, then 24.7.  Direct access to fields placed on
+#: the executing host, deferred forwards kept as ready payloads and
+#: buffered token nonces cost 23.9 (Python 3.10 to 3.13 alike).
+LIMIT = 24
 #: Pooled runs of each program that are counted.
 RUNS = 5
 

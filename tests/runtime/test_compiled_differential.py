@@ -11,6 +11,7 @@ fail must fail the same way: the same exception, message and state.
 """
 
 import gc
+import hashlib
 import random
 import re
 import traceback
@@ -33,13 +34,13 @@ from repro.runtime.compiler import (
     generate,
 )
 from repro.runtime.faults import CrashPointInjector, FaultInjector, FaultPolicy
-from repro.runtime.faultsweep import random_policy
+from repro.runtime.faultsweep import crash_point_sweep, random_policy
 from repro.runtime.network import DeliveryTimeoutError, Message
 from repro.runtime.values import FrameID
 from repro.reporting.throughput import request_workloads
 from repro.runtime.trace import recorded_run
 from repro.splitter import EdgeAction, TermBranch, TermJump, split_source
-from repro.workloads import listcompare, ot, tax, work
+from repro.workloads import listcompare, medical, ot, tax, work
 
 from tests.programs import (
     OT_SOURCE,
@@ -1128,7 +1129,7 @@ class TestLoops:
         assert split.fields[("LoopMix", "sink")].host == "B"
         source, (loop,) = loop_blocks(split, "A")
         assert "host.write_field('LoopMix', 'sink'" in loop
-        assert "host.defer_forward('B', (fid.fid, 'j')" in loop
+        assert "host.defer_forward('B', fid, 'j'" in loop
         assert "host._do_sync(" in source
 
     @pytest.mark.parametrize("level", [0, 1, 2])
@@ -1283,8 +1284,8 @@ class TestGeneratedCode:
         local."""
         split = split_source(listcompare.source(), listcompare.config()).split
         source, _ = generate(split, component(split, "A", split.main_entry))
-        start = source.index("host.defer_forward('B', (fid.fid, 'b')")
-        end = source.index("host.defer_forward('B', (fid.fid, 'headB')")
+        start = source.index("host.defer_forward('B', fid, 'b'")
+        end = source.index("host.defer_forward('B', fid, 'headB'")
         lines = source[start:end].splitlines()[1:-1]
         flush, *branch, read = lines
         assert flush.strip() == "if host.opt_level == 0:"
@@ -1297,3 +1298,292 @@ class TestGeneratedCode:
         reloaded = {line.split(" = ")[0].strip() for line in branch[2:]}
         assert re.fullmatch(r"v = (L\d+)", read.strip())
         assert read.strip()[4:] in reloaded
+
+
+# ----------------------------------------------------------------------
+# Facts the split fixes: a field placed on the executing host, a
+# positive literal divisor, and what a loop's jumps back hold.
+# ----------------------------------------------------------------------
+
+#: Reads of a static field and of an object field placed on the
+#: executing host before anything writes them: the static field holds
+#: its default from the start, and the object field's absent key gets
+#: its default on the first read (logged when a durable store is
+#: there).
+FIELDS_BEFORE_WRITE = NODE + """
+class Fresh {
+  int{Alice:; ?:Alice} count;
+  int{Alice:; ?:Alice} seen;
+  int{Alice:; ?:Alice} out;
+  void main{?:Alice}() {
+    Node{Alice:; ?:Alice} n = new Node();
+    int{Alice:; ?:Alice} before = n.val;
+    n.val = before + 4;
+    seen = count;
+    count = count + n.val;
+    out = count * 10 + before + n.val;
+  }
+}
+"""
+
+#: Java ``/`` and ``%`` by positive literals over negative and
+#: non-negative dividends, and by a negative literal, which stays on the
+#: generic path.
+LITERAL_DIVISORS = """
+class Div {
+  int{Alice:; ?:Alice} out;
+  void main{?:Alice}() {
+    int{Alice:; ?:Alice} m = -7;
+    int{Alice:; ?:Alice} x = 11;
+    int{Alice:; ?:Alice} a = -7 / 3;
+    int{Alice:; ?:Alice} b = -7 % 3;
+    int{Alice:; ?:Alice} c = x % 1;
+    int{Alice:; ?:Alice} d = m / 3 * 1000 + m % 3 * 100 + x / 3 * 10 + x % 3;
+    int{Alice:; ?:Alice} e = m / -3 * 10 + m % -3;
+    out = a * 100000 + b * 10000 + c * 1000 + d + e;
+  }
+}
+"""
+
+#: A loop whose carried variable has no value before the loop.
+UNSET_CARRY = """
+class Carry {
+  int{Alice:; ?:Alice} out;
+  void main{?:Alice}() {
+    int{Alice:; ?:Alice} acc;
+    int{Alice:; ?:Alice} j = 0;
+    while (j < 4) { acc = acc * 3 + j; j = j + 1; }
+    out = acc;
+  }
+}
+"""
+
+
+def wal_shape(hosts):
+    """Each host's WAL as (operation, field key without its oid, value)
+    for field records and the bare operation for the others."""
+    return {
+        name: [
+            (entry[0], entry[1][:2], entry[2])
+            if entry[0] == "field" else entry[0]
+            for entry in host.durable.wal
+        ]
+        for name, host in hosts.items()
+    }
+
+
+def preloads(source):
+    """The lines directly above each ``while True:`` of a loop block
+    that load a variable from ``S``."""
+    lines = source.splitlines()
+    found = []
+    for i, line in enumerate(lines):
+        if line.strip() == "while True:" and line.startswith("        "):
+            j = i - 1
+            while " = S[" in lines[j]:
+                found.append(lines[j].strip())
+                j -= 1
+    return found
+
+
+class TestFixedFacts:
+    @pytest.mark.parametrize(
+        "config", [single_host_config, config_abt], ids=["H", "abt"]
+    )
+    def test_local_fields_read_before_first_write(self, config, monkeypatch):
+        split = split_source(FIELDS_BEFORE_WRITE, config()).split
+
+        def run():
+            executor = Session(
+                RuntimeImage.for_split(split), faults=CrashSequence([])
+            )
+            observed = exact(executor, executor.run())
+            observed["wal"] = wal_shape(executor.hosts)
+            return observed
+
+        compiled = run()
+        assert compiled == interpreted(run, monkeypatch)
+        fields = {}
+        for host_fields in compiled["fields"].values():
+            fields.update(host_fields)
+        assert [fields[("Fresh", name, None)] for name in (
+            "seen", "count", "out",
+        )] == [0, 4, 44]
+        # Static fields start from the image's defaults; the object
+        # field's absent key gets its default, WAL-logged, on first read.
+        assert any(
+            ("field", ("Node", "val"), 0) in wal
+            for wal in compiled["wal"].values()
+        )
+        host = split.fields[("Fresh", "count")].host
+        assert split.fields[("Node", "val")].host == host
+        source, _ = generate(split, component(split, host, split.main_entry))
+        assert "host.write_field(" not in source
+        assert "host.field_store[('Fresh', 'count', None)] if" in source
+        assert "else host.read_field('Fresh', 'count', None)" in source
+        assert re.search(r"\(t\d+ := \('Node', 'val', t\d+\.oid", source)
+        assert re.search(r"else host\.read_field\(\*t\d+\)", source)
+
+    def test_literal_divisors(self, monkeypatch):
+        compiled, oracle = run_both(
+            LITERAL_DIVISORS, single_host_config(), monkeypatch
+        )
+        assert compiled == oracle
+        (fields,) = [f for f in compiled["fields"].values() if f]
+        # -7/3 = -2, -7%3 = -1, 11%1 = 0; -2*1000 - 1*100 + 3*10 + 2;
+        # -7/-3 = 2, -7%-3 = -1.
+        assert fields[("Div", "out", None)] == (
+            -2 * 100000 - 1 * 10000 + 0 + (-2000 - 100 + 30 + 2) + (20 - 1)
+        )
+        split = split_source(LITERAL_DIVISORS, single_host_config()).split
+        source, _ = generate(split, component(split, "H", split.main_entry))
+        assert len(re.findall(r"// 3 if \(t\d+ := ", source)) == 3
+        assert len(re.findall(r"% 3 if \(t\d+ := ", source)) == 3
+        assert len(re.findall(r"% 1 if \(t\d+ := ", source)) == 1
+        # The two divisions by -3 take the generic path.
+        assert source.count(" < 0 and ") == 2
+
+    @pytest.mark.parametrize(
+        "name", ["division-by-zero", "remainder-by-zero"]
+    )
+    def test_zero_literal_divisor_stays_generic(self, name):
+        split = split_source(FAILURES[name], config_abt()).split
+        host = split.entry_host(split.main_entry)
+        source, _ = generate(split, component(split, host, split.main_entry))
+        assert source.count(" < 0 and ") == 1
+        assert " if (t1 := " not in source
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_loop_preloads_a_carried_variable_unset_before_it(
+        self, level, monkeypatch
+    ):
+        split = split_source(UNSET_CARRY, single_host_config()).split
+
+        def run():
+            executor = Session(RuntimeImage.for_split(split), opt_level=level)
+            return exact(executor, executor.run())
+
+        compiled = run()
+        assert compiled == interpreted(run, monkeypatch)
+        (fields,) = [f for f in compiled["fields"].values() if f]
+        assert fields[("Carry", "out", None)] == ((0 * 3 + 1) * 3 + 2) * 3 + 3
+        source, _ = generate(split, component(split, "H", split.main_entry))
+        (preload,) = preloads(source)
+        assert re.fullmatch(
+            r"L\d+ = S\['acc'\] if 'acc' in S else host\.var\(fid, 'acc'\)",
+            preload,
+        )
+
+    def test_work_loop_preloads_its_accumulator(self):
+        """Work's inner loop reads ``acc`` from its local on every
+        iteration: the one read of the slot is before the loop."""
+        split = split_source(work.source(rounds=2), work.config()).split
+        _, (loop,) = loop_blocks(split, "A")
+        source, _ = generate(split, component(split, "A", split.main_entry))
+        assert [line.split(" = ")[1] for line in preloads(source)] == [
+            "S['acc'] if 'acc' in S else host.var(fid, 'acc')"
+        ]
+        assert "S['acc'] if" not in loop
+
+    def test_loop_reaching_the_network_preloads_nothing(self):
+        """LOOP_PROTOCOL's inner loop writes a field placed on B, so
+        ``S`` is stale on its jump back and nothing is loaded before
+        it."""
+        split = split_source(LOOP_PROTOCOL, config_bob_on_b()).split
+        source, (loop,) = loop_blocks(split, "A")
+        assert "host.write_field('LoopMix', 'sink'" in loop
+        assert preloads(source) == []
+
+
+#: Table 1 at each opt level, recorded before the deferred-forward
+#: store kept ready payloads: (eliminated, forward messages, flows, the
+#: first 16 hex digits of the SHA-256 of the flow log, message counts,
+#: clock, observables and host state).
+FORWARD_PINS = {
+    ("List", 0): (0, 403, 403, "ac82cd29cb1570a5"),
+    ("List", 1): (302, 101, 403, "95d495048d038afa"),
+    ("List", 2): (302, 101, 403, "91638ea652be5ebe"),
+    ("OT", 0): (0, 402, 402, "79ed8944ce93dc8f"),
+    ("OT", 1): (301, 101, 402, "4693f70d2a480718"),
+    ("OT", 2): (301, 101, 402, "bd38f889d0cf8acd"),
+    ("Tax", 0): (0, 100, 201, "7a050d1805eef822"),
+    ("Tax", 1): (100, 0, 201, "6c8137518d0b183d"),
+    ("Tax", 2): (100, 0, 201, "6c8137518d0b183d"),
+    ("Work", 0): (0, 0, 0, "60d5668a6feee38a"),
+    ("Work", 1): (0, 0, 0, "60d5668a6feee38a"),
+    ("Work", 2): (0, 0, 0, "60d5668a6feee38a"),
+    ("Medical", 0): (0, 54, 56, "f5c5c032b6b9f2f7"),
+    ("Medical", 1): (53, 0, 55, "97c01d56cb04dd6f"),
+    ("Medical", 2): (53, 0, 55, "97c01d56cb04dd6f"),
+}
+TABLE1_FULL = {
+    "List": listcompare, "OT": ot, "Tax": tax, "Work": work,
+    "Medical": medical,
+}
+
+
+class TestForwardStore:
+    @pytest.mark.parametrize("key", sorted(FORWARD_PINS), ids=str)
+    def test_table1_flows_match_pin(self, key):
+        name, level = key
+        module = TABLE1_FULL[name]
+        split = split_source(module.source(), module.config()).split
+        session = Session(RuntimeImage.for_split(split), opt_level=level)
+        result = session.run()
+        network = session.network
+        flows = [(str(label), host) for label, host in network.flow_log]
+        counts = network.table_counts()
+        blob = repr((
+            flows, counts, network.clock.hex(), session.observables(),
+            host_state(result.hosts),
+        ))
+        assert (
+            counts["eliminated"], counts["forward"], len(flows),
+            hashlib.sha256(blob.encode()).hexdigest()[:16],
+        ) == FORWARD_PINS[key]
+
+    def test_piggyback_is_the_stored_payload(self):
+        """A target's deferred forwards are kept as its ``vars`` payload
+        and one label per slot; a slot deferred again keeps its place,
+        and a piggyback hands the payload over as it is."""
+        split = split_source(ot.source(rounds=1), ot.config()).split
+        session = Session(RuntimeImage.for_split(split), storage=None)
+        host = session.hosts["A"]
+        first, second = FrameID(("C", "m")), FrameID(("C", "n"))
+        label = split.fields[next(iter(split.fields))].label
+        host.defer_forward("B", first, "x", 1, label)
+        host.defer_forward("B", second, "y", 2, label)
+        host.defer_forward("B", first, "x", 3, label)
+        payload, labels = host.pending["B"]
+        assert payload == {first: {"x": 3}, second: {"y": 2}}
+        assert labels == [label, label]
+        assert host.flush_forwards("B") is payload
+        assert host.pending == {} and not host.forwards_pending
+        assert session.network.table_counts()["eliminated"] == 2
+        assert session.network.flow_log == [(label, "B"), (label, "B")]
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize(
+        "source,config",
+        [
+            (ot.source(rounds=1), ot.config()),
+            (listcompare.source(elements=3), listcompare.config()),
+        ],
+        ids=["ot", "list"],
+    )
+    def test_reforward_after_recover(self, source, config, level, monkeypatch):
+        """Crashing each host at each receipt makes a peer re-forward
+        data it still holds for the recovered host; every point ends
+        with the fault-free result."""
+        split = split_source(source, config).split
+        carried = []
+        reforward = TrustedHost._reforward_pending
+
+        def record(host, target):
+            carried.append(target in host.pending)
+            reforward(host, target)
+
+        monkeypatch.setattr(TrustedHost, "_reforward_pending", record)
+        report = crash_point_sweep(split, opt_level=level, per_point=None)
+        assert report.outcomes and not report.failures
+        assert any(carried)

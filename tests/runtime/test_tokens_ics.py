@@ -1,6 +1,8 @@
 """Unit tests for capability tokens and the integrity control stack."""
 
 import hmac
+import os
+import random
 from hashlib import sha256
 
 import pytest
@@ -82,6 +84,53 @@ class TestTokens:
         # Every presentation is a charged operation.
         factory.verify(token)
         assert factory.hash_count == before + 3
+
+
+class TestNonces:
+    def test_nonces_are_distinct_across_refills(self):
+        factory = make_factory()
+        nonces = [factory._nonce() for _ in range(3 * 64 + 5)]
+        assert all(len(nonce) == 8 for nonce in nonces)
+        assert len(set(nonces)) == len(nonces)
+
+    def test_seeded_rng_draws_from_the_rng(self):
+        seeded = TokenFactory("T", KeyRegistry(), rng=random.Random(7))
+        rng = random.Random(7)
+        assert [seeded._nonce() for _ in range(3)] == [
+            rng.getrandbits(64).to_bytes(8, "big") for _ in range(3)
+        ]
+
+    @pytest.mark.skipif(
+        not hasattr(os, "fork"), reason="needs os.fork"
+    )
+    def test_forked_child_draws_no_buffered_nonce(self):
+        """After a partial draw, a forked child and its parent must
+        never hand out the same next nonce (the parent's buffer still
+        holds unused bytes the child inherits)."""
+        factory = make_factory()
+        factory._nonce()
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - the child
+            try:
+                os.close(read)
+                os.write(write, factory._nonce())
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            child = b""
+            while len(child) < 8:
+                chunk = os.read(read, 8 - len(child))
+                if not chunk:
+                    break
+                child += chunk
+        finally:
+            os.close(read)
+            os.waitpid(pid, 0)
+        parent = factory._nonce()
+        assert len(child) == 8
+        assert child != parent
 
 
 def reference_verdict(factory, token):

@@ -158,6 +158,34 @@ class TestMissingArguments:
         assert payload["error"] == "bad-request"
         assert "--storage-faults" in payload["detail"]
 
+    @pytest.mark.parametrize(
+        "argv,flags",
+        [
+            (["--crash-points", "--schedules", "1", "--seed", "7"],
+             ["--schedules", "--seed"]),
+            (["--crash-points", "--schedules", "50"], ["--schedules"]),
+            (["--crash-points", "--seed", "0"], ["--seed"]),
+            (["--per-point", "3"], ["--per-point"]),
+            (["--crash-mode", "volatile"], ["--crash-mode"]),
+            (["--storage-faults", "--per-point", "1"], ["--per-point"]),
+        ],
+        ids=[
+            "schedules-and-seed-with-crash-points",
+            "default-schedules-with-crash-points",
+            "default-seed-with-crash-points",
+            "per-point-without-crash-points",
+            "crash-mode-without-crash-points",
+            "per-point-with-storage-faults",
+        ],
+    )
+    def test_options_of_another_sweep_are_refused(self, argv, flags, capsys):
+        """An option that does not apply to the chosen sweep is refused,
+        even at its default value, instead of being ignored."""
+        assert main(["faultsweep", *argv]) == 2
+        payload = structured_error(capsys)
+        assert payload["error"] == "bad-request"
+        assert all(flag in payload["detail"] for flag in flags)
+
 
 class TestRejectionsUnchanged:
     def test_frontend_rejection_keeps_rejected_line(self, tmp_path, capsys):
